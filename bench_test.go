@@ -220,20 +220,17 @@ func BenchmarkWorkloadGen(b *testing.B) {
 }
 
 // BenchmarkEndToEnd measures full simulation throughput (references per
-// second through generator + engine + pager), the number that sizes every
-// experiment above.
+// second through generator + engine + pager) on Machine.Run, the batched
+// loop every experiment drives: the number that sizes every experiment
+// above.
 func BenchmarkEndToEnd(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.MemoryBytes = 6 << 20
 	m := NewMachine(cfg)
 	script := workload.NewScript(m, 1, SLC())
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, ok := script.Next()
-		if !ok {
-			b.Fatal("generator ran dry")
-		}
-		m.Engine.Access(rec)
+	if res := m.Run(script, int64(b.N)); res.Refs != int64(b.N) {
+		b.Fatal("generator ran dry")
 	}
 }
 
@@ -281,25 +278,17 @@ func itoa(n int) string {
 }
 
 // BenchmarkWorkloadGenBatch measures batched reference generation alone
-// (NextBatch, as the sampling profiler and measuring pass consume the
+// (trace.Pump, as the sampling profiler and measuring pass consume the
 // stream), the floor under every sampled-run projection: even a skipped
 // gap costs this much per reference.
 func BenchmarkWorkloadGenBatch(b *testing.B) {
 	cfg := DefaultConfig()
 	m := NewMachine(cfg)
 	script := workload.NewScript(m, 1, Workload1())
-	buf := make([]trace.Rec, 4096)
+	buf := make([]trace.Rec, trace.BatchSize)
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := b.N - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		k := script.NextBatch(buf[:n])
-		if k == 0 {
-			b.Fatal("generator ran dry")
-		}
-		done += k
+	if trace.Pump(script, buf, int64(b.N), 0, func([]trace.Rec) bool { return true }) != int64(b.N) {
+		b.Fatal("generator ran dry")
 	}
 }
 
@@ -313,19 +302,11 @@ func BenchmarkTouchWarm(b *testing.B) {
 	cfg.MemoryBytes = 6 << 20
 	m := NewMachine(cfg)
 	script := workload.NewScript(m, 1, SLC())
-	buf := make([]trace.Rec, 4096)
+	buf := make([]trace.Rec, trace.BatchSize)
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := b.N - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		k := script.NextBatch(buf[:n])
-		if k == 0 {
-			b.Fatal("generator ran dry")
-		}
-		m.Engine.TouchBatch(buf[:k])
-		done += k
+	touch := func(recs []trace.Rec) bool { m.Engine.TouchBatch(recs); return true }
+	if trace.Pump(script, buf, int64(b.N), 0, touch) != int64(b.N) {
+		b.Fatal("generator ran dry")
 	}
 }
 

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	spur "repro"
@@ -54,16 +55,15 @@ func main() {
 		// The trace carries addresses, not the producing run's region
 		// bookkeeping: replay auto-registers pages on fault.
 		m.Pager.AutoRegister = true
-		for {
-			rec, ok := r.Next()
-			if !ok {
-				break
+		trace.Pump(r, make([]trace.Rec, trace.BatchSize), math.MaxInt64, 0, func(b []trace.Rec) bool {
+			for _, rec := range b {
+				sum.Add(rec)
 			}
-			sum.Add(rec)
 			if *replay {
-				m.Engine.Access(rec)
+				m.Engine.AccessBatch(b)
 			}
-		}
+			return true
+		})
 		if err := r.Err(); err != nil {
 			die(err)
 		}
@@ -124,26 +124,18 @@ func main() {
 // between batches. The stream is bit-for-bit what the per-reference path
 // produces.
 func capture(m *machine.Machine, script *workload.Script, refs int64, w *trace.Writer, sum *trace.Summary) error {
-	buf := make([]trace.Rec, 4096)
-	for pos := int64(0); pos < refs; {
-		n := int64(len(buf))
-		if refs-pos < n {
-			n = refs - pos
-		}
-		k := script.NextBatch(buf[:n])
-		if k == 0 {
-			break
-		}
-		for _, rec := range buf[:k] {
+	var err error
+	trace.Pump(script, make([]trace.Rec, trace.BatchSize), refs, 0, func(b []trace.Rec) bool {
+		for _, rec := range b {
 			sum.Add(rec)
 			if w != nil {
-				if err := w.Write(rec); err != nil {
-					return err
+				if err = w.Write(rec); err != nil {
+					return false
 				}
 			}
 		}
-		m.Engine.AccessBatch(buf[:k])
-		pos += int64(k)
-	}
-	return nil
+		m.Engine.AccessBatch(b)
+		return true
+	})
+	return err
 }

@@ -97,6 +97,8 @@ func (e *Engine) Access(r trace.Rec) {
 		e.Ctr.InjectWraparound(8)
 	}
 
+	// Counted before the probe, miss or fault handling can panic: the
+	// hardened runner reads this count to place a panic on its reference.
 	e.Ctr.Inc(opEvent[r.Op])
 
 	if l, hit := e.Cache.Probe(b); hit {

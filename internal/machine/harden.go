@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/faultinject"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -48,19 +49,18 @@ type RunOptions struct {
 	// decisions, so partial results stay deterministic per reference.
 	Deadline time.Duration
 	// TraceTail is how many trailing trace records the repro bundle
-	// keeps (default 64).
+	// keeps (default 64, at most MaxTraceTail).
 	TraceTail int
 	// ArtifactDir, when set, receives a JSON repro bundle per failure.
 	ArtifactDir string
-	// SkipFinalAudit disables the end-of-run audit (for callers that
-	// audit on their own cadence).
-	SkipFinalAudit bool
 }
 
 const defaultTraceTail = 64
 
-// deadlineStride is how many references pass between wall-clock checks.
-const deadlineStride = 4096
+// MaxTraceTail bounds RunOptions.TraceTail at one batch of the reference
+// loop. Larger values are clamped, so no request can make the tail ring
+// allocate more than that.
+const MaxTraceTail = trace.BatchSize
 
 // RunFailure is the structured artifact of a failed hardened run: enough to
 // reproduce the failure bit-for-bit (the config embeds the workload seed and
@@ -136,10 +136,9 @@ func (f *RunFailure) WriteBundle(dir string) (string, error) {
 	}
 }
 
-// tailBuffer is a fixed-size ring of the most recent trace records. The
-// push is O(1): a full ring overwrites its oldest slot instead of shifting
-// the whole buffer, which at sweep scale (one push per reference) used to
-// cost a 1.5 KB memmove per reference — several percent of total CPU.
+// tailBuffer is a fixed-size ring of the most recent trace records,
+// refilled a batch at a time: a full ring overwrites its oldest slots
+// instead of shifting the whole buffer.
 type tailBuffer struct {
 	recs []trace.Rec
 	n    int
@@ -150,18 +149,18 @@ func newTailBuffer(n int) *tailBuffer {
 	if n <= 0 {
 		n = defaultTraceTail
 	}
+	n = min(n, MaxTraceTail)
 	return &tailBuffer{recs: make([]trace.Rec, 0, n), n: n}
 }
 
-func (t *tailBuffer) push(r trace.Rec) {
-	if len(t.recs) < t.n {
-		t.recs = append(t.recs, r)
-		return
-	}
-	t.recs[t.head] = r
-	t.head++
-	if t.head == t.n {
-		t.head = 0
+// add appends a batch, keeping the last n records.
+func (t *tailBuffer) add(b []trace.Rec) {
+	b = b[max(len(b)-t.n, 0):]
+	k := min(t.n-len(t.recs), len(b))
+	t.recs = append(t.recs, b[:k]...)
+	for b = b[k:]; len(b) > 0; b = b[k:] {
+		k = copy(t.recs[t.head:], b)
+		t.head = (t.head + k) % t.n
 	}
 }
 
@@ -173,70 +172,20 @@ func (t *tailBuffer) snapshot() []trace.Rec {
 	return out
 }
 
-// ContinuousAuditor invokes an audit function once every Every ticks. It is
-// the cadence mechanism behind RunOptions.AuditEvery, exported so drivers
-// that own their access loop (the multiprocessor examples, custom trace
-// replayers) can audit mid-run the same way.
-type ContinuousAuditor struct {
-	every int64
-	n     int64
-	audit func() error
-}
-
-// NewContinuousAuditor returns an auditor calling audit every 'every' ticks;
-// every <= 0 never audits.
-func NewContinuousAuditor(every int64, audit func() error) *ContinuousAuditor {
-	return &ContinuousAuditor{every: every, audit: audit}
-}
-
-// Tick advances the auditor one event and runs the audit when the cadence
-// comes due. A nil auditor never audits. The disabled check stays small
-// enough to inline so a disabled auditor costs its callers' per-reference
-// loops nothing but a branch.
-func (a *ContinuousAuditor) Tick() error {
-	if a == nil || a.every <= 0 {
-		return nil
-	}
-	return a.tick()
-}
-
-func (a *ContinuousAuditor) tick() error {
-	a.n++
-	if a.n%a.every != 0 {
-		return nil
-	}
-	return a.audit()
-}
-
-// Auditor returns a ContinuousAuditor over this machine's invariants.
-func (m *Machine) Auditor(every int64) *ContinuousAuditor {
-	return NewContinuousAuditor(every, func() error { return Audit(m) })
-}
-
-// Auditor returns a ContinuousAuditor over the multiprocessor's invariants
-// (per-cache audits plus the cross-cache coherence invariants).
-func (m *MP) Auditor(every int64) *ContinuousAuditor {
-	return NewContinuousAuditor(every, func() error { return AuditMP(m) })
-}
-
 // failure assembles a RunFailure for this machine and writes the bundle if
-// opts asks for one (a bundle-write error is reported in Reason rather than
-// masking the original failure).
-func (m *Machine) failure(kind FailureKind, reason string, stack string, tail *tailBuffer, opts RunOptions) *RunFailure {
-	f := &RunFailure{
-		Kind:       kind,
-		Reason:     reason,
-		Config:     m.Cfg,
-		Seed:       m.Cfg.Seed,
-		Refs:       m.refs,
-		Injections: m.Inject.Log(),
-		Stack:      stack,
-	}
-	if tail != nil {
-		f.Tail = tail.snapshot()
-	}
-	if opts.ArtifactDir != "" {
-		if _, err := f.WriteBundle(opts.ArtifactDir); err != nil {
+// dir is set.
+func (m *Machine) failure(kind FailureKind, reason, stack string, tail *tailBuffer, dir string) *RunFailure {
+	return (&RunFailure{
+		Kind: kind, Reason: reason, Config: m.Cfg, Seed: m.Cfg.Seed, Refs: m.refs,
+		Tail: tail.snapshot(), Injections: m.Inject.Log(), Stack: stack,
+	}).bundle(dir)
+}
+
+// bundle writes f's repro bundle under dir when dir is set. A write error
+// is reported in Reason rather than masking the original failure.
+func (f *RunFailure) bundle(dir string) *RunFailure {
+	if dir != "" {
+		if _, err := f.WriteBundle(dir); err != nil {
 			f.Reason += fmt.Sprintf(" (bundle write failed: %v)", err)
 		}
 	}
@@ -248,9 +197,13 @@ func (m *Machine) failure(kind FailureKind, reason string, stack string, tail *t
 // deadline. It always returns the cumulative snapshot; a non-nil RunFailure
 // reports why the run stopped early. Counters accumulate across calls, as
 // with Run.
-func (m *Machine) RunHardened(src trace.Source, n int64, opts RunOptions) (Result, *RunFailure) {
+//
+// It is Run's loop with work at batch ends: batches split at multiples of
+// AuditEvery, so every audit lands on the reference a per-reference loop
+// would audit after, and the deadline is read at each batch end, at most
+// trace.BatchSize references apart.
+func (m *Machine) RunHardened(src trace.BatchSource, n int64, opts RunOptions) (Result, *RunFailure) {
 	tail := newTailBuffer(opts.TraceTail)
-	auditor := m.Auditor(opts.AuditEvery)
 	// The deadline reads the wall clock, which is normally banned in model
 	// code: simulated results must be a pure function of the spec. It is
 	// safe here because the clock decides only *whether the run is cut
@@ -263,81 +216,54 @@ func (m *Machine) RunHardened(src trace.Source, n int64, opts RunOptions) (Resul
 		deadline = time.Now().Add(opts.Deadline) //spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
 	}
 
+	buf := make([]trace.Rec, trace.BatchSize)
+	start, issued := m.refs, m.issued()
 	var fail *RunFailure
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				fail = m.failure(FailPanic, fmt.Sprint(r), string(debug.Stack()), tail, opts)
+				// The engine counts a reference before it can fail, so
+				// the count since the last batch end says which record
+				// of buf was running: the tail ends with it and Refs
+				// stops just short of it. A panic in the source leaves
+				// the count at the batch end.
+				if k := int(m.issued() - issued); k > 0 {
+					tail.add(buf[:k])
+					m.refs += int64(k - 1)
+				}
+				fail = m.failure(FailPanic, fmt.Sprint(r), string(debug.Stack()), tail, opts.ArtifactDir)
 			}
 		}()
-		bindRunnable(m.Pager, src)
-		// Batch sources refill a reusable buffer; plain sources are pulled
-		// one record at a time. Either way every reference passes through
-		// the same per-record body below — tail capture, access, audit
-		// cadence and the deadline stride are position-identical, so a
-		// hardened batched run is bit-for-bit a hardened unbatched one.
-		bs, batched := src.(trace.BatchSource)
-		var buf []trace.Rec
-		if batched {
-			buf = make([]trace.Rec, runBatchSize)
-		}
-		var one [1]trace.Rec
-		for i := int64(0); i < n; {
-			recs := one[:1]
-			if batched {
-				want := n - i
-				if want > runBatchSize {
-					want = runBatchSize
-				}
-				k := bs.NextBatch(buf[:want])
-				if k == 0 {
-					break
-				}
-				recs = buf[:k]
-			} else {
-				rec, ok := src.Next()
-				if !ok {
-					break
-				}
-				one[0] = rec
-			}
-			if opts.AuditEvery <= 0 && deadline.IsZero() {
-				// Neither mid-run audits nor a deadline: the per-record
-				// body reduces to the tail capture and the access itself.
-				// Bit-identical to the full body below — the skipped
-				// checks are no-ops in this configuration.
-				for _, rec := range recs {
-					tail.push(rec)
-					m.Engine.Access(rec)
-					m.refs++
-				}
-				i += int64(len(recs))
-				continue
-			}
-			for _, rec := range recs {
-				tail.push(rec)
-				m.Engine.Access(rec)
-				m.refs++
-				i++
-				if err := auditor.Tick(); err != nil {
-					fail = m.failure(FailAudit, err.Error(), "", tail, opts)
-					return
-				}
-				//spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
-				if !deadline.IsZero() && i%deadlineStride == 0 && time.Now().After(deadline) {
-					fail = m.failure(FailDeadline,
-						fmt.Sprintf("run exceeded its %v budget", opts.Deadline), "", tail, opts)
-					return
+		m.run(src, buf, n, opts.AuditEvery, func(b []trace.Rec) bool {
+			issued = m.issued()
+			tail.add(b)
+			if opts.AuditEvery > 0 && (m.refs-start)%opts.AuditEvery == 0 {
+				if err := Audit(m); err != nil {
+					fail = m.failure(FailAudit, err.Error(), "", tail, opts.ArtifactDir)
+					return false
 				}
 			}
-		}
-		if !opts.SkipFinalAudit {
+			//spurlint:ignore determinism — wall clock only aborts the run; it cannot alter any simulated value
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				fail = m.failure(FailDeadline,
+					fmt.Sprintf("run exceeded its %v budget", opts.Deadline), "", tail, opts.ArtifactDir)
+				return false
+			}
+			return true
+		})
+		if fail == nil {
 			if err := Audit(m); err != nil {
-				fail = m.failure(FailAudit, "post-run: "+err.Error(), "", tail, opts)
+				fail = m.failure(FailAudit, "post-run: "+err.Error(), "", tail, opts.ArtifactDir)
 			}
 		}
 	}()
 	return m.Snapshot(), fail
+}
+
+// issued is how many references the engine has started: Access counts each
+// one by its operation before its probe, miss or fault handling can panic.
+func (m *Machine) issued() uint64 {
+	return m.Ctr.Count(counters.EvIFetch) + m.Ctr.Count(counters.EvRead) + m.Ctr.Count(counters.EvWrite)
 }
 
 // RunSpecHardened assembles a fresh machine for cfg, instantiates the
@@ -350,15 +276,10 @@ func RunSpecHardened(cfg Config, spec workload.Spec, opts RunOptions) (res Resul
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				fail = &RunFailure{
+				fail = (&RunFailure{
 					Kind: FailPanic, Reason: "setup: " + fmt.Sprint(r),
 					Config: cfg, Seed: cfg.Seed, Stack: string(debug.Stack()),
-				}
-				if opts.ArtifactDir != "" {
-					if _, err := fail.WriteBundle(opts.ArtifactDir); err != nil {
-						fail.Reason += fmt.Sprintf(" (bundle write failed: %v)", err)
-					}
-				}
+				}).bundle(opts.ArtifactDir)
 			}
 		}()
 		m = New(cfg)

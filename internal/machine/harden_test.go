@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/faultinject"
+	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -214,13 +217,124 @@ func TestCounterWrapInvisibleToMeasurements(t *testing.T) {
 	}
 }
 
+// TestDocumentedChaosDrill pins the command-line drill EXPERIMENTS.md
+// documents (spursim -w slc -mem 5 -refs 500000 -chaos line-corrupt
+// -chaos-every 2000 -chaos-seed 0 -audit-every 500): the audit trips at
+// reference 6000, a multiple of AuditEvery. A runner that audited at batch
+// ends instead of splitting batches at the cadence first catches the
+// breach at reference 20480.
+func TestDocumentedChaosDrill(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemoryBytes = 5 << 20
+	cfg.TotalRefs = 500_000
+	cfg.Faults = []faultinject.Plan{{Kind: faultinject.LineCorrupt, Every: 2000}}
+	_, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{AuditEvery: 500})
+	if fail == nil || fail.Kind != FailAudit {
+		t.Fatalf("fail = %v, want an audit failure", fail)
+	}
+	if fail.Refs != 6000 || !strings.HasPrefix(fail.Reason, "line 681:") {
+		t.Errorf("drill failed after %d refs (%s), want 6000 refs at line 681", fail.Refs, fail.Reason)
+	}
+}
+
+// perRefHardened is the reference the batched hardened runner's failures
+// are checked against: one Next and one Access per reference, each record
+// entering the tail before it is accessed, and a panic ending the run.
+func perRefHardened(m *Machine, src trace.Source, n int64, tailLen int) (refs int64, tail []trace.Rec) {
+	defer func() { _ = recover() }()
+	for refs < n {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		tail = append(tail, rec)
+		if len(tail) > tailLen {
+			tail = tail[1:]
+		}
+		m.Engine.Access(rec)
+		refs++
+	}
+	return refs, tail
+}
+
+// TestRunHardenedFailurePositionMatchesPerRef: a panic inside a batch is
+// placed on the reference that raised it. RunFailure.Refs counts the
+// references before it and Tail ends with it, exactly as a per-reference
+// loop reports them, whether the tail lies inside the failing batch or
+// spans earlier ones.
+func TestRunHardenedFailurePositionMatchesPerRef(t *testing.T) {
+	// sliceRun reads a registered page set, then at reference bad touches
+	// a segment with no region, which panics inside the pager.
+	sliceRun := func(bad int) func() (*Machine, trace.BatchSource) {
+		return func() (*Machine, trace.BatchSource) {
+			m := New(DefaultConfig())
+			seg, hole := m.AllocSegment(), m.AllocSegment()
+			m.AddRegion(addr.PageIn(seg, 0), 64, vm.Data)
+			recs := make([]trace.Rec, 10_000)
+			for i := range recs {
+				recs[i] = trace.Rec{Op: trace.OpRead, Addr: addr.PageIn(seg, i%64).Base() + addr.GVA(i%7)*32}
+			}
+			recs[bad].Addr = addr.PageIn(hole, 0).Base()
+			return m, trace.NewSliceSource(recs)
+		}
+	}
+	ioExhaustion := func() (*Machine, trace.BatchSource) {
+		cfg := hardenCfg()
+		cfg.Faults = []faultinject.Plan{{Kind: faultinject.PageInIO, Every: 1}}
+		m := New(cfg)
+		return m, workload.NewScript(m, cfg.Seed, workload.SLCSpec())
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func() (*Machine, trace.BatchSource)
+		opts RunOptions
+	}{
+		{"pagein-io", ioExhaustion, RunOptions{TraceTail: 16}},
+		{"tail-in-batch", sliceRun(6000), RunOptions{}},
+		{"tail-spans-batches", sliceRun(4100), RunOptions{TraceTail: 200}},
+		{"audit-split-batches", sliceRun(4100), RunOptions{TraceTail: 200, AuditEvery: 1000}},
+		{"first-ref", sliceRun(0), RunOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, src := tc.mk()
+			_, fail := m.RunHardened(src, 200_000, tc.opts)
+			if fail == nil || fail.Kind != FailPanic {
+				t.Fatalf("fail = %v, want a panic", fail)
+			}
+			mRef, srcRef := tc.mk()
+			if s, ok := srcRef.(*workload.Script); ok {
+				mRef.Pager.Runnable = s.Runnable
+			}
+			tailLen := tc.opts.TraceTail
+			if tailLen == 0 {
+				tailLen = defaultTraceTail
+			}
+			refs, tail := perRefHardened(mRef, srcRef, 200_000, tailLen)
+			if fail.Refs != refs {
+				t.Errorf("Refs = %d, per-reference loop failed after %d", fail.Refs, refs)
+			}
+			if !reflect.DeepEqual(fail.Tail, tail) {
+				t.Errorf("tail differs from the per-reference loop's:\nbatched %v\nper-ref %v", fail.Tail, tail)
+			}
+		})
+	}
+}
+
+// TestTraceTailClamped: an oversized TraceTail cannot size the ring past
+// MaxTraceTail.
+func TestTraceTailClamped(t *testing.T) {
+	if got := newTailBuffer(1 << 45).n; got != MaxTraceTail {
+		t.Errorf("ring of %d records, want %d", got, MaxTraceTail)
+	}
+}
+
 // TestRunHardenedDeadline: a hopeless wall-clock budget stops the run with a
 // deadline failure instead of hanging the sweep.
 func TestRunHardenedDeadline(t *testing.T) {
 	cfg := hardenCfg()
 	cfg.TotalRefs = 50_000_000 // far more than a nanosecond of work
 	res, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
-		Deadline: time.Nanosecond, SkipFinalAudit: true,
+		Deadline: time.Nanosecond,
 	})
 	if fail == nil || fail.Kind != FailDeadline {
 		t.Fatalf("fail = %v, want deadline", fail)
@@ -231,43 +345,26 @@ func TestRunHardenedDeadline(t *testing.T) {
 }
 
 // TestMPSnoopDropBreaksCoherenceAndIsAudited: dropped snoops let stale
-// copies survive; the multiprocessor's continuous auditor catches the
-// coherence breach (at most one owner, exclusive means alone).
+// copies survive; auditing the multiprocessor every 1000 references catches
+// the coherence breach (at most one owner, exclusive means alone).
 func TestMPSnoopDropBreaksCoherenceAndIsAudited(t *testing.T) {
 	cfg := mpConfig()
 	cfg.MemoryBytes = 32 << 20
 	cfg.Faults = []faultinject.Plan{{Kind: faultinject.SnoopDrop, Every: 3}}
 	m := NewMP(cfg, 4)
 	w := workload.NewSharedWorkload(m, 1, workload.DefaultSharedParams(4))
-	auditor := m.Auditor(1000)
 	var breach error
 	for i := 0; i < 400_000 && breach == nil; i++ {
 		m.Access(i%4, w.Step(i%4))
-		breach = auditor.Tick()
+		if (i+1)%1000 == 0 {
+			breach = AuditMP(m)
+		}
 	}
 	if m.Bus.DroppedSnoops == 0 {
 		t.Fatal("no snoops were dropped")
 	}
 	if breach == nil {
 		t.Fatal("dropped snoops never tripped the MP coherence audit")
-	}
-}
-
-// TestAuditorCadence: the auditor fires exactly every N ticks.
-func TestAuditorCadence(t *testing.T) {
-	calls := 0
-	a := NewContinuousAuditor(10, func() error { calls++; return nil })
-	for i := 0; i < 95; i++ {
-		if err := a.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 9 {
-		t.Errorf("auditor ran %d times over 95 ticks at cadence 10", calls)
-	}
-	var nilAud *ContinuousAuditor
-	if nilAud.Tick() != nil {
-		t.Error("nil auditor audited")
 	}
 }
 

@@ -175,65 +175,31 @@ type Result struct {
 	Refs int64
 }
 
-// bindRunnable connects a source's runnable-process count to the pager, so
-// page-in stalls overlap with other processes' work. The plain and hardened
-// runners both go through it: the capability assertion lives in one place
-// so the two paths cannot drift.
-func bindRunnable(p *vm.Pager, src trace.Source) {
-	if r, ok := src.(interface{ Runnable() int }); ok {
-		p.Runnable = r.Runnable
-	}
-}
-
-// runBatchSize is the reference buffer filled per batch-source call. One
-// page of records keeps the buffer cache-resident while amortizing the
-// per-reference interface dispatch to one call in a few thousand.
-const runBatchSize = 4096
-
 // Run drives up to n references from src through the engine and returns the
 // run summary. Counters are not reset, so successive Runs accumulate; use a
 // fresh Machine per experiment. Sources that report their runnable process
 // count (like workload scripts) let the pager overlap page-in stalls with
-// other processes' work. Batch sources are consumed a buffer at a time;
-// the reference sequence (and so every simulated outcome) is identical
-// either way.
-func (m *Machine) Run(src trace.Source, n int64) Result {
-	bindRunnable(m.Pager, src)
-	if bs, ok := src.(trace.BatchSource); ok {
-		return m.runBatched(bs, n)
-	}
-	var i int64
-	for ; i < n; i++ {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		m.Engine.Access(rec)
-	}
-	m.refs += i
+// other processes' work.
+func (m *Machine) Run(src trace.BatchSource, n int64) Result {
+	m.run(src, make([]trace.Rec, trace.BatchSize), n, 0, func([]trace.Rec) bool { return true })
 	return m.Snapshot()
 }
 
-// runBatched is Run's buffered fast path: the source fills a reusable
-// record buffer, and the engine consumes it with a single concrete call
-// per batch instead of two interface dispatches per reference.
-func (m *Machine) runBatched(src trace.BatchSource, n int64) Result {
-	buf := make([]trace.Rec, runBatchSize)
-	var i int64
-	for i < n {
-		want := n - i
-		if want > runBatchSize {
-			want = runBatchSize
-		}
-		k := src.NextBatch(buf[:want])
-		if k == 0 {
-			break
-		}
-		m.Engine.AccessBatch(buf[:k])
-		i += int64(k)
+// run is the machine's one reference loop, behind Run and RunHardened. The
+// source fills buf and the engine consumes each batch with one concrete
+// call; batching never changes the reference sequence, so every simulated
+// outcome is what a per-reference pull would give. end runs after each
+// batch and stops the run by returning false; batches never straddle a
+// multiple of align.
+func (m *Machine) run(src trace.BatchSource, buf []trace.Rec, n, align int64, end func([]trace.Rec) bool) {
+	if r, ok := src.(interface{ Runnable() int }); ok {
+		m.Pager.Runnable = r.Runnable
 	}
-	m.refs += i
-	return m.Snapshot()
+	trace.Pump(src, buf, n, align, func(b []trace.Rec) bool {
+		m.Engine.AccessBatch(b)
+		m.refs += int64(len(b))
+		return end(b)
+	})
 }
 
 // Snapshot returns the machine's cumulative result.

@@ -241,16 +241,9 @@ func TestFrameConservationUnderStress(t *testing.T) {
 	}
 }
 
-// perRefSource strips a script's batch capability so Run takes the
-// per-reference path, while keeping Runnable visible to the pager.
-type perRefSource struct{ s *workload.Script }
-
-func (p perRefSource) Next() (trace.Rec, bool) { return p.s.Next() }
-func (p perRefSource) Runnable() int           { return p.s.Runnable() }
-
 // TestBatchedRunMatchesPerRef runs the same machine and workload twice —
-// once through the batched fast path, once per reference — and requires
-// identical results. The stream being identical is necessary but not
+// once through Run, once through a per-reference Next + Access loop — and
+// requires identical results. The stream being identical is necessary but not
 // sufficient: batch generation runs ahead of consumption, so a job releasing
 // a heap generation (or a reaped task tearing its regions down) mid-batch
 // would unmap pages before the machine replays the references generated
@@ -281,18 +274,24 @@ func TestBatchedRunMatchesPerRef(t *testing.T) {
 		}},
 		Quantum: 3_000,
 	}
-	run := func(batched bool) Result {
-		cfg := DefaultConfig()
-		cfg.MemoryBytes = 1 << 20
-		m := New(cfg)
-		s := workload.NewScript(m, 11, spec)
-		var src trace.Source = s
-		if !batched {
-			src = perRefSource{s}
+	cfg := DefaultConfig()
+	cfg.MemoryBytes = 1 << 20
+	m := New(cfg)
+	batch := m.Run(workload.NewScript(m, 11, spec), 300_000)
+
+	// Reference: one Next and one Access per reference.
+	mRef := New(cfg)
+	s := workload.NewScript(mRef, 11, spec)
+	mRef.Pager.Runnable = s.Runnable
+	for mRef.refs < 300_000 {
+		rec, ok := s.Next()
+		if !ok {
+			break
 		}
-		return m.Run(src, 300_000)
+		mRef.Engine.Access(rec)
+		mRef.refs++
 	}
-	batch, perRef := run(true), run(false)
+	perRef := mRef.Snapshot()
 	if batch != perRef {
 		t.Errorf("batched run diverged from per-reference run:\nbatched %+v\nper-ref %+v", batch, perRef)
 	}

@@ -85,10 +85,6 @@ func sigBucket(p uint64) int {
 	return int(p & (pageBuckets - 1))
 }
 
-// profileBatch is the generation buffer size; one page of records, matching
-// the machine's batched run path.
-const profileBatch = 4096
-
 // envCounter observes region lifecycle traffic on the way to the profiling
 // environment, so the profiler can attribute mapped/torn-down page counts to
 // the interval they happen in.
@@ -125,36 +121,21 @@ func BuildProfile(spec workload.Spec, seed uint64, totalRefs, intervalLen int64)
 
 	nIntervals := totalRefs / intervalLen
 	p.Sigs = make([]Signature, 0, nIntervals)
-	buf := make([]trace.Rec, profileBatch)
 
 	var sig Signature
 	var inInterval int64
-	var generated int64
 	var lastAdded, lastReleased int64
-	want := nIntervals * intervalLen
-	for generated < want {
-		n := want - generated
-		if n > profileBatch {
-			n = profileBatch
-		}
-		// Never generate across an interval boundary; the signature flush
-		// below assumes the batch belongs to one interval.
-		if rem := intervalLen - inInterval; n > rem {
-			n = rem
-		}
-		k := script.NextBatch(buf[:n])
-		if k == 0 {
-			break
-		}
-		for _, r := range buf[:k] {
+	// Batches never straddle an interval boundary, so each belongs to one
+	// interval's signature.
+	trace.Pump(script, make([]trace.Rec, trace.BatchSize), nIntervals*intervalLen, intervalLen, func(b []trace.Rec) bool {
+		for _, r := range b {
 			sig[sigBucket(uint64(r.Addr.Page()))]++
 			sig[pageBuckets+int(r.Op)]++
 		}
 		sig[envAddDim] += float64(ec.added - lastAdded)
 		sig[envRelDim] += float64(ec.released - lastReleased)
 		lastAdded, lastReleased = ec.added, ec.released
-		generated += int64(k)
-		inInterval += int64(k)
+		inInterval += int64(len(b))
 		if inInterval == intervalLen {
 			// Touch frequencies normalize per reference; the lifecycle
 			// dims stay raw until the profile-wide pass below.
@@ -166,7 +147,8 @@ func BuildProfile(spec workload.Spec, seed uint64, totalRefs, intervalLen int64)
 			sig = Signature{}
 			inInterval = 0
 		}
-	}
+		return true
+	})
 	// Normalize the lifecycle dims by their profile-wide maxima so a
 	// teardown burst scores ~1.0 — the same magnitude as an op-mix shift —
 	// regardless of interval length or burst size.

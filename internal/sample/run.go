@@ -415,28 +415,23 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 		genSim
 	)
 	var pos int64
-	buf := make([]trace.Rec, profileBatch)
+	buf := make([]trace.Rec, trace.BatchSize)
 	gen := func(target int64, mode int) error {
-		for pos < target {
-			n := target - pos
-			if n > profileBatch {
-				n = profileBatch
-			}
-			k := script.NextBatch(buf[:n])
-			if k == 0 {
-				return fmt.Errorf("sample: workload stream ended at %d references (plan needs %d)", pos, target)
-			}
+		pos += trace.Pump(script, buf, target-pos, 0, func(b []trace.Rec) bool {
 			switch mode {
 			case genSim:
 				for _, m := range ms {
-					m.Engine.AccessBatch(buf[:k])
+					m.Engine.AccessBatch(b)
 				}
 			case genWarm:
 				for _, m := range ms {
-					m.Engine.TouchBatch(buf[:k])
+					m.Engine.TouchBatch(b)
 				}
 			}
-			pos += int64(k)
+			return true
+		})
+		if pos < target {
+			return fmt.Errorf("sample: workload stream ended at %d references (plan needs %d)", pos, target)
 		}
 		return nil
 	}

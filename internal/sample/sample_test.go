@@ -26,20 +26,14 @@ func testConfig(refs int64) machine.Config {
 // drive generates the stream on script and simulates it on m up to target.
 func drive(t *testing.T, m *machine.Machine, script *workload.Script, pos *int64, target int64, sim bool) {
 	t.Helper()
-	buf := make([]trace.Rec, 512)
-	for *pos < target {
-		n := target - *pos
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		k := script.NextBatch(buf[:n])
-		if k == 0 {
-			t.Fatalf("stream ended at %d refs (wanted %d)", *pos, target)
-		}
+	*pos += trace.Pump(script, make([]trace.Rec, 512), target-*pos, 0, func(b []trace.Rec) bool {
 		if sim {
-			m.Engine.AccessBatch(buf[:k])
+			m.Engine.AccessBatch(b)
 		}
-		*pos += int64(k)
+		return true
+	})
+	if *pos < target {
+		t.Fatalf("stream ended at %d refs (wanted %d)", *pos, target)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,6 +211,36 @@ func TestRunValidation(t *testing.T) {
 		if !ok || se.Code != http.StatusBadRequest {
 			t.Errorf("%s: err = %v, want 400", name, err)
 		}
+	}
+}
+
+// TestRunRejectsUnboundedHardenedOptions: a trace_tail large enough to
+// exhaust memory when the tail ring is allocated, or a negative audit or
+// deadline, gets 400 before the job is journaled or computed, and the node
+// keeps serving.
+func TestRunRejectsUnboundedHardenedOptions(t *testing.T) {
+	_, ts, c := newTestServer(t, Config{JobJournal: filepath.Join(t.TempDir(), "jobs.journal")})
+	for _, body := range []string{
+		`{"refs": 1000, "hardened": {"trace_tail": 1099511627776}}`,
+		`{"refs": 1000, "hardened": {"trace_tail": 35184372088832}}`,
+		`{"refs": 1000, "hardened": {"audit_every": -1}}`,
+		`{"refs": 1000, "hardened": {"deadline_ms": -1}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	h, err := c.Health(context.Background())
+	if err != nil {
+		t.Fatalf("node stopped serving /healthz: %v", err)
+	}
+	if h.Status != "ok" || h.Jobs == nil || h.Jobs.Journaled != 0 {
+		t.Errorf("health = %+v, jobs = %+v; want ok with nothing journaled", h, h.Jobs)
 	}
 }
 

@@ -2,13 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
 // FuzzTraceCodec feeds arbitrary bytes to the trace decoder — which must
 // never panic, only return records or a diagnosed error — and checks the
 // round-trip property: whatever records decode, re-encoding and re-decoding
-// them reproduces the same records with no error.
+// them reproduces the same records with no error. Batched decoding must
+// agree with per-record decoding: NextBatch, at batch sizes 1, 3 and 4096,
+// yields the records successive Next calls yield and stops on the same
+// error.
 //
 // Run with: go test -fuzz=FuzzTraceCodec ./internal/trace
 func FuzzTraceCodec(f *testing.F) {
@@ -37,6 +42,25 @@ func FuzzTraceCodec(f *testing.F) {
 		}
 		// A diagnosed error and decoded records may coexist (the error
 		// came after a valid prefix); a panic may not happen at all.
+
+		for _, size := range []int{1, 3, 4096} {
+			rb := NewReader(bytes.NewReader(data))
+			var batched []Rec
+			buf := make([]Rec, size)
+			for {
+				k := rb.NextBatch(buf)
+				if k == 0 {
+					break
+				}
+				batched = append(batched, buf[:k]...)
+			}
+			if !reflect.DeepEqual(batched, recs) {
+				t.Fatalf("NextBatch(%d) decoded %d records, Next decoded %d", size, len(batched), len(recs))
+			}
+			if fmt.Sprint(rb.Err()) != fmt.Sprint(r.Err()) {
+				t.Fatalf("NextBatch(%d) error %v, Next error %v", size, rb.Err(), r.Err())
+			}
+		}
 
 		// Round-trip whatever decoded.
 		out := &bytes.Buffer{}

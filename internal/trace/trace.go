@@ -73,6 +73,37 @@ type BatchSource interface {
 	NextBatch(buf []Rec) int
 }
 
+// BatchSize is the buffer length the reference loops hand Pump: one page
+// of records keeps the buffer cache-resident while amortizing the
+// per-reference interface dispatch to one call in a few thousand.
+const BatchSize = 4096
+
+// Pump is the reference loop every consumer of a batch source shares. It
+// fills buf from its start and hands f the records a batch at a time until n
+// records have been handed over, the source runs dry, or f returns false,
+// and returns how many records it handed over. A batch holds at most
+// len(buf) records and never straddles a multiple of align (counted from
+// the first record of this call; align <= 0 places no bound), so a caller
+// that acts every align records finds each of those points at a batch end.
+func Pump(src BatchSource, buf []Rec, n, align int64, f func([]Rec) bool) int64 {
+	var done int64
+	for done < n {
+		want := min(n-done, int64(len(buf)))
+		if align > 0 {
+			want = min(want, align-done%align)
+		}
+		k := src.NextBatch(buf[:want])
+		if k == 0 {
+			break
+		}
+		done += int64(k)
+		if !f(buf[:k]) {
+			break
+		}
+	}
+	return done
+}
+
 // SliceSource replays a fixed slice of records.
 type SliceSource struct {
 	recs []Rec
@@ -155,7 +186,7 @@ func (tw *Writer) Flush() error {
 	return tw.w.Flush()
 }
 
-// Reader decodes a trace stream and implements Source.
+// Reader decodes a trace stream and implements BatchSource.
 type Reader struct {
 	r      *bufio.Reader
 	err    error
@@ -200,6 +231,19 @@ func (tr *Reader) Next() (Rec, bool) {
 		Op:   op,
 		Addr: addr.GVA(binary.LittleEndian.Uint64(buf[5:])),
 	}, true
+}
+
+// NextBatch implements BatchSource: it decodes exactly the records, and
+// stops on exactly the error, that successive Next calls would.
+func (tr *Reader) NextBatch(buf []Rec) int {
+	for i := range buf {
+		rec, ok := tr.Next()
+		if !ok {
+			return i
+		}
+		buf[i] = rec
+	}
+	return len(buf)
 }
 
 func (tr *Reader) fail(err error) {

@@ -156,3 +156,49 @@ func TestSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestPump: batches fit the buffer, never straddle a multiple of align,
+// cover the stream in order, and stop at the budget, at the end of the
+// source, or when the consumer says stop.
+func TestPump(t *testing.T) {
+	recs := make([]Rec, 1000)
+	for i := range recs {
+		recs[i] = Rec{PID: int32(i), Op: OpRead}
+	}
+	for _, tc := range []struct {
+		buf, n, align, stopAfter int64
+		want                     int64
+	}{
+		{buf: 64, n: 1000, want: 1000},
+		{buf: 64, n: 2000, want: 1000},
+		{buf: 64, n: 500, align: 100, want: 500},
+		{buf: 7, n: 1000, align: 5, want: 1000},
+		{buf: 64, n: 1000, align: 1, want: 1000},
+		{buf: 64, n: 1000, align: 30, stopAfter: 3, want: 90},
+		{buf: 64, n: 0, want: 0},
+	} {
+		src := NewSliceSource(recs)
+		var got []Rec
+		batches := int64(0)
+		n := Pump(src, make([]Rec, tc.buf), tc.n, tc.align, func(b []Rec) bool {
+			if int64(len(b)) > tc.buf {
+				t.Errorf("%+v: batch of %d records", tc, len(b))
+			}
+			start := int64(len(got))
+			if tc.align > 0 && start/tc.align != (start+int64(len(b))-1)/tc.align {
+				t.Errorf("%+v: batch [%d, %d) straddles a multiple of %d", tc, start, start+int64(len(b)), tc.align)
+			}
+			got = append(got, b...)
+			batches++
+			return tc.stopAfter == 0 || batches < tc.stopAfter
+		})
+		if n != tc.want || int64(len(got)) != tc.want {
+			t.Errorf("%+v: pumped %d, handed over %d, want %d", tc, n, len(got), tc.want)
+		}
+		for i, r := range got {
+			if r != recs[i] {
+				t.Fatalf("%+v: record %d out of order", tc, i)
+			}
+		}
+	}
+}

@@ -43,7 +43,8 @@ type HardenedOptions struct {
 	// (0 = unbounded). Deadline failures are never cached server-side.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// TraceTail is how many trailing trace records a failure bundle
-	// keeps (0 = the hardened runner's default).
+	// keeps (0 = the hardened runner's default; at most
+	// machine.MaxTraceTail).
 	TraceTail int `json:"trace_tail,omitempty"`
 }
 
@@ -133,6 +134,16 @@ func (r *RunRequest) Normalize() error {
 		return err
 	}
 	r.Ref = p.String()
+	if h := r.Hardened; h != nil {
+		switch {
+		case h.AuditEvery < 0:
+			return fmt.Errorf("client: negative audit_every %d", h.AuditEvery)
+		case h.DeadlineMS < 0:
+			return fmt.Errorf("client: negative deadline_ms %d", h.DeadlineMS)
+		case h.TraceTail < 0 || h.TraceTail > machine.MaxTraceTail:
+			return fmt.Errorf("client: trace_tail %d outside [0, %d]", h.TraceTail, machine.MaxTraceTail)
+		}
+	}
 	return nil
 }
 
