@@ -330,3 +330,25 @@ func BenchmarkMemorySweepSampledCell(b *testing.B) {
 		b.ReportMetric(float64(rows[0].Estimate.SimulatedRefs), "simrefs")
 	}
 }
+
+// BenchmarkMemorySweepSampledGroup estimates one whole (workload,
+// repetition) group: SLC at the paper's three memory sizes under all three
+// reference-bit policies, nine variant machines over one stream. At 4M
+// references the 5 and 6 MB machines split off their 8 MB leader mid-stream
+// and the 8 MB machines never do, so this is the benchmark that shows what
+// simulating merged variants once saves.
+func BenchmarkMemorySweepSampledGroup(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rows, err := MemorySweepSampled(MemorySweepOptions{
+			Workloads: []core.WorkloadName{core.SLC},
+			SizesMB:   []int{5, 6, 8},
+			Policies:  RefPolicies,
+			Refs:      4_000_000,
+			Seed:      uint64(i + 1),
+		}, SampleOptions{IntervalLen: 250_000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rows[0].Estimate.SimulatedRefs), "simrefs")
+	}
+}

@@ -76,6 +76,25 @@ func goldenCases() []struct {
 			rows := Table33(Table33Options{Refs: goldenRefs, Seed: 1, SizesMB: []int{5}})
 			return RenderFaultHandlerSweep(FaultHandlerSweep(rows[0].Events)).String()
 		}},
+		// At 10⁶ references the 2 MB machines' page daemons first run
+		// inside the exact prefix, the 3 MB machines' mid-stream, and the
+		// 8 MB machines' never, so the sampler's merged and split variant
+		// paths all feed this file. It was captured from the measuring pass
+		// that stepped every variant machine through every reference,
+		// before variants were merged.
+		{"sampledsweep", func() string {
+			rows, err := MemorySweepSampled(MemorySweepOptions{
+				Workloads: []core.WorkloadName{core.SLC, core.Workload1},
+				SizesMB:   []int{2, 3, 8},
+				Policies:  RefPolicies,
+				Refs:      1_000_000,
+				Seed:      1,
+			}, SampleOptions{})
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			return SampledSweepCSV(rows)
+		}},
 	}
 }
 

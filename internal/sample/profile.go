@@ -2,10 +2,12 @@
 // paper-scale (10⁹-reference) experiments affordable.
 //
 // The paper's measurements cover on the order of a billion references per
-// workload; simulating that exactly costs ~57 ns per reference. But
-// *generating* the reference stream costs only ~24 ns per reference, and the
+// workload. On a 2-vCPU Intel Xeon host with Go 1.24.0 (spurbench's traced
+// runs in cmd/spurbench/results/run2), exact simulation costs ~80 ns per
+// reference, ~32 ns of which is generating the stream, and functional
+// warming (Engine.Touch) costs ~31 ns per reference beyond generation. The
 // stream is a pure function of (workload spec, seed) — the machine being
-// simulated feeds nothing back into generation. Sampling exploits that split
+// simulated feeds nothing back into generation. Sampling exploits that
 // three ways, in the SimPoint/SMARTS lineage (Bueno et al.,
 // arXiv:2402.00649):
 //
@@ -16,18 +18,35 @@
 //  2. A deterministic k-means clustering groups the intervals into phases
 //     and picks one representative (medoid) per phase, weighted by how much
 //     of the stream the phase covers.
-//  3. A measuring pass generates the stream once more, simulating only a
-//     warmup prefix plus each representative interval — on every machine
-//     variant under study simultaneously, so the generation cost is paid
-//     once per group of variants, not once per cell. Per-interval metric
-//     deltas are combined into full-run estimates with CI95 error bars by
-//     the weighted estimator.
+//  3. A measuring pass generates the stream once more and drives every
+//     machine variant under study with it, so the generation cost is paid
+//     once per group of variants, not once per cell. The cold-start prefix
+//     and each representative interval with the warmup before it are
+//     simulated in detail; every other reference is warmed functionally
+//     (Engine.TouchBatch), so each warmup starts from the cache and VM state
+//     the full run would have reached. Per-interval metric deltas are
+//     combined into full-run estimates with CI95 error bars by the weighted
+//     estimator.
 //
-// Between representative intervals nothing is simulated: machine state
-// (cache contents, page tables, resident sets) persists across the gap and
-// the next warmup refreshes it, which is the "checkpointed warmup" scheme —
-// optionally journaled through internal/journal so an interrupted sampled
-// run resumes from the last interval snapshot instead of restarting.
+// Warming the gaps is the largest part of a measuring pass, and most
+// variants need not be stepped through it separately. MISS, REF and NOREF
+// differ only in how the page daemon reads and clears reference bits, and
+// only a daemon scan clears one, so until a memory size's daemon first runs,
+// that size's policy machines and those of every larger size are in one
+// state. Variants differing only in policy and memory size therefore run as
+// one leader, the group's first largest-memory member. A member splits off
+// when its horizon — the leader's free frames, less the frames the member
+// lacks, less the member's low watermark — reaches zero: a reference
+// allocates at most one frame and the daemon runs only when a fault finds
+// fewer than the low watermark free, so until then the member's daemon
+// cannot have run. The split restores the member from the leader's snapshot
+// with the free list cut to the member's frames, and from then on the
+// member is simulated on its own.
+//
+// Machine state persists across the gaps ("checkpointed warmup"), and each
+// representative's start can be journaled through internal/journal, so an
+// interrupted sampled run resumes from the last interval snapshot instead
+// of restarting.
 //
 // Everything here is deterministic: the profile, the clustering, the
 // representative choice, and the measured metrics are pure functions of

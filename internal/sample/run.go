@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"repro/internal/addr"
 	"repro/internal/counters"
@@ -116,9 +117,11 @@ func readBaseline(m *machine.Machine) baseline {
 }
 
 // multiEnv fans one workload's environment calls out to every variant
-// machine, so a single generated stream drives them all. The machines see
-// identical call sequences, so their segment allocators answer identically;
-// a divergence means variant construction differed and is a hard error.
+// machine, so a single generated stream drives them all. Merged members get
+// them too: Capture omits regions and segments, so a member splitting off
+// its leader must already hold them. The machines see identical call
+// sequences, so their segment allocators answer identically; a divergence
+// means variant construction differed and is a hard error.
 type multiEnv struct{ ms []*machine.Machine }
 
 func (e multiEnv) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
@@ -152,6 +155,128 @@ func (e multiEnv) FreeSegment(s addr.SegmentID) {
 }
 
 var _ workload.Env = multiEnv{}
+
+// fanout is the trace.BatchSource Measure pumps and the set of variant
+// machines it simulates. Variants whose configurations differ only in Ref
+// and MemoryBytes run as one leader, the group's first largest-memory
+// member, until a member's horizon runs out and it splits off (see the
+// package comment); every state read of a merged member is its leader's.
+type fanout struct {
+	trace.BatchSource // the workload script; Pump pulls through NextBatch
+	ms                []*machine.Machine
+	// leader[vi] is the variant whose machine holds vi's state: vi itself
+	// for a leader and once vi has split off.
+	leader []int
+	// step is the machines the loop simulates: leaders and split members.
+	step []*machine.Machine
+	// served counts the references each variant followed its leader for.
+	served []int64
+}
+
+// newFanout groups the machines under their leaders; with merge false,
+// every variant starts split.
+func newFanout(src trace.BatchSource, ms []*machine.Machine, merge bool) *fanout {
+	f := &fanout{BatchSource: src, ms: ms, leader: make([]int, len(ms)), served: make([]int64, len(ms))}
+	for vi, m := range ms {
+		l := vi
+		for li, c := range ms {
+			if !merge || !sameButRefAndMemory(m.Cfg, c.Cfg) {
+				continue
+			}
+			if t := c.Pool.Total(); t > ms[l].Pool.Total() || t == ms[l].Pool.Total() && li < l {
+				l = li
+			}
+		}
+		f.leader[vi] = l
+		if l == vi {
+			f.step = append(f.step, m)
+		}
+	}
+	return f
+}
+
+// sameButRefAndMemory reports whether two configurations differ at most in
+// reference-bit policy and memory size.
+func sameButRefAndMemory(a, b machine.Config) bool {
+	a.Ref, a.MemoryBytes = b.Ref, b.MemoryBytes
+	return reflect.DeepEqual(a, b)
+}
+
+// horizon is how many more references merged member vi can follow its
+// leader. A reference allocates at most one frame, and a daemon runs only
+// when a fault finds fewer than LowWater frames free, so within that many
+// references neither vi's daemon (on the leader's free list less the frames
+// vi lacks) nor the leader's own can run.
+func (f *fanout) horizon(vi int) int {
+	l, m := f.holder(vi).Pool, f.ms[vi].Pool
+	return min(l.Free()-(l.Total()-m.Total())-m.LowWater(), l.Free()-l.LowWater())
+}
+
+// NextBatch implements trace.BatchSource: it splits off every merged member
+// whose horizon is exhausted, restoring the member's machine from its
+// leader's projected state, and caps the batch at the smallest horizon left.
+func (f *fanout) NextBatch(buf []trace.Rec) int {
+	n := len(buf)
+	for vi, l := range f.leader {
+		if l == vi {
+			continue
+		}
+		if h := f.horizon(vi); h > 0 {
+			n = min(n, h)
+			continue
+		}
+		// Restore ignores the snapshot's stream position.
+		if err := Restore(f.ms[vi], f.capture(vi, 0)); err != nil {
+			panic(fmt.Sprintf("sample: splitting variant %d off variant %d: %v", vi, l, err))
+		}
+		f.leader[vi] = vi
+		f.step = append(f.step, f.ms[vi])
+	}
+	return f.BatchSource.NextBatch(buf[:n])
+}
+
+// run simulates one batch on every stepped machine (functionally when
+// warm) and credits the batch to the merged members.
+func (f *fanout) run(b []trace.Rec, warm bool) {
+	for _, m := range f.step {
+		if warm {
+			m.Engine.TouchBatch(b)
+		} else {
+			m.Engine.AccessBatch(b)
+		}
+	}
+	for vi, l := range f.leader {
+		if l != vi {
+			f.served[vi] += int64(len(b))
+		}
+	}
+}
+
+// holder returns the machine holding variant vi's state. A merged member
+// shares its leader's counters, pager statistics and cycles exactly; only
+// its free list differs (see capture).
+func (f *fanout) holder(vi int) *machine.Machine { return f.ms[f.leader[vi]] }
+
+// capture is Capture of variant vi's state at stream position refs. A
+// merged member's is its leader's with the free list cut to the member's
+// frames. The pool reuses freed frames first and hands out fresh ones
+// lowest first, and a positive horizon means the leader never ran out of
+// frames below the member's total, so the frames cut are ones the leader
+// never allocated.
+func (f *fanout) capture(vi int, refs int64) *MachineState {
+	s := Capture(f.holder(vi), refs)
+	if f.leader[vi] != vi {
+		total := f.ms[vi].Pool.Total()
+		free := make([]addr.PFN, 0, len(s.PoolFree))
+		for _, fr := range s.PoolFree {
+			if int(fr) < total {
+				free = append(free, fr)
+			}
+		}
+		s.PoolFree = free
+	}
+	return s
+}
 
 // resumeState is what a replayed journal contributes: already-measured
 // metrics, the interval to restart from, and the snapshots to restart with.
@@ -287,8 +412,11 @@ func replayJournal(entries [][]byte, want planRec, nv, nc int) (resumeState, err
 // Measure runs the measuring pass: one generated stream drives every
 // variant machine through warmup plus each representative interval, and the
 // per-interval metric deltas come back per variant. Between intervals the
-// stream is generated but not simulated; machine state persists across the
-// gap and the next warmup refreshes it.
+// stream is warmed functionally (Engine.TouchBatch), so cache and VM state
+// reach each warmup as the full run would leave them. Variants whose
+// configurations differ only in reference-bit policy and memory size share
+// one simulated machine until their page daemons could first run (see
+// fanout); the results are those of simulating every variant on its own.
 //
 // With a JournalPath, every interval start appends one snapshot frame per
 // variant and every measured interval one metrics frame per variant, fsynced
@@ -296,13 +424,20 @@ func replayJournal(entries [][]byte, want planRec, nv, nc int) (resumeState, err
 // simulation from the last interval whose snapshots are all intact, with
 // results byte-identical to an uninterrupted run.
 func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Variant, opts MeasureOptions) ([]Measured, error) {
+	out, _, err := measure(spec, streamSeed, plan, variants, opts)
+	return out, err
+}
+
+// measure is Measure, also returning how many references each variant
+// followed its leader for instead of being simulated.
+func measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Variant, opts MeasureOptions) ([]Measured, []int64, error) {
 	nv, nc := len(variants), len(plan.Chosen)
 	if nv == 0 {
-		return nil, fmt.Errorf("sample: no variants to measure")
+		return nil, nil, fmt.Errorf("sample: no variants to measure")
 	}
 	for _, v := range variants {
 		if err := validateNoFaults(v.Cfg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -321,27 +456,27 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 		if opts.Resume {
 			w, rep, err := journal.Open(opts.JournalPath)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if rep.Header != hdr {
 				_ = w.Close() // refusing the journal; nothing was written
-				return nil, fmt.Errorf("sample: journal %s was written for a different experiment: kind=%q spec=%.12s… version=%q, this run kind=%q spec=%.12s… version=%q",
+				return nil, nil, fmt.Errorf("sample: journal %s was written for a different experiment: kind=%q spec=%.12s… version=%q, this run kind=%q spec=%.12s… version=%q",
 					opts.JournalPath, rep.Header.Kind, rep.Header.SpecKey, rep.Header.Version, hdr.Kind, hdr.SpecKey, hdr.Version)
 			}
 			rs, err = replayJournal(rep.Entries, prec, nv, nc)
 			if err != nil {
 				_ = w.Close() // refusing the journal; nothing was written
-				return nil, err
+				return nil, nil, err
 			}
 			jw = w
 		} else {
 			w, err := journal.Create(opts.JournalPath, hdr)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			jw = w
 			if err := appendRec(jw, journalRec{Type: "plan", Plan: &prec}); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -388,9 +523,9 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 	if rs.from == nc && havePrefix && haveFinal {
 		// Everything was already measured; nothing to simulate.
 		if jw != nil {
-			return out, jw.Close()
+			return out, nil, jw.Close()
 		}
-		return out, nil
+		return out, nil, nil
 	}
 
 	ms := make([]*machine.Machine, nv)
@@ -404,6 +539,8 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 	for _, m := range ms {
 		m.Pager.Runnable = script.Runnable
 	}
+	// A run restarted from snapshots starts with every variant split.
+	f := newFanout(script, ms, rs.snaps == nil)
 
 	// Generation modes: skip regenerates the stream with no machine effects
 	// beyond the environment calls (used only up to a snapshot about to be
@@ -417,16 +554,9 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 	var pos int64
 	buf := make([]trace.Rec, trace.BatchSize)
 	gen := func(target int64, mode int) error {
-		pos += trace.Pump(script, buf, target-pos, 0, func(b []trace.Rec) bool {
-			switch mode {
-			case genSim:
-				for _, m := range ms {
-					m.Engine.AccessBatch(b)
-				}
-			case genWarm:
-				for _, m := range ms {
-					m.Engine.TouchBatch(b)
-				}
+		pos += trace.Pump(f, buf, target-pos, 0, func(b []trace.Rec) bool {
+			if mode != genSkip {
+				f.run(b, mode == genWarm)
 			}
 			return true
 		})
@@ -442,14 +572,14 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 		// the startup transient is counted rather than extrapolated. On a
 		// snapshot restart the prefix deltas come from the journal instead
 		// (replayJournal forces a cold restart when they were torn).
-		for vi, m := range ms {
-			bases[vi] = readBaseline(m)
+		for vi := range ms {
+			bases[vi] = readBaseline(f.holder(vi))
 		}
 		if err := gen(plan.Prefix, genSim); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for vi, m := range ms {
-			after := readBaseline(m)
+		for vi := range ms {
+			after := readBaseline(f.holder(vi))
 			im := IntervalMetrics{
 				Shadow: counters.Diff(after.shadow, bases[vi].shadow),
 				Pager:  statsDiff(after.pager, bases[vi].pager),
@@ -459,7 +589,7 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 			out[vi].Prefix = im
 			if jw != nil {
 				if err := appendRec(jw, journalRec{Type: "prefix", Variant: vi, Metrics: &im}); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
@@ -469,14 +599,14 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 	if rs.snaps != nil {
 		start := int64(plan.Chosen[rs.from].Index) * plan.IntervalLen
 		if err := gen(start, genSkip); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for vi, m := range ms {
 			if rs.snaps[vi].Refs != start {
-				return nil, fmt.Errorf("sample: snapshot for variant %d is at ref %d, interval starts at %d", vi, rs.snaps[vi].Refs, start)
+				return nil, nil, fmt.Errorf("sample: snapshot for variant %d is at ref %d, interval starts at %d", vi, rs.snaps[vi].Refs, start)
 			}
 			if err := Restore(m, rs.snaps[vi]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		restored = rs.from
@@ -490,27 +620,27 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 				warmStart = pos
 			}
 			if err := gen(warmStart, genWarm); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := gen(start, genSim); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if jw != nil {
-				for vi, m := range ms {
-					if err := appendRec(jw, journalRec{Type: "snap", Interval: ci, Variant: vi, Snap: Capture(m, start)}); err != nil {
-						return nil, err
+				for vi := range ms {
+					if err := appendRec(jw, journalRec{Type: "snap", Interval: ci, Variant: vi, Snap: f.capture(vi, start)}); err != nil {
+						return nil, nil, err
 					}
 				}
 			}
 		}
-		for vi, m := range ms {
-			bases[vi] = readBaseline(m)
+		for vi := range ms {
+			bases[vi] = readBaseline(f.holder(vi))
 		}
 		if err := gen(start+plan.IntervalLen, genSim); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for vi, m := range ms {
-			after := readBaseline(m)
+		for vi := range ms {
+			after := readBaseline(f.holder(vi))
 			im := IntervalMetrics{
 				Shadow: counters.Diff(after.shadow, bases[vi].shadow),
 				Pager:  statsDiff(after.pager, bases[vi].pager),
@@ -520,7 +650,7 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 			out[vi].Intervals[ci] = im
 			if jw != nil {
 				if err := appendRec(jw, journalRec{Type: "metrics", Interval: ci, Variant: vi, Metrics: &im}); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
@@ -528,22 +658,22 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 	// Warm the tail past the last representative so Final's cumulative
 	// VM-event counts cover the entire timeline [0, TotalRefs).
 	if err := gen(plan.TotalRefs, genWarm); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for vi, m := range ms {
-		t := readBaseline(m)
+	for vi := range ms {
+		t := readBaseline(f.holder(vi))
 		fm := IntervalMetrics{Shadow: t.shadow, Pager: t.pager, Cycles: t.cycles, Refs: plan.TotalRefs}
 		out[vi].Final = fm
 		if jw != nil {
 			if err := appendRec(jw, journalRec{Type: "final", Variant: vi, Metrics: &fm}); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	if jw != nil {
-		return out, jw.Close()
+		return out, f.served, jw.Close()
 	}
-	return out, nil
+	return out, f.served, nil
 }
 
 func appendRec(w *journal.Writer, rec journalRec) error {

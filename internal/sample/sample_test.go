@@ -2,6 +2,7 @@ package sample
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -348,6 +349,150 @@ func TestMeasureResumeTornJournal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatal("resume of complete journal differs")
+	}
+}
+
+// mergeVariants measures all three reference-bit policies at two memory
+// sizes on sampledFixture's stream: at 2.5 MB the page daemon first runs
+// mid-stream, so those variants split off their leader (8 MB/MISS); at
+// 8 MB it never runs, so 8 MB/REF and 8 MB/NOREF follow the leader
+// throughout.
+func mergeVariants(refs int64) []Variant {
+	var vs []Variant
+	for _, mem := range []int{5 << 19, core.MiB(8)} {
+		for _, pol := range core.RefPolicies {
+			cfg := testConfig(refs)
+			cfg.MemoryBytes, cfg.Ref = mem, pol
+			vs = append(vs, Variant{Name: fmt.Sprintf("%dKB/%s", mem>>10, pol), Cfg: cfg})
+		}
+	}
+	return vs
+}
+
+// TestMeasureMergedMatchesSolo checks the leader/split driver against an
+// oracle that cannot merge: each variant measured alongside siblings must
+// come out exactly as measured alone, under a sampled plan and under the
+// whole-stream plan ValidateSampling uses. The served counts prove merging
+// happened, so a driver that simulates every variant would fail here.
+func TestMeasureMergedMatchesSolo(t *testing.T) {
+	spec, seed, plan, _, opts := sampledFixture()
+	variants := mergeVariants(plan.TotalRefs)
+	whole := Plan{TotalRefs: plan.TotalRefs, IntervalLen: plan.TotalRefs, K: 1, Chosen: []Chosen{{Index: 0, Weight: 1}}}
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		opts MeasureOptions
+	}{
+		{"sampled", plan, opts},
+		{"whole-stream", whole, MeasureOptions{}},
+	} {
+		got, served, err := measure(spec, seed, tc.plan, variants, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vi, v := range variants {
+			solo, err := Measure(spec, seed, tc.plan, []Variant{v}, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[vi], solo[0]) {
+				t.Errorf("%s: %s measured with its siblings differs from %s measured alone", tc.name, v.Name, v.Name)
+			}
+			daemon := got[vi].Final.Pager.Scans > 0
+			switch small := v.Cfg.MemoryBytes < core.MiB(8); {
+			case vi == 3: // 8 MB/MISS, the leader
+				if served[vi] != 0 || daemon {
+					t.Errorf("%s: leader %s served %d refs by another machine, daemon ran %v", tc.name, v.Name, served[vi], daemon)
+				}
+			case small:
+				if served[vi] <= 0 || served[vi] >= tc.plan.TotalRefs || !daemon {
+					t.Errorf("%s: %s followed its leader for %d of %d refs (daemon ran %v), want a split mid-stream",
+						tc.name, v.Name, served[vi], tc.plan.TotalRefs, daemon)
+				}
+			default:
+				if served[vi] != tc.plan.TotalRefs || daemon {
+					t.Errorf("%s: %s followed its leader for %d of %d refs (daemon ran %v), want all of them",
+						tc.name, v.Name, served[vi], tc.plan.TotalRefs, daemon)
+				}
+			}
+		}
+	}
+}
+
+// journalSnaps returns a sampled-run journal's snapshot records per
+// variant, in interval order.
+func journalSnaps(t *testing.T, path string, nv int) [][]*MachineState {
+	t.Helper()
+	rep, err := journal.Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := make([][]*MachineState, nv)
+	for _, b := range rep.Entries {
+		var rec journalRec
+		if err := json.Unmarshal(b, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == "snap" {
+			snaps[rec.Variant] = append(snaps[rec.Variant], rec.Snap)
+		}
+	}
+	return snaps
+}
+
+// TestMeasureMergedResumeTornJournal journals a run whose variants merge:
+// every variant's snapshot records must equal those of its solo run (a
+// merged member's are its leader's, projected to its memory), and a
+// journal torn anywhere must resume to the uninterrupted results.
+func TestMeasureMergedResumeTornJournal(t *testing.T) {
+	spec, seed, plan, _, opts := sampledFixture()
+	variants := mergeVariants(plan.TotalRefs)
+	ref, err := Measure(spec, seed, plan, variants, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	jopts := opts
+	jopts.JournalPath = filepath.Join(dir, "merged.journal")
+	jopts.Kind, jopts.SpecKey, jopts.Version = "sample-test", "spec", "v"
+	if _, err := Measure(spec, seed, plan, variants, jopts); err != nil {
+		t.Fatal(err)
+	}
+	merged := journalSnaps(t, jopts.JournalPath, len(variants))
+	for vi, v := range variants {
+		sopts := jopts
+		sopts.JournalPath = filepath.Join(dir, fmt.Sprintf("solo%d.journal", vi))
+		if _, err := Measure(spec, seed, plan, []Variant{v}, sopts); err != nil {
+			t.Fatal(err)
+		}
+		solo := journalSnaps(t, sopts.JournalPath, 1)[0]
+		if len(solo) != len(plan.Chosen) || !reflect.DeepEqual(merged[vi], solo) {
+			t.Errorf("%s: merged run journaled %d snapshots unequal to its solo run's %d", v.Name, len(merged[vi]), len(solo))
+		}
+	}
+
+	whole, err := os.ReadFile(jopts.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{0.15, 0.4, 0.65, 0.9} {
+		torn := filepath.Join(dir, "torn.journal")
+		if err := os.WriteFile(torn, whole[:int(float64(len(whole))*frac)], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ropts := jopts
+		ropts.JournalPath, ropts.Resume = torn, true
+		got, err := Measure(spec, seed, plan, variants, ropts)
+		if err != nil {
+			t.Fatalf("resume after truncation at %.0f%%: %v", frac*100, err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("resume after truncation at %.0f%% differs from uninterrupted run", frac*100)
+		}
+		if err := os.Remove(torn); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
