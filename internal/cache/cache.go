@@ -258,6 +258,20 @@ func (r LineRef) IsPTE() bool { return r.c.meta[r.i]&metaIsPTE != 0 }
 // FilledByWrite reports whether a write miss brought the block in.
 func (r LineRef) FilledByWrite() bool { return r.c.meta[r.i]&metaByWrite != 0 }
 
+// WriteSettled reports whether a write to the line can change nothing: it
+// is owned exclusively, already modified, and its cached snapshots say the
+// page is dirty and read-write. One load and compare of the packed byte.
+func (r LineRef) WriteSettled() bool {
+	return r.c.meta[r.i]&metaSettledMask == metaSettled
+}
+
+// metaSettled is the metadata of a settled line, ignoring the bookkeeping
+// flags; metaSettledMask selects the bits it fixes.
+const (
+	metaSettledMask = metaStateMask | metaProtMask | metaBlockDirty | metaPageDirty
+	metaSettled     = uint8(coherence.OwnedExclusive) | uint8(pte.ProtReadWrite)<<metaProtShift | metaBlockDirty | metaPageDirty
+)
+
 // Line returns a decoded snapshot of the frame.
 func (r LineRef) Line() Line { return r.c.LineAt(int(r.i)) }
 
@@ -317,7 +331,7 @@ func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pag
 		c.Stats.Evictions++
 		if v.WriteBack {
 			c.Stats.WriteBacks++
-			c.issue(coherence.BusWriteBack, old)
+			c.IssueBus(coherence.BusWriteBack, old)
 		}
 	}
 	c.tags[i] = b
@@ -344,7 +358,7 @@ func (c *Cache) invalidateFrame(i uint64) bool {
 	wb := metaNeedsWriteBack(c.meta[i])
 	if wb {
 		c.Stats.WriteBacks++
-		c.issue(coherence.BusWriteBack, c.tags[i])
+		c.IssueBus(coherence.BusWriteBack, c.tags[i])
 	}
 	c.meta[i] = 0
 	return wb
@@ -429,18 +443,14 @@ func (c *Cache) ResidentBlocks(p addr.GVPN) (resident, clean int) {
 	return resident, clean
 }
 
-// issue broadcasts a bus transaction if a bus is attached.
-func (c *Cache) issue(op coherence.BusOp, b addr.BlockAddr) (supplied, invalidated bool) {
-	if c.bus == nil {
-		return false, false
-	}
-	return c.bus.Issue(c.port, op, b)
-}
-
-// IssueBus exposes bus transactions for the access engine (read-for-
-// ownership on write misses, invalidations on shared write hits).
+// IssueBus broadcasts a bus transaction if a bus is attached. The cache
+// issues its own write-backs; the access engine issues read-for-ownership
+// on write misses and invalidations on shared write hits.
 func (c *Cache) IssueBus(op coherence.BusOp, b addr.BlockAddr) (supplied, invalidated bool) {
-	return c.issue(op, b)
+	if c.bus != nil {
+		supplied, invalidated = c.bus.Issue(c.port, op, b)
+	}
+	return
 }
 
 // Snoop implements coherence.Snooper: the cache watches other controllers'

@@ -32,22 +32,26 @@ import (
 // page flushes — remain counted, so a machine warmed across a gap carries
 // the full run's cumulative VM totals. The daemon's behavior is reference-
 // driven (allocation pressure, reference bits), not time-driven, so leaving
-// gap cycles uncharged does not perturb it.
-func (e *Engine) Touch(r trace.Rec) {
-	b := r.Addr.Block()
-	if l, hit := e.Cache.Probe(b); hit {
-		if r.Op == trace.OpWrite {
+// gap cycles uncharged does not perturb it. Touch is a one-reference call
+// into TouchBatch.
+func (e *Engine) Touch(r trace.Rec) { e.TouchBatch([]trace.Rec{r}) }
+
+// TouchBatch applies Touch to a buffer of references in order; it is the
+// one implementation of the warming step. It skips settled write hits under
+// the same invariant and the same injector condition as AccessBatch.
+func (e *Engine) TouchBatch(recs []trace.Rec) {
+	inject := e.Inject != nil
+	for i := range recs {
+		r := &recs[i]
+		b := r.Addr.Block()
+		l, hit := e.Cache.Probe(b)
+		if !hit {
+			e.touchMiss(r.Op, b, r.Addr.Page())
+			continue
+		}
+		if r.Op == trace.OpWrite && (inject || !l.WriteSettled()) {
 			e.touchWriteHit(l, r.Addr.Page(), b)
 		}
-		return
-	}
-	e.touchMiss(r.Op, b, r.Addr.Page())
-}
-
-// TouchBatch applies Touch to a buffer of references.
-func (e *Engine) TouchBatch(recs []trace.Rec) {
-	for i := range recs {
-		e.Touch(recs[i])
 	}
 }
 

@@ -117,10 +117,8 @@ var modeMap = [NumModes][HardwareCounters]Event{
 // wired[mode][event] is the index of the hardware counter that event drives
 // under that mode, or the write-only spill slot (index HardwareCounters)
 // when the mode does not wire it. It is the inverse of modeMap, precomputed
-// once so Add — the hottest function in the whole simulator, called several
-// times per memory reference — indexes a table instead of scanning all
-// sixteen wirings; routing unwired events to the spill slot instead of
-// branching keeps the hot path straight-line.
+// once so folding the shadow into the hardware view indexes a table instead
+// of scanning all sixteen wirings.
 var wired [NumModes][NumEvents]int8
 
 func init() {
@@ -131,9 +129,9 @@ func init() {
 		for i, ev := range modeMap[m] {
 			if wired[m][ev] != HardwareCounters {
 				// Each event signal reaches at most one counter per mode
-				// (a wiring, not a fan-out); the single-index fast path in
-				// Add is only equivalent to scanning modeMap under this
-				// invariant, so a violation must fail at startup.
+				// (a wiring, not a fan-out); the single-index fold is only
+				// equivalent to scanning modeMap under this invariant, so
+				// a violation must fail at startup.
 				panic(fmt.Sprintf("counters: event %v wired twice in mode %d", ev, m))
 			}
 			//spurlint:ignore countersafe — i indexes the sixteen hardware counters, always within int8
@@ -145,21 +143,30 @@ func init() {
 // Set is one cache controller's performance-counter block: sixteen 32-bit
 // hardware counters behind a mode register, plus the 64-bit software shadow
 // of every event.
+//
+// Add — called several times per memory reference, the hottest function in
+// the simulator — touches only the shadow. The hardware view is derived
+// from it lazily: every event raised since the last fold went to the
+// counter the current mode wires it to, so folding adds each event's shadow
+// growth since mark to that counter, truncated to 32 bits as the chip would
+// have counted it. The view is folded whenever it is read or the wiring
+// changes (Hardware, HardwareSnapshot, SetMode, InjectWraparound), so it
+// is always exactly what eager counting would hold.
 type Set struct {
 	mode int
-	// w caches &wired[mode] so Add — called several times per memory
-	// reference — is one indexed load instead of a two-dimensional one.
-	//spurlint:ignore statecomplete — derived cache of &wired[mode]; SetMode recomputes it on restore
-	w *[NumEvents]int8
 	// hw has one extra slot beyond the sixteen physical counters: the
 	// write-only spill that absorbs events the current mode leaves
-	// unwired, so Add needs no wired/unwired branch.
+	// unwired. It is part of the checkpointed view, so it is folded like
+	// any counter.
 	hw     [HardwareCounters + 1]uint32
 	shadow [NumEvents]uint64
+	// mark is the shadow as of the last fold.
+	//spurlint:ignore statecomplete — derived: the shadow at the last fold; HardwareSnapshot folds before reading hw and Restore resets mark to the restored shadow
+	mark [NumEvents]uint64
 }
 
 // New returns a counter set in mode 0 with all counters clear.
-func New() *Set { return &Set{w: &wired[0]} }
+func New() *Set { return &Set{} }
 
 // Mode returns the current mode-register value.
 func (s *Set) Mode() int { return s.mode }
@@ -171,22 +178,34 @@ func (s *Set) SetMode(mode int) {
 	if mode < 0 || mode >= NumModes {
 		panic(fmt.Sprintf("counters: invalid mode %d", mode))
 	}
+	s.fold()
 	s.mode = mode
-	s.w = &wired[mode]
+}
+
+// fold brings the hardware view up to date with the shadow under the
+// current wiring.
+func (s *Set) fold() {
+	w := &wired[s.mode]
+	for e := range s.shadow {
+		if d := s.shadow[e] - s.mark[e]; d != 0 {
+			//spurlint:ignore countersafe — the hardware counters are 32-bit by design; wraparound here is the modeled chip behavior the shadow counters exist to repair
+			s.hw[w[e]] += uint32(d)
+		}
+	}
+	s.mark = s.shadow
 }
 
 // Add raises event e n times.
-func (s *Set) Add(e Event, n uint64) {
-	s.shadow[e] += n
-	//spurlint:ignore countersafe — the hardware counters are 32-bit by design; wraparound here is the modeled chip behavior the shadow counters exist to repair
-	s.hw[s.w[e]] += uint32(n)
-}
+func (s *Set) Add(e Event, n uint64) { s.shadow[e] += n }
 
 // Inc raises event e once.
-func (s *Set) Inc(e Event) { s.Add(e, 1) }
+func (s *Set) Inc(e Event) { s.shadow[e]++ }
 
 // Hardware returns the value of physical counter i under the current mode.
-func (s *Set) Hardware(i int) uint32 { return s.hw[i] }
+func (s *Set) Hardware(i int) uint32 {
+	s.fold()
+	return s.hw[i]
+}
 
 // HardwareEvent returns which event physical counter i counts in the current
 // mode.
@@ -201,6 +220,7 @@ func (s *Set) Count(e Event) uint64 { return s.shadow[e] }
 // untouched, so measurements survive the wrap while the hardware-accurate
 // view visibly loses 2^32 counts.
 func (s *Set) InjectWraparound(slack uint32) {
+	s.fold()
 	for i := 0; i < HardwareCounters; i++ {
 		s.hw[i] = ^uint32(0) - slack
 	}
@@ -210,6 +230,7 @@ func (s *Set) InjectWraparound(slack uint32) {
 func (s *Set) Reset() {
 	s.hw = [HardwareCounters + 1]uint32{}
 	s.shadow = [NumEvents]uint64{}
+	s.mark = s.shadow
 }
 
 // Snapshot returns a copy of the full software shadow, indexed by Event.

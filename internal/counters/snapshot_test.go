@@ -59,3 +59,81 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("post-restore Add diverged: got %v, want %v", dst.HardwareSnapshot(), src.HardwareSnapshot())
 	}
 }
+
+// eagerSet is the counter block as the chip counts: every Add goes straight
+// to the hardware counter (or spill slot) its event is wired to.
+type eagerSet struct {
+	mode   int
+	hw     [HardwareCounters + 1]uint32
+	shadow [NumEvents]uint64
+}
+
+func (m *eagerSet) add(e Event, n uint64) {
+	m.shadow[e] += n
+	m.hw[wired[m.mode][e]] += uint32(n)
+}
+
+// TestLazyHardwareViewMatchesEagerModel drives a Set and an eagerly counted
+// model through the same seeded operations — Adds (some of 2^32+k), mode
+// switches, injected wraparounds, snapshot/restore round trips and resets —
+// and compares the hardware view only now and then, so long runs of Adds
+// stay unfolded across the operations that must fold them.
+func TestLazyHardwareViewMatchesEagerModel(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		s, m := New(), &eagerSet{}
+		x := seed
+		next := func(n uint64) uint64 { // splitmix64
+			x += 0x9e3779b97f4a7c15
+			z := x
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			return (z ^ (z >> 31)) % n
+		}
+		for step := 0; step < 5000; step++ {
+			switch op := next(100); {
+			case op < 70:
+				e := Event(next(uint64(NumEvents)))
+				n := next(5)
+				if next(50) == 0 {
+					n = 1<<32 + next(1000)
+				}
+				s.Add(e, n)
+				m.add(e, n)
+			case op < 80:
+				e := Event(next(uint64(NumEvents)))
+				s.Inc(e)
+				m.add(e, 1)
+			case op < 88:
+				mode := int(next(NumModes))
+				s.SetMode(mode)
+				m.mode = mode
+			case op < 92:
+				slack := uint32(next(16))
+				s.InjectWraparound(slack)
+				for i := 0; i < HardwareCounters; i++ {
+					m.hw[i] = ^uint32(0) - slack
+				}
+			case op < 97:
+				r := New() // with unfolded counts of its own, which Restore must drop
+				r.Add(Event(next(uint64(NumEvents))), 1+next(9))
+				r.Restore(s.Mode(), s.HardwareSnapshot(), s.Snapshot())
+				s = r
+			case op < 98:
+				s.Reset()
+				m.hw, m.shadow = [HardwareCounters + 1]uint32{}, [NumEvents]uint64{}
+			default:
+				if got := s.HardwareSnapshot(); got != m.hw {
+					t.Fatalf("seed %d step %d: hardware view %v, eager model %v", seed, step, got, m.hw)
+				}
+			}
+		}
+		for i := 0; i < HardwareCounters; i++ {
+			if got := s.Hardware(i); got != m.hw[i] {
+				t.Fatalf("seed %d: Hardware(%d) = %d, eager model %d", seed, i, got, m.hw[i])
+			}
+		}
+		if s.HardwareSnapshot() != m.hw || s.Snapshot() != m.shadow || s.Mode() != m.mode {
+			t.Fatalf("seed %d: final state differs from the eager model", seed)
+		}
+	}
+}

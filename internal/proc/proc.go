@@ -39,13 +39,14 @@ type Horizoned interface {
 }
 
 // BatchStepper is optionally implemented by Horizoned Runners that can emit
-// a run of steps with one call. StepBatch(buf) must produce exactly the
-// records len(buf) successive Step calls would — it exists only to strip the
-// per-step interface dispatch from the generation hot loop. Callers must
-// bound len(buf) by StepHorizon(); the runner omits the per-step mutation
-// and Done checks on the strength of that bound.
+// a run of steps with one call. StepBatch(buf, pid) must produce exactly the
+// records len(buf) successive Step calls would, each stamped with pid — it
+// exists only to strip the per-step interface dispatch, and a second pass
+// over the chunk, from the generation hot loop. Callers must bound len(buf)
+// by StepHorizon(); the runner omits the per-step mutation and Done checks
+// on the strength of that bound.
 type BatchStepper interface {
-	StepBatch(buf []trace.Rec)
+	StepBatch(buf []trace.Rec, pid int32)
 }
 
 // Task is one schedulable process.
@@ -199,11 +200,7 @@ func (s *Scheduler) NextBatch(buf []trace.Rec) int {
 			}
 			s.left -= int(steps)
 			if bs != nil {
-				chunk := buf[n : n+int(steps)]
-				bs.StepBatch(chunk)
-				for i := range chunk {
-					chunk[i].PID = pid
-				}
+				bs.StepBatch(buf[n:n+int(steps)], pid)
 				n += int(steps)
 				continue
 			}

@@ -113,11 +113,9 @@ func (p JobParams) valid() {
 type Job struct {
 	p   JobParams
 	env Env
-	rng *RNG
+	rng RNG
 	seg addr.SegmentID
-
-	// SharedCode regions (owned by the script, not released at exit).
-	shared []vm.Region
+	thr jobThresholds
 
 	code    vm.Region // private code, N may be 0
 	data    vm.Region
@@ -126,6 +124,9 @@ type Job struct {
 	heap    vm.Region
 	stack   vm.Region
 
+	// codeRuns flattens private code, then the shared images (owned by
+	// the script, not released at exit), into one block-index space.
+	codeRuns   []codeRun
 	codeBlocks int // total code blocks including shared
 	hotBlocks  int
 	codeIdx    int
@@ -145,6 +146,38 @@ type Job struct {
 	released bool
 }
 
+// jobThresholds holds the job's probabilities as RNG.Hit thresholds,
+// converted once at construction instead of on every draw. stack and
+// stackOrAlloc bound dataOp's single draw, writeRO and writeROorRMW the
+// writing-pass intent draw in scan; a threshold compared with the raw
+// 53-bit draw decides exactly what Float64() compared with p would.
+type jobThresholds struct {
+	ifetch, jump, farJump, scanHeap, srcRead, seq, hotData      uint64
+	writePage, readPassWrite, backWrite, hotWrite, revisitWrite uint64
+	stack, stackOrAlloc, writeRO, writeROorRMW                  uint64
+}
+
+func newJobThresholds(p JobParams) jobThresholds {
+	return jobThresholds{
+		ifetch: Threshold(p.PIFetch), jump: Threshold(p.PJump), farJump: Threshold(p.PFarJump),
+		scanHeap: Threshold(p.PScanHeap), srcRead: Threshold(p.PSrcRead),
+		seq: Threshold(p.PSeq), hotData: Threshold(p.PHotData),
+		writePage: Threshold(p.PWritePage), readPassWrite: Threshold(p.ReadPassWrite),
+		backWrite: Threshold(p.PBackWrite), hotWrite: Threshold(p.PHotWrite),
+		revisitWrite: Threshold(p.PRevisitWrite),
+		stack:        Threshold(p.PStack), stackOrAlloc: Threshold(p.PStack + p.PAlloc),
+		writeRO: Threshold(p.WriteRO), writeROorRMW: Threshold(p.WriteRO + p.WriteRMW),
+	}
+}
+
+// The fixed behavioural probabilities: a stack op writes, a heap re-touch
+// reads, a hot-data update reads first.
+var (
+	thrStackWrite = Threshold(0.7)
+	thrHeapRead   = Threshold(0.8)
+	thrHotRMW     = Threshold(0.35)
+)
+
 // NewJob creates the process: allocates its segment and registers regions.
 func NewJob(env Env, rng *RNG, p JobParams, shared []vm.Region) *Job {
 	return newJobWithData(env, rng, p, shared, vm.Region{}, vm.Region{})
@@ -160,8 +193,8 @@ func newJobWithData(env Env, rng *RNG, p JobParams, shared []vm.Region, persiste
 	}
 	p.valid()
 	j := &Job{
-		p: p, env: env, rng: rng.Fork(), seg: env.AllocSegment(),
-		shared: shared, src: source, refsLeft: p.Refs,
+		p: p, env: env, rng: *rng.Fork(), seg: env.AllocSegment(),
+		thr: newJobThresholds(p), src: source, refsLeft: p.Refs,
 	}
 	if source.N > 0 {
 		j.srcCursor = j.rng.Intn(source.N) * addr.BlocksPerPage
@@ -181,9 +214,15 @@ func newJobWithData(env Env, rng *RNG, p JobParams, shared []vm.Region, persiste
 	if p.StackPages > 0 {
 		j.stack = env.AddRegion(addr.PageIn(j.seg, stackBase), p.StackPages, vm.Stack)
 	}
-	j.codeBlocks = p.CodePages * addr.BlocksPerPage
-	for _, r := range shared {
-		j.codeBlocks += r.N * addr.BlocksPerPage
+	for _, r := range append([]vm.Region{j.code}, shared...) {
+		if r.N > 0 {
+			// base is offset back by the run's first index, so that
+			// base + idx*BlockBytes addresses block idx-start of r
+			// (modulo 2^64, which GVA arithmetic is).
+			base := r.Start.Base() - addr.GVA(j.codeBlocks*addr.BlockBytes)
+			j.codeBlocks += r.N * addr.BlocksPerPage
+			j.codeRuns = append(j.codeRuns, codeRun{end: j.codeBlocks, base: base})
+		}
 	}
 	if j.codeBlocks == 0 {
 		panic("workload: job has no code to fetch")
@@ -251,8 +290,8 @@ func (j *Job) Step() trace.Rec {
 		j.npend--
 		return j.pending[j.npend]
 	}
-	if j.rng.Chance(j.p.PIFetch) {
-		return j.ifetch()
+	if j.rng.Hit(j.thr.ifetch) {
+		return trace.Rec{Op: trace.OpIFetch, Addr: j.ifetch()}
 	}
 	j.dataOp()
 	j.npend--
@@ -260,24 +299,26 @@ func (j *Job) Step() trace.Rec {
 }
 
 // StepBatch implements proc.BatchStepper: it emits exactly the records
-// len(buf) successive Step calls would, in one concrete call. The caller
-// bounds len(buf) by StepHorizon, which is what lets the loop skip the
-// per-step Done and turnover checks.
-func (j *Job) StepBatch(buf []trace.Rec) {
+// len(buf) successive Step calls would, stamped with pid, in one concrete
+// call. The caller bounds len(buf) by StepHorizon, which is what lets the
+// loop skip the per-step Done and turnover checks.
+func (j *Job) StepBatch(buf []trace.Rec, pid int32) {
 	j.refsLeft -= int64(len(buf))
 	for i := range buf {
-		if j.npend > 0 {
+		var r trace.Rec
+		switch {
+		case j.npend > 0:
 			j.npend--
-			buf[i] = j.pending[j.npend]
-			continue
+			r = j.pending[j.npend]
+		case j.rng.Hit(j.thr.ifetch):
+			r = trace.Rec{Op: trace.OpIFetch, Addr: j.ifetch()}
+		default:
+			j.dataOp()
+			j.npend--
+			r = j.pending[j.npend]
 		}
-		if j.rng.Chance(j.p.PIFetch) {
-			buf[i] = j.ifetch()
-			continue
-		}
-		j.dataOp()
-		j.npend--
-		buf[i] = j.pending[j.npend]
+		r.PID = pid
+		buf[i] = r
 	}
 }
 
@@ -287,27 +328,28 @@ func (j *Job) push(op trace.Op, a addr.GVA) {
 	j.npend++
 }
 
+// codeRun is one region of the job's code-block index space: the indices
+// below end and at or above the previous run's end.
+type codeRun struct {
+	end  int
+	base addr.GVA
+}
+
 // codeAddr maps a code-block index to its address, walking private code
 // first, then the shared images.
 func (j *Job) codeAddr(idx int) addr.GVA {
-	if own := j.code.N * addr.BlocksPerPage; idx < own {
-		return j.code.Start.Base() + addr.GVA(idx*addr.BlockBytes)
-	} else {
-		idx -= own
-	}
-	for _, r := range j.shared {
-		if n := r.N * addr.BlocksPerPage; idx < n {
-			return r.Start.Base() + addr.GVA(idx*addr.BlockBytes)
-		} else {
-			idx -= n
+	for _, r := range j.codeRuns {
+		if idx < r.end {
+			return r.base + addr.GVA(idx*addr.BlockBytes)
 		}
 	}
-	panic(fmt.Sprintf("workload: code index out of range"))
+	panic("workload: code index out of range")
 }
 
-func (j *Job) ifetch() trace.Rec {
-	if j.rng.Chance(j.p.PJump) {
-		if j.rng.Chance(j.p.PFarJump) {
+// ifetch advances the instruction stream and returns the fetched address.
+func (j *Job) ifetch() addr.GVA {
+	if j.rng.Hit(j.thr.jump) {
+		if j.rng.Hit(j.thr.farJump) {
 			j.codeIdx = j.rng.Intn(j.codeBlocks)
 		} else {
 			j.codeIdx = j.rng.Intn(j.hotBlocks)
@@ -319,20 +361,20 @@ func (j *Job) ifetch() trace.Rec {
 			j.codeIdx = 0
 		}
 	}
-	return trace.Rec{Op: trace.OpIFetch, Addr: j.codeAddr(j.codeIdx)}
+	return j.codeAddr(j.codeIdx)
 }
 
 // dataOp enqueues one or two data references.
 func (j *Job) dataOp() {
-	u := j.rng.Float64()
+	u := j.rng.Uint64() >> 11 // Float64's 53 bits, unscaled
 	switch {
-	case u < j.p.PStack && j.stack.N > 0:
+	case u < j.thr.stack && j.stack.N > 0:
 		j.stackOp()
-	case u < j.p.PStack+j.p.PAlloc && j.heap.N > 0:
+	case u < j.thr.stackOrAlloc && j.heap.N > 0:
 		j.alloc()
-	case j.rng.Chance(j.p.PScanHeap) && j.heapCursor > 0:
+	case j.rng.Hit(j.thr.scanHeap) && j.heapCursor > 0:
 		j.heapTouch()
-	case j.src.N > 0 && j.rng.Chance(j.p.PSrcRead):
+	case j.src.N > 0 && j.rng.Hit(j.thr.srcRead):
 		j.srcScan()
 	default:
 		j.scan()
@@ -345,13 +387,13 @@ func (j *Job) srcScan() {
 	nblocks := j.src.N * addr.BlocksPerPage
 	var blk int
 	switch {
-	case j.rng.Chance(j.p.PSeq):
+	case j.rng.Hit(j.thr.seq):
 		j.srcCursor++
 		if j.srcCursor >= nblocks {
 			j.srcCursor = 0
 		}
 		blk = j.srcCursor
-	case j.rng.Chance(j.p.PHotData):
+	case j.rng.Hit(j.thr.hotData):
 		hot := int(float64(nblocks) * j.p.HotDataFrac)
 		if hot < 1 {
 			hot = 1
@@ -378,7 +420,7 @@ func (j *Job) srcScan() {
 func (j *Job) stackOp() {
 	hot := min(j.stack.N, 2) * addr.BlocksPerPage
 	a := j.stack.Start.Base() + addr.GVA(j.rng.Intn(hot)*addr.BlockBytes)
-	if j.rng.Chance(0.7) {
+	if j.rng.Hit(thrStackWrite) {
 		j.push(trace.OpWrite, a)
 	} else {
 		j.push(trace.OpRead, a)
@@ -422,7 +464,7 @@ func (j *Job) newHeapGeneration() {
 func (j *Job) heapTouch() {
 	blk := j.rng.Intn(j.heapCursor)
 	a := j.heap.Start.Base() + addr.GVA(blk*addr.BlockBytes)
-	if j.rng.Chance(0.8) {
+	if j.rng.Hit(thrHeapRead) {
 		j.push(trace.OpRead, a)
 	} else {
 		j.push(trace.OpWrite, a)
@@ -433,7 +475,7 @@ func (j *Job) heapTouch() {
 // intents, with occasional revisits into the trailing window.
 func (j *Job) scan() {
 	nblocks := j.data.N * addr.BlocksPerPage
-	if j.rng.Chance(j.p.PSeq) {
+	if j.rng.Hit(j.thr.seq) {
 		prevPage := j.dataCursor / addr.BlocksPerPage
 		j.dataCursor++
 		if j.dataCursor >= nblocks {
@@ -442,7 +484,7 @@ func (j *Job) scan() {
 		if j.dataCursor/addr.BlocksPerPage != prevPage {
 			// Entering a new page: decide whether this pass writes it,
 			// and how many opening blocks it examines before writing.
-			j.writePass = j.rng.Chance(j.p.PWritePage)
+			j.writePass = j.rng.Hit(j.thr.writePage)
 			j.readLen = j.rng.Range(1, 3)
 		}
 		posInPage := j.dataCursor % addr.BlocksPerPage
@@ -451,7 +493,7 @@ func (j *Job) scan() {
 		// of a block, not one — the pending ops replay the block a few
 		// times (LIFO, so writes are pushed first to come out last).
 		if !j.writePass {
-			if j.rng.Chance(j.p.ReadPassWrite) {
+			if j.rng.Hit(j.thr.readPassWrite) {
 				j.push(trace.OpWrite, a)
 			}
 			for k := j.rng.Range(3, 6); k > 0; k-- {
@@ -467,7 +509,7 @@ func (j *Job) scan() {
 			}
 			return
 		}
-		if j.rng.Chance(j.p.PBackWrite) {
+		if j.rng.Hit(j.thr.backWrite) {
 			// Update one of the opening blocks examined earlier: the
 			// stale-block write that FAULT pays an excess fault for and
 			// SPUR a dirty-bit miss.
@@ -476,13 +518,13 @@ func (j *Job) scan() {
 			j.push(trace.OpWrite, back)
 			return
 		}
-		u := j.rng.Float64()
+		u := j.rng.Uint64() >> 11
 		switch {
-		case u < j.p.WriteRO:
+		case u < j.thr.writeRO:
 			for k := j.rng.Range(2, 4); k > 0; k-- {
 				j.push(trace.OpRead, a)
 			}
-		case u < j.p.WriteRO+j.p.WriteRMW:
+		case u < j.thr.writeROorRMW:
 			// Read-modify-write of the block's contents.
 			for k := j.rng.Range(1, 2); k > 0; k-- {
 				j.push(trace.OpWrite, a)
@@ -498,13 +540,13 @@ func (j *Job) scan() {
 		return
 	}
 	// Revisit: either the region's hot subset or the trailing window.
-	if hot := int(float64(nblocks) * j.p.HotDataFrac); hot > 0 && j.rng.Chance(j.p.PHotData) {
+	if hot := int(float64(nblocks) * j.p.HotDataFrac); hot > 0 && j.rng.Hit(j.thr.hotData) {
 		a := j.data.Start.Base() + addr.GVA(j.rng.Intn(hot)*addr.BlockBytes)
-		if j.rng.Chance(j.p.PHotWrite) {
+		if j.rng.Hit(j.thr.hotWrite) {
 			// Updates of hot structures sometimes examine before
 			// storing (read-modify-write), like any table update.
 			j.push(trace.OpWrite, a)
-			if j.rng.Chance(0.35) {
+			if j.rng.Hit(thrHotRMW) {
 				j.push(trace.OpRead, a)
 			}
 		} else {
@@ -524,7 +566,7 @@ func (j *Job) scan() {
 		}
 	}
 	a := j.data.Start.Base() + addr.GVA(blk*addr.BlockBytes)
-	if j.rng.Chance(j.p.PRevisitWrite) {
+	if j.rng.Hit(j.thr.revisitWrite) {
 		j.push(trace.OpWrite, a)
 	} else {
 		j.push(trace.OpRead, a)

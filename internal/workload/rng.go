@@ -9,7 +9,10 @@
 // zero-fill page creation (N_zfod).
 package workload
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic generator (splitmix64). Experiments
 // use explicit seeds so runs repeat exactly.
@@ -53,8 +56,27 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Chance reports true with probability p.
-func (r *RNG) Chance(p float64) bool { return r.Float64() < p }
+// Threshold converts a probability into the integer threshold Hit compares
+// a 53-bit draw k against. Float64 returns k/2^53 exactly (k < 2^53 is
+// exact in a float64, and scaling by a power of two is exact), so the test
+// Float64() < p holds exactly when the integer k is below the real number
+// p·2^53, that is when k < ⌈p·2^53⌉. For 0 < p < 1 the product p·2^53 is
+// also exact, so math.Ceil computes that bound without rounding. p ≤ 0 and
+// NaN never pass (threshold 0), and p ≥ 1 always does (threshold 2^53).
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Hit reports true with probability t/2^53. Hit(Threshold(p)) consumes one
+// Uint64, as Float64 does, and draws exactly what Float64() < p would, with
+// an integer compare in place of the conversion and float compare.
+func (r *RNG) Hit(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Range returns a uniform int in [lo, hi].
 func (r *RNG) Range(lo, hi int) int {

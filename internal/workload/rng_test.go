@@ -75,15 +75,15 @@ func TestChance(t *testing.T) {
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if r.Chance(0.25) {
+		if r.Hit(Threshold(0.25)) {
 			hits++
 		}
 	}
 	if frac := float64(hits) / n; math.Abs(frac-0.25) > 0.01 {
-		t.Errorf("Chance(0.25) frequency = %v", frac)
+		t.Errorf("Hit(Threshold(0.25)) frequency = %v", frac)
 	}
-	if r.Chance(0) {
-		t.Error("Chance(0) fired")
+	if r.Hit(Threshold(0)) {
+		t.Error("Hit(Threshold(0)) fired")
 	}
 }
 
@@ -134,4 +134,43 @@ func TestUint64Uniformish(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzThreshold checks that Hit(Threshold(p)) makes exactly the draw
+// Float64() < p makes and leaves the generator in the same state: on the
+// fuzzed seed's own draw, and on the 53-bit draws either side of the
+// threshold, where an off-by-one would show.
+func FuzzThreshold(f *testing.F) {
+	const two53 = 1 << 53
+	for _, p := range []float64{
+		0, 1, -1, -0.5, math.Copysign(0, -1), 1.5, 2, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, math.SmallestNonzeroFloat64 * 3, 0x1p-1022, 0x1p-60,
+		1.0 / two53, 2.0 / two53, 3.0 / two53, 0.25, 0.5, 0.7, 0.35,
+		(two53 - 1.0) / two53, 1 - 0x1p-54, math.Nextafter(1, 0), math.Nextafter(0.25, 1),
+	} {
+		f.Add(p, uint64(1))
+		f.Add(p, uint64(0x9e3779b97f4a7c15))
+	}
+	f.Fuzz(func(t *testing.T, p float64, seed uint64) {
+		th := Threshold(p)
+		if th > two53 {
+			t.Fatalf("Threshold(%v) = %d, above 2^53", p, th)
+		}
+		a, b := NewRNG(seed), NewRNG(seed)
+		if got, want := a.Hit(th), b.Float64() < p; got != want {
+			t.Fatalf("seed %d, p %v: Hit = %v, Float64() < p = %v", seed, p, got, want)
+		}
+		if *a != *b {
+			t.Fatalf("seed %d, p %v: generator states differ after the draw", seed, p)
+		}
+		for _, k := range []uint64{th - 1, th, th + 1, 0, two53 - 1} {
+			if k >= two53 {
+				continue
+			}
+			if got, want := k < th, float64(k)/two53 < p; got != want {
+				t.Fatalf("p %v: draw %d decides %v against threshold %d, %v against p", p, k, got, th, want)
+			}
+		}
+	})
 }

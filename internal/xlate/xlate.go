@@ -24,13 +24,22 @@ type Unit struct {
 	tbl *pte.Table
 	c   *cache.Cache
 	ctr *counters.Set
-	tp  timing.Params
+
+	// The unit's cycle charges, derived from the timing parameters once:
+	// checking a cached PTE, reading the wired second-level PTE and
+	// fetching a PTE block, and writing a victim back.
+	pteCheck, l2Fetch, writeBack uint64
 }
 
 // New wires a translation unit to the page table, the cache it shares with
 // ordinary references, the performance counters, and the timing parameters.
 func New(tbl *pte.Table, c *cache.Cache, ctr *counters.Set, tp timing.Params) *Unit {
-	return &Unit{tbl: tbl, c: c, ctr: ctr, tp: tp}
+	return &Unit{
+		tbl: tbl, c: c, ctr: ctr,
+		pteCheck:  uint64(tp.PTECheckCycles),
+		l2Fetch:   uint64(tp.L2WordCycles) + tp.BlockFetchCycles(),
+		writeBack: tp.WriteBackCycles(),
+	}
 }
 
 // Table returns the page table the unit translates against.
@@ -45,10 +54,6 @@ type Result struct {
 	Cycles uint64
 	// PTEHit reports whether the first-level PTE was found in the cache.
 	PTEHit bool
-	// Victim is the block displaced when the PTE block was fetched; only
-	// meaningful when Evicted is true.
-	Victim  cache.Victim
-	Evicted bool
 }
 
 // Translate performs in-cache translation for page p. It is called on every
@@ -58,7 +63,8 @@ func (u *Unit) Translate(p addr.GVPN) Result {
 	if entry, cycles, hit := u.TranslateCached(p); hit {
 		return Result{Entry: entry, Cycles: cycles, PTEHit: true}
 	}
-	return u.TranslateMiss(p)
+	entry, cycles, _ := u.TranslateMiss(p)
+	return Result{Entry: entry, Cycles: cycles}
 }
 
 // TranslateCached is the common translation case, returned in registers: the
@@ -66,36 +72,37 @@ func (u *Unit) Translate(p addr.GVPN) Result {
 // in-cache check. When it reports false the caller must follow with
 // TranslateMiss — the walk has been counted but nothing fetched. The split
 // exists for the engine's miss path, where translation runs on every cache
-// miss and the Result struct is too wide to return by value for a hit.
+// miss and the Result struct is too wide to return by value.
 func (u *Unit) TranslateCached(p addr.GVPN) (pte.Entry, uint64, bool) {
 	u.ctr.Inc(counters.EvXlateWalk)
 	if _, hit := u.c.Probe(u.tbl.PTEAddr(p).Block()); !hit {
 		return 0, 0, false
 	}
 	u.ctr.Inc(counters.EvPTEHit)
-	return u.tbl.Lookup(p), uint64(u.tp.PTECheckCycles), true
+	return u.tbl.Lookup(p), u.pteCheck, true
 }
 
 // TranslateMiss completes a translation whose first-level PTE block missed
 // in the cache (TranslateCached returned false): read the wired second-level
 // PTE directly from memory, then fetch the first-level PTE block into the
 // cache — over the snooped bus, so another controller holding the block
-// exclusively supplies it and degrades to shared ownership.
-func (u *Unit) TranslateMiss(p addr.GVPN) Result {
-	res := Result{Cycles: uint64(u.tp.PTECheckCycles)}
+// exclusively supplies it and degrades to shared ownership. It returns the
+// PTE, the cycles spent, and whether fetching the PTE block displaced a
+// block that had to be written back (already counted and charged here).
+func (u *Unit) TranslateMiss(p addr.GVPN) (pte.Entry, uint64, bool) {
+	cycles := u.pteCheck + u.l2Fetch
 	pteBlock := u.tbl.PTEAddr(p).Block()
 	u.ctr.Inc(counters.EvPTEMiss)
 	u.ctr.Inc(counters.EvL2Access)
 	u.ctr.Inc(counters.EvBusRead)
-	res.Cycles += uint64(u.tp.L2WordCycles) + u.tp.BlockFetchCycles()
 	u.c.IssueBus(coherence.BusRead, pteBlock)
-	res.Victim, res.Evicted = u.c.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
-	if res.Evicted && res.Victim.WriteBack {
+	v, evicted := u.c.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
+	wroteBack := evicted && v.WriteBack
+	if wroteBack {
 		u.ctr.Inc(counters.EvBusWrite)
-		res.Cycles += u.tp.WriteBackCycles()
+		cycles += u.writeBack
 	}
-	res.Entry = u.tbl.Lookup(p)
-	return res
+	return u.tbl.Lookup(p), cycles, wroteBack
 }
 
 // UpdatePTE applies a software update to page p's PTE, modelling the fault
@@ -119,12 +126,12 @@ func (u *Unit) UpdatePTE(p addr.GVPN, fn func(pte.Entry) pte.Entry) (pte.Entry, 
 		l.SetBlockDirty(true)
 	} else {
 		u.ctr.Inc(counters.EvBusRead)
-		cycles += uint64(u.tp.L2WordCycles) + u.tp.BlockFetchCycles()
+		cycles += u.l2Fetch
 		u.c.IssueBus(coherence.BusReadOwn, pteBlock)
 		v, evicted := u.c.Fill(pteBlock, coherence.OwnedExclusive, pte.ProtKernel, false, true, true)
 		if evicted && v.WriteBack {
 			u.ctr.Inc(counters.EvBusWrite)
-			cycles += u.tp.WriteBackCycles()
+			cycles += u.writeBack
 		}
 	}
 	return u.tbl.Update(p, fn), cycles
