@@ -23,14 +23,12 @@ import (
 // against a journal written for a different experiment fails loudly
 // instead of silently mixing results across specs.
 
-// Journal kinds (journal.Header.Kind) for the two checkpointable drivers.
-const (
-	sweepJournalKind   = "memsweep"
-	table41JournalKind = "table41"
-)
+// sweepJournalKind is the journal kind (journal.Header.Kind) of the
+// checkpointable memory sweep, and so of Table 4.1 too.
+const sweepJournalKind = "memsweep"
 
-// sweepCell is one (workload, memory size, policy) coordinate of a sweep
-// or Table 4.1 design, in canonical cell-index order.
+// sweepCell is one (workload, memory size, policy) coordinate of a sweep,
+// in canonical cell-index order.
 type sweepCell struct {
 	wl  core.WorkloadName
 	mb  int
@@ -43,19 +41,6 @@ func sweepCells(o MemorySweepOptions) []sweepCell {
 	for _, wl := range o.Workloads {
 		for _, mb := range o.SizesMB {
 			for _, pol := range o.Policies {
-				cells = append(cells, sweepCell{wl, mb, pol})
-			}
-		}
-	}
-	return cells
-}
-
-// table41Cells enumerates Table 4.1's cells in canonical order.
-func table41Cells(o Table41Options) []sweepCell {
-	var cells []sweepCell
-	for _, wl := range []core.WorkloadName{core.SLC, core.Workload1} {
-		for _, mb := range o.SizesMB {
-			for _, pol := range RefPolicies {
 				cells = append(cells, sweepCell{wl, mb, pol})
 			}
 		}
@@ -93,16 +78,6 @@ func sweepSpecKey(o MemorySweepOptions) (expstore.Key, error) {
 		Reps       int                 `json:"reps"`
 		AuditEvery int64               `json:"audit_every"`
 	}{o.Workloads, o.SizesMB, pols, o.Refs, o.Seed, o.Reps, o.AuditEvery})
-}
-
-// table41SpecKey is the canonical spec hash of a (filled) Table 4.1 run.
-func table41SpecKey(o Table41Options) (expstore.Key, error) {
-	return expstore.KeyOf(Version, table41JournalKind, struct {
-		Refs    int64  `json:"refs"`
-		Reps    int    `json:"reps"`
-		Seed    uint64 `json:"seed"`
-		SizesMB []int  `json:"sizes_mb"`
-	}{o.Refs, o.Reps, o.Seed, o.SizesMB})
 }
 
 // ckptWriter serializes concurrent per-run journal appends and keeps the
@@ -235,45 +210,6 @@ func MemorySweepJournaled(opts MemorySweepOptions, path string, resume bool) ([]
 		})
 	}
 	rows := MemorySweep(opts)
-	if err := ck.close(); err != nil {
-		return rows, err
-	}
-	return rows, nil
-}
-
-// Table41Journaled is MemorySweepJournaled's counterpart for the Table 4.1
-// driver: same journal format, same spec-hash validation, same
-// byte-identical resume guarantee.
-func Table41Journaled(opts Table41Options, path string, resume bool) ([]Table41Row, error) {
-	opts.fill()
-	key, err := table41SpecKey(opts)
-	if err != nil {
-		return nil, err
-	}
-	hdr := journal.Header{Kind: table41JournalKind, SpecKey: string(key), Version: Version}
-	w, raw, err := openCkpt(path, resume, hdr)
-	if err != nil {
-		return nil, err
-	}
-	cells := table41Cells(opts)
-	entries, done, err := decodeCkptEntries(raw, cells, opts.Seed, opts.Reps)
-	if err != nil {
-		_ = w.Close() // refusing the journal; nothing was written
-		return nil, err
-	}
-
-	ck := &ckptWriter{w: w}
-	opts.preseed = entries
-	opts.skipDone = func(cell, rep int) bool { return done[cell*opts.Reps+rep] }
-	opts.onRep = func(cell, rep int, seed uint64, res Result) {
-		c := cells[cell]
-		ck.append(ckptEntry{
-			Cell: cell, Rep: rep,
-			Workload: string(c.wl), MemMB: c.mb, Policy: c.pol.String(),
-			Seed: seed, Result: res,
-		})
-	}
-	rows := Table41(opts)
 	if err := ck.close(); err != nil {
 		return rows, err
 	}

@@ -146,10 +146,40 @@ func TestTable41JournaledResume(t *testing.T) {
 		t.Fatalf("rendered table differs:\n%s\nvs\n%s", got, want)
 	}
 
-	// A journal for table 4.1 does not resume a memory sweep.
-	sw := ckptSweepOpts()
-	sw.Seed = 5
-	if _, err := MemorySweepJournaled(sw, path, true); err == nil {
-		t.Fatal("sweep resumed from a table 4.1 journal")
+	// A Table 4.1 journal is the memory sweep's journal for Table 4.1's
+	// grid: MemorySweepJournaled over that grid resumes it, and any other
+	// spec is refused.
+	grid := func() MemorySweepOptions {
+		return MemorySweepOptions{
+			Workloads: []core.WorkloadName{core.SLC, core.Workload1},
+			SizesMB:   []int{5},
+			Policies:  RefPolicies,
+			Refs:      150_000,
+			Seed:      5,
+			Reps:      2,
+		}
+	}
+	sw, err := MemorySweepJournaled(grid(), path, true)
+	if err != nil {
+		t.Fatalf("memory sweep over Table 4.1's grid refused its journal: %v", err)
+	}
+	if got := table41Rows(sw); !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("sweep resumed from the Table 4.1 journal gives other rows:\n%+v\nvs\n%+v", got, baseline)
+	}
+	for name, edit := range map[string]func(*MemorySweepOptions){
+		"seed":        func(o *MemorySweepOptions) { o.Seed = 6 },
+		"refs":        func(o *MemorySweepOptions) { o.Refs = 160_000 },
+		"reps":        func(o *MemorySweepOptions) { o.Reps = 3 },
+		"sizes":       func(o *MemorySweepOptions) { o.SizesMB = []int{6} },
+		"workloads":   func(o *MemorySweepOptions) { o.Workloads = []core.WorkloadName{core.SLC} },
+		"policies":    func(o *MemorySweepOptions) { o.Policies = []RefPolicy{RefMISS, RefTRUE} },
+		"audit_every": func(o *MemorySweepOptions) { o.AuditEvery = 1000 },
+	} {
+		o := grid()
+		edit(&o)
+		_, err := MemorySweepJournaled(o, path, true)
+		if err == nil || !strings.Contains(err.Error(), "different experiment") {
+			t.Errorf("a sweep with another %s resumed the Table 4.1 journal (err %v)", name, err)
+		}
 	}
 }

@@ -2,14 +2,15 @@
 // paper-scale (10⁹-reference) experiments affordable.
 //
 // The paper's measurements cover on the order of a billion references per
-// workload. On a 2-vCPU Intel Xeon host with Go 1.24.0 (spurbench's traced
-// runs in cmd/spurbench/results/run2), exact simulation costs ~80 ns per
-// reference, ~32 ns of which is generating the stream, and functional
-// warming (Engine.Touch) costs ~31 ns per reference beyond generation. The
-// stream is a pure function of (workload spec, seed) — the machine being
-// simulated feeds nothing back into generation. Sampling exploits that
-// three ways, in the SimPoint/SMARTS lineage (Bueno et al.,
-// arXiv:2402.00649):
+// workload. On a 2-vCPU Intel Xeon host with Go 1.24.0 (medians of three
+// spurbench --trace 1 runs per workload at seed 1, each over 1.08×10⁸
+// references for table41-exact), exact simulation costs ~49 ns per
+// reference (43–50), ~22 ns of which is generating the stream (19–22), and
+// functional warming (Engine.TouchBatch) costs ~24 ns per reference beyond
+// generation (19–27, sweep-sampled). The stream is a pure function of
+// (workload spec, seed) — the machine being simulated feeds nothing back
+// into generation. Sampling exploits that three ways, in the SimPoint/SMARTS
+// lineage (Bueno et al., arXiv:2402.00649):
 //
 //  1. A profiling pass generates the whole stream without simulating it,
 //     cutting it into fixed-length intervals and reducing each to a small

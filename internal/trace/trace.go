@@ -73,9 +73,11 @@ type BatchSource interface {
 	NextBatch(buf []Rec) int
 }
 
-// BatchSize is the buffer length the reference loops hand Pump: one page
-// of records keeps the buffer cache-resident while amortizing the
-// per-reference interface dispatch to one call in a few thousand.
+// BatchSize is the buffer length the reference loops hand Pump. It
+// amortizes the per-reference interface dispatch to one call in a few
+// thousand; at 16 bytes a record the buffer is 64 KiB. Smaller buffers
+// were not faster: over 22 alternating Table 4.1 runs on a 2-vCPU Intel
+// Xeon (Go 1.24.0), 512- and 1024-record batches beat 4096 in 12 and 10.
 const BatchSize = 4096
 
 // Pump is the reference loop every consumer of a batch source shares. It

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -35,13 +34,6 @@ type Table41Options struct {
 	Parallel int
 	Progress func(done, total int)
 	Context  context.Context
-
-	// Checkpoint hooks, installed by Table41Journaled: results replayed
-	// from a journal to pre-seed, the already-done predicate, and the
-	// per-completion record hook (called concurrently across workers).
-	preseed  []ckptEntry
-	skipDone func(cell, rep int) bool
-	onRep    func(cell, rep int, seed uint64, res Result)
 }
 
 func (o *Table41Options) fill() {
@@ -56,6 +48,23 @@ func (o *Table41Options) fill() {
 	}
 	if len(o.SizesMB) == 0 {
 		o.SizesMB = MemorySizesMB
+	}
+}
+
+// sweep maps Table 4.1 onto the memory sweep that runs it: both
+// workloads, the filled SizesMB, and all three reference-bit policies.
+func (o Table41Options) sweep() MemorySweepOptions {
+	o.fill()
+	return MemorySweepOptions{
+		Workloads: []core.WorkloadName{core.SLC, core.Workload1},
+		SizesMB:   o.SizesMB,
+		Policies:  RefPolicies,
+		Refs:      o.Refs,
+		Seed:      o.Seed,
+		Reps:      o.Reps,
+		Parallel:  o.Parallel,
+		Progress:  o.Progress,
+		Context:   o.Context,
 	}
 }
 
@@ -80,109 +89,60 @@ type Table41Row struct {
 
 // Table41 runs the reference-bit policy comparison: MISS, REF and NOREF on
 // both workloads at each memory size, with randomized run order across
-// repetitions, reproducing Table 4.1. Runs go through the bounded parallel
-// engine; each (cell, repetition) gets its own derived workload seed.
+// repetitions, reproducing Table 4.1. It is a view of MemorySweep over
+// that grid, so each (cell, repetition) runs hardened on its own derived
+// workload seed. Table 4.1 summarizes every repetition, so a quarantined
+// one (a crash or a failed final audit) makes Table41 panic with its
+// reason.
 func Table41(opts Table41Options) []Table41Row {
-	opts.fill()
+	return table41Rows(MemorySweep(opts.sweep()))
+}
 
-	cells := table41Cells(opts)
+// Table41Journaled is Table41 checkpointed through MemorySweepJournaled: a
+// Table 4.1 journal is the memory sweep's journal for the same grid.
+func Table41Journaled(opts Table41Options, path string, resume bool) ([]Table41Row, error) {
+	rows, err := MemorySweepJournaled(opts.sweep(), path, resume)
+	return table41Rows(rows), err
+}
 
-	// Randomized experiment design: the execution order of the data points
-	// is shuffled (deterministically per seed). Results land in slots
-	// indexed by (cell, rep), so the measured numbers never depend on the
-	// order — each run's seed is a pure function of its coordinates.
-	type job struct{ cell, rep int }
-	jobs := make([]job, 0, len(cells)*opts.Reps)
-	for ci := range cells {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, job{ci, rep})
-		}
-	}
-	stats.Shuffle(jobs, opts.Seed*0x9e3779b9+7)
-
-	results := make([][]Result, len(cells))
-	for i := range results {
-		results[i] = make([]Result, opts.Reps)
-	}
-	// Repetitions replayed from a checkpoint journal land in their slots
-	// before dispatch; skipDone keeps the engine from recomputing them.
-	for _, e := range opts.preseed {
-		results[e.Cell][e.Rep] = e.Result
-	}
-	popts := parallel.Options{
-		Workers:  opts.Parallel,
-		Context:  opts.Context,
-		Progress: opts.Progress,
-	}
-	if opts.skipDone != nil {
-		popts.Skip = func(i int) bool { return opts.skipDone(jobs[i].cell, jobs[i].rep) }
-	}
-	// A cancelled context leaves the unvisited cells zero-valued; callers
-	// that pass a context observe it themselves, so the error adds nothing.
-	_ = parallel.ForEach(len(jobs), popts, func(i int) {
-		j := jobs[i]
-		c := cells[j.cell]
-		cfg := DefaultConfig()
-		cfg.MemoryBytes = core.MiB(c.mb)
-		cfg.TotalRefs = opts.Refs
-		cfg.Seed = parallel.DeriveSeed(opts.Seed, uint64(j.cell), uint64(j.rep))
-		cfg.Ref = c.pol
-		spec := SLC()
-		if c.wl == core.Workload1 {
-			spec = Workload1()
-		}
-		res := Run(cfg, spec)
-		results[j.cell][j.rep] = res
-		if opts.onRep != nil {
-			opts.onRep(j.cell, j.rep, cfg.Seed, res)
-		}
-	})
-
-	summarize := func(ci int) (pageIns, elapsed, refFaults, flushes []float64) {
-		for _, res := range results[ci] {
-			pageIns = append(pageIns, float64(res.Events.PageIns))
-			elapsed = append(elapsed, res.ElapsedSeconds)
-			refFaults = append(refFaults, float64(res.Events.RefFaults))
-			flushes = append(flushes, float64(res.Events.PageFlushes))
-		}
-		return
-	}
-
-	cellIndex := func(wl core.WorkloadName, mb int, pol RefPolicy) int {
-		for i, c := range cells {
-			if c.wl == wl && c.mb == mb && c.pol == pol {
-				return i
+// table41Rows views sweep rows as Table 4.1 rows: the sweep's summaries,
+// with page-ins and elapsed time relative to the MISS row at the same
+// workload and memory size. It panics on a quarantined repetition, which
+// the sweep's summaries leave out.
+func table41Rows(sweep []MemorySweepRow) []Table41Row {
+	miss := func(wl core.WorkloadName, mb int) MemorySweepRow {
+		for _, s := range sweep {
+			if s.Workload == wl && s.MemMB == mb && s.Policy == RefMISS {
+				return s
 			}
 		}
-		panic("spur: unknown Table 4.1 cell")
+		return MemorySweepRow{}
 	}
-
 	var rows []Table41Row
-	for _, wl := range []core.WorkloadName{core.SLC, core.Workload1} {
-		for _, mb := range opts.SizesMB {
-			basePage, baseElapsed, _, _ := summarize(cellIndex(wl, mb, RefMISS))
-			baseP := stats.Summarize(basePage).Mean
-			baseE := stats.Summarize(baseElapsed).Mean
-			for _, pol := range RefPolicies {
-				pageIns, elapsed, refFaults, flushes := summarize(cellIndex(wl, mb, pol))
-				row := Table41Row{
-					Workload:  wl,
-					MemMB:     mb,
-					Policy:    pol,
-					PageIns:   stats.Summarize(pageIns),
-					Elapsed:   stats.Summarize(elapsed),
-					RefFaults: stats.Summarize(refFaults),
-					Flushes:   stats.Summarize(flushes),
-				}
-				if baseP > 0 {
-					row.RelPageIns = row.PageIns.Mean / baseP
-				}
-				if baseE > 0 {
-					row.RelElapsed = row.Elapsed.Mean / baseE
-				}
-				rows = append(rows, row)
+	for _, s := range sweep {
+		for rep, r := range s.Reps {
+			if r.Failure != nil {
+				panic(fmt.Sprintf("spur: Table 4.1 %s at %d MB under %s, repetition %d: %v",
+					s.Workload, s.MemMB, s.Policy, rep, r.Failure))
 			}
 		}
+		row := Table41Row{
+			Workload:  s.Workload,
+			MemMB:     s.MemMB,
+			Policy:    s.Policy,
+			PageIns:   s.PageIns,
+			Elapsed:   s.Elapsed,
+			RefFaults: s.RefFaults,
+			Flushes:   s.Flushes,
+		}
+		base := miss(s.Workload, s.MemMB)
+		if base.PageIns.Mean > 0 {
+			row.RelPageIns = row.PageIns.Mean / base.PageIns.Mean
+		}
+		if base.Elapsed.Mean > 0 {
+			row.RelElapsed = row.Elapsed.Mean / base.Elapsed.Mean
+		}
+		rows = append(rows, row)
 	}
 	return rows
 }

@@ -14,22 +14,16 @@ import (
 	"repro/internal/sample"
 )
 
-// This file is the experiment-driver face of internal/sample: sampled
-// variants of the memory sweep and Table 4.1 that estimate paper-scale
+// This file is the experiment-driver face of internal/sample: a sampled
+// memory sweep (and Table 4.1 as a view of it) that estimates paper-scale
 // (10⁹-reference) runs from a handful of representative intervals, plus the
 // validation mode that checks the estimates against full runs at a scale
 // where full runs are still affordable.
 //
 // Sampled results are estimates with error bars, not exact counts, so they
-// are keyed under their own journal/store kinds ("memsweep-sampled",
-// "table41-sampled"): a sampled result can never be served where an exact
-// one was asked for, or vice versa.
-
-// Journal/store kinds for the sampled drivers.
-const (
-	sampledSweepKind   = "memsweep-sampled"
-	sampledTable41Kind = "table41-sampled"
-)
+// are keyed under their own journal/store kind: a sampled result can never
+// be served where an exact one was asked for, or vice versa.
+const sampledSweepKind = "memsweep-sampled"
 
 // sampledSeedSalt separates sampled stream seeds from the exact drivers'
 // per-cell seeds ("sampl" in hex).
@@ -124,42 +118,54 @@ type SampledRow struct {
 	Events core.Events `json:"events"`
 }
 
-// sampledGrid runs the sampled design: for every (workload, repetition)
-// group one shared stream is profiled, clustered, and measured across every
-// (size, policy) variant simultaneously, so the generation passes are paid
-// once per group rather than once per cell. Rows come back in (workload,
-// size, policy) order with all repetitions filled.
-func sampledGrid(workloads []core.WorkloadName, sizesMB []int, pols []RefPolicy,
-	refs int64, seed uint64, reps int, so SampleOptions,
-	par int, progress func(done, total int), kind, specKey string) ([]SampledRow, error) {
+// MemorySweepSampled estimates the memory-size study by interval sampling
+// instead of running every cell exactly: per (workload, repetition) group
+// one shared stream is profiled once, clustered into phases, and only each
+// phase's representative interval is simulated — on all (size, policy)
+// variants at once, so the generation passes are paid once per group
+// rather than once per cell. The returned rows come in (workload, size,
+// policy) order and carry full-run projections with CI95 half-widths.
+//
+// Scheduling knobs (Parallel, Progress) never change the numbers; a sampled
+// sweep is byte-stable for a given (options, sample options) pair.
+func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow, error) {
+	if opts.Configure != nil {
+		return nil, fmt.Errorf("spur: sampled sweeps cannot use Configure: the hook is not part of the hashable spec")
+	}
+	opts.fill()
+	so.fill(opts.Refs)
+	key, err := sampledSweepSpecKey(opts, so)
+	if err != nil {
+		return nil, err
+	}
 
-	nv := len(sizesMB) * len(pols)
-	rows := make([]SampledRow, len(workloads)*nv)
-	for wi, wl := range workloads {
-		for si, mb := range sizesMB {
-			for pi, pol := range pols {
-				rows[wi*nv+si*len(pols)+pi] = SampledRow{
+	nv := len(opts.SizesMB) * len(opts.Policies)
+	rows := make([]SampledRow, len(opts.Workloads)*nv)
+	for wi, wl := range opts.Workloads {
+		for si, mb := range opts.SizesMB {
+			for pi, pol := range opts.Policies {
+				rows[wi*nv+si*len(opts.Policies)+pi] = SampledRow{
 					Workload: wl, MemMB: mb, Policy: pol,
-					Reps: make([]sample.Estimate, reps),
+					Reps: make([]sample.Estimate, opts.Reps),
 				}
 			}
 		}
 	}
 
-	groups := len(workloads) * reps
+	groups := len(opts.Workloads) * opts.Reps
 	errs := make([]error, groups)
-	_ = parallel.ForEach(groups, parallel.Options{Workers: par, Progress: progress}, func(g int) {
-		wi, rep := g/reps, g%reps
-		wl := workloads[wi]
+	_ = parallel.ForEach(groups, parallel.Options{Workers: opts.Parallel, Progress: opts.Progress}, func(g int) {
+		wi, rep := g/opts.Reps, g%opts.Reps
+		wl := opts.Workloads[wi]
 		spec := SLC()
 		if wl == core.Workload1 {
 			spec = Workload1()
 		}
-		streamSeed := parallel.DeriveSeed(seed, sampledSeedSalt, uint64(wi), uint64(rep))
+		streamSeed := parallel.DeriveSeed(opts.Seed, sampledSeedSalt, uint64(wi), uint64(rep))
 
 		variants := make([]sample.Variant, 0, nv)
-		for _, mb := range sizesMB {
-			for _, pol := range pols {
+		for _, mb := range opts.SizesMB {
+			for _, pol := range opts.Policies {
 				cfg := DefaultConfig()
 				cfg.MemoryBytes = core.MiB(mb)
 				cfg.Ref = pol
@@ -170,14 +176,14 @@ func sampledGrid(workloads []core.WorkloadName, sizesMB []int, pols []RefPolicy,
 			}
 		}
 
-		profile := sample.BuildProfile(spec, streamSeed, refs, so.IntervalLen)
+		profile := sample.BuildProfile(spec, streamSeed, opts.Refs, so.IntervalLen)
 		plan := sample.BuildPlan(profile, so.K, streamSeed, so.Prefix)
 		mopts := sample.MeasureOptions{
-			Warmup: so.Warmup, Kind: kind, SpecKey: specKey, Version: Version,
+			Warmup: so.Warmup, Kind: sampledSweepKind, SpecKey: string(key), Version: Version,
 		}
 		if so.JournalDir != "" {
 			mopts.JournalPath = filepath.Join(so.JournalDir,
-				fmt.Sprintf("%s-%s-rep%d.journal", kind, strings.ToLower(string(wl)), rep))
+				fmt.Sprintf("%s-%s-rep%d.journal", sampledSweepKind, strings.ToLower(string(wl)), rep))
 			mopts.Resume = so.Resume
 		}
 		measured, err := sample.Measure(spec, streamSeed, plan, variants, mopts)
@@ -224,56 +230,11 @@ func sampledSweepSpecKey(o MemorySweepOptions, s SampleOptions) (expstore.Key, e
 	}{o.Workloads, o.SizesMB, pols, o.Refs, o.Seed, o.Reps, s.IntervalLen, s.K, s.Warmup, s.Prefix})
 }
 
-// sampledTable41SpecKey is the canonical spec hash of a sampled Table 4.1.
-func sampledTable41SpecKey(o Table41Options, s SampleOptions) (expstore.Key, error) {
-	return expstore.KeyOf(Version, sampledTable41Kind, struct {
-		Refs        int64  `json:"refs"`
-		Reps        int    `json:"reps"`
-		Seed        uint64 `json:"seed"`
-		SizesMB     []int  `json:"sizes_mb"`
-		IntervalLen int64  `json:"interval_len"`
-		K           int    `json:"k"`
-		Warmup      int64  `json:"warmup"`
-		Prefix      int64  `json:"prefix"`
-	}{o.Refs, o.Reps, o.Seed, o.SizesMB, s.IntervalLen, s.K, s.Warmup, s.Prefix})
-}
-
-// MemorySweepSampled estimates the memory-size study by interval sampling
-// instead of running every cell exactly: per (workload, repetition) group
-// the stream is profiled once, clustered into phases, and only each phase's
-// representative interval is simulated — on all (size, policy) variants at
-// once. The returned rows carry full-run projections with CI95 half-widths.
-//
-// Scheduling knobs (Parallel, Progress) never change the numbers; a sampled
-// sweep is byte-stable for a given (options, sample options) pair.
-func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow, error) {
-	if opts.Configure != nil {
-		return nil, fmt.Errorf("spur: sampled sweeps cannot use Configure: the hook is not part of the hashable spec")
-	}
-	opts.fill()
-	so.fill(opts.Refs)
-	key, err := sampledSweepSpecKey(opts, so)
-	if err != nil {
-		return nil, err
-	}
-	return sampledGrid(opts.Workloads, opts.SizesMB, opts.Policies,
-		opts.Refs, opts.Seed, opts.Reps, so,
-		opts.Parallel, opts.Progress, sampledSweepKind, string(key))
-}
-
 // Table41Sampled estimates the reference-bit experiment by interval
-// sampling; see MemorySweepSampled for the mechanics. The grid matches
-// Table 4.1's: both workloads, opts.SizesMB, all reference-bit policies.
+// sampling: MemorySweepSampled over Table 4.1's grid (both workloads,
+// opts.SizesMB, all reference-bit policies).
 func Table41Sampled(opts Table41Options, so SampleOptions) ([]SampledRow, error) {
-	opts.fill()
-	so.fill(opts.Refs)
-	key, err := sampledTable41SpecKey(opts, so)
-	if err != nil {
-		return nil, err
-	}
-	return sampledGrid([]core.WorkloadName{core.SLC, core.Workload1}, opts.SizesMB, RefPolicies,
-		opts.Refs, opts.Seed, opts.Reps, so,
-		opts.Parallel, opts.Progress, sampledTable41Kind, string(key))
+	return MemorySweepSampled(opts.sweep(), so)
 }
 
 // sampledMetric returns the named metric of a row's canonical estimate

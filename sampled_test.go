@@ -130,31 +130,22 @@ func TestValidateSamplingCI(t *testing.T) {
 }
 
 // TestSampledSpecKeysDistinct: a sampled spec must never hash to the key of
-// an exact experiment (or of the other sampled driver) — store kinds keep
-// the namespaces apart even for identical option values.
+// the exact experiment with the same option values — the store kinds keep
+// the namespaces apart.
 func TestSampledSpecKeysDistinct(t *testing.T) {
 	mo := MemorySweepOptions{SizesMB: []int{8}, Refs: 400_000, Seed: 3}
 	mo.fill()
 	so := SampleOptions{IntervalLen: 20_000}
 	so.fill(mo.Refs)
-	sweepKey, err := sampledSweepSpecKey(mo, so)
+	sampledKey, err := sampledSweepSpecKey(mo, so)
 	if err != nil {
 		t.Fatal(err)
-	}
-	to := Table41Options{Refs: 400_000, Seed: 3, SizesMB: []int{8}}
-	to.fill()
-	tableKey, err := sampledTable41SpecKey(to, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweepKey == tableKey {
-		t.Fatal("sampled sweep and sampled table hash to one key")
 	}
 	exactKey, err := sweepSpecKey(mo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweepKey == exactKey {
+	if sampledKey == exactKey {
 		t.Fatal("sampled sweep collides with the exact sweep's key")
 	}
 }
