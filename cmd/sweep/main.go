@@ -12,10 +12,11 @@
 // result store when an identical sweep has run before, and the output is
 // byte-identical to the local run either way.
 //
-// With -journal, every completed run is checkpointed to an fsynced journal
-// as the sweep progresses; after a crash (or SIGKILL), -resume replays the
-// journal, verifies it matches this sweep's spec, recomputes only the
-// missing runs, and produces byte-identical output to an uninterrupted run.
+// With -store, every completed run is kept in a result store directory as
+// the sweep progresses (a sampled sweep keeps its snapshot journals there);
+// after a crash (or SIGKILL), rerunning the same command recomputes only
+// the missing runs and produces byte-identical output to an uninterrupted
+// run. Any number of sweeps, exact and sampled, share one store.
 //
 // Usage:
 //
@@ -24,8 +25,7 @@
 //	sweep -w slc -refs 4000000 # quicker
 //	sweep -csv > sweep.csv     # machine-readable, with mean/CI95 columns
 //	sweep -remote http://127.0.0.1:7421 -csv   # served (and memoized) by spurd
-//	sweep -journal s.journal -csv              # checkpoint as it goes
-//	sweep -resume s.journal -csv               # pick up after a crash
+//	sweep -store runs -csv                     # keep runs; a rerun resumes
 //
 // With -sample, the sweep is estimated by representative-interval sampling
 // instead of simulated exactly: the stream is profiled into intervals,
@@ -64,8 +64,7 @@ func main() {
 	progress := flag.Bool("progress", false, "report run completion on stderr")
 	csv := flag.Bool("csv", false, "emit CSV instead of charts")
 	remote := flag.String("remote", "", "spurd base URL; the sweep is served (and memoized) by the daemon")
-	journalPath := flag.String("journal", "", "checkpoint every completed run to this journal (must not exist yet)")
-	resumePath := flag.String("resume", "", "resume from (and keep appending to) an existing checkpoint journal")
+	store := flag.String("store", "", "result store directory: finished runs are kept there, and a rerun computes only the missing ones")
 	sampled := flag.Bool("sample", false, "estimate by representative-interval sampling instead of exact simulation (CSV output)")
 	intervals := flag.Int("intervals", 0, "with -sample: profiling interval count (default 128)")
 	intervalLen := flag.Int64("interval-len", 0, "with -sample: interval length in references (overrides -intervals)")
@@ -92,15 +91,11 @@ func main() {
 	if *refs < 1 {
 		usage("-refs must be at least 1 (got %d)", *refs)
 	}
-	if *journalPath != "" && *resumePath != "" {
-		usage("-journal starts a fresh checkpoint and -resume continues one; pick one")
+	if *store != "" && *remote != "" {
+		usage("-store keeps local runs; the daemon keeps its own store")
 	}
-	ckptPath, ckptResume := *journalPath, false
-	if *resumePath != "" {
-		ckptPath, ckptResume = *resumePath, true
-	}
-	if ckptPath != "" && *remote != "" {
-		usage("-journal/-resume checkpoint local sweeps; the daemon journals its own jobs")
+	if *store != "" && *validate {
+		usage("-store keeps sweep runs; -validate-sample stores nothing")
 	}
 	if !*sampled && !*validate && (*intervals != 0 || *intervalLen != 0 || *warmup != 0) {
 		usage("-intervals/-interval-len/-warmup require -sample or -validate-sample")
@@ -176,13 +171,7 @@ func main() {
 	}
 
 	if *sampled {
-		if ckptPath != "" {
-			if err := os.MkdirAll(ckptPath, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				os.Exit(1)
-			}
-			so.JournalDir, so.Resume = ckptPath, ckptResume
-		}
+		so.JournalDir = *store
 		fmt.Fprintf(os.Stderr, "sampling memory sizes (%d reps/cell, %d at a time)...\n", *reps, *par)
 		rows, err := spur.MemorySweepSampled(opts, so)
 		if err != nil {
@@ -195,9 +184,9 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "sweeping memory sizes (%d reps/cell, %d at a time)...\n", *reps, *par)
 	var rows []spur.MemorySweepRow
-	if ckptPath != "" {
+	if *store != "" {
 		var err error
-		rows, err = spur.MemorySweepJournaled(opts, ckptPath, ckptResume)
+		rows, err = spur.MemorySweepStored(opts, *store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 			os.Exit(1)

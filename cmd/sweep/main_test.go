@@ -3,18 +3,20 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/expstore"
 	"repro/internal/faultinject"
 )
 
 // TestMain doubles as the sweep binary: when re-executed with SWEEP_HELPER=1
 // the test process runs main() with whatever flags the test passed, so the
-// kill-and-resume drill below exercises the real command — flag parsing,
-// journal creation, crash injection and process death included.
+// kill-and-rerun drills below exercise the real command — flag parsing,
+// store writes, crash injection and process death included.
 func TestMain(m *testing.M) {
 	if os.Getenv("SWEEP_HELPER") == "1" {
 		main()
@@ -44,9 +46,14 @@ func exitCode(err error) int {
 	return 0
 }
 
+// crashAt is the environment that arms a crash at the n'th hit of point.
+func crashAt(point faultinject.CrashPoint, n int) []string {
+	return []string{fmt.Sprintf("%s=%s:%d", faultinject.CrashEnv, point, n)}
+}
+
 // TestKillAndResume is the crash drill end to end: a sweep subprocess is
-// killed at an injected crash point right after a journal append, then
-// resumed with -resume; the resumed CSV must be byte-identical to an
+// killed at an injected crash point inside a result-store write, then rerun
+// with the same -store; the rerun's CSV must be byte-identical to an
 // uninterrupted run of the same spec.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
@@ -62,64 +69,105 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatal("uninterrupted sweep produced no CSV")
 	}
 
-	// Crash after the third journal append: the process dies mid-sweep with
-	// the journal holding a strict partial.
-	jpath := filepath.Join(t.TempDir(), "sweep.journal")
-	_, stderr, err := runSweep(t,
-		[]string{faultinject.CrashEnv + "=" + string(faultinject.CrashPostJournalAppend) + ":3"},
-		append(args, "-journal", jpath)...)
-	if err == nil {
-		t.Fatalf("crash-armed sweep exited cleanly; stderr:\n%s", stderr)
-	}
-	if code := exitCode(err); code != faultinject.CrashExitCode {
-		t.Fatalf("crash-armed sweep exit code = %d, want %d; stderr:\n%s", code, faultinject.CrashExitCode, stderr)
-	}
-	if _, err := os.Stat(jpath); err != nil {
-		t.Fatalf("crashed sweep left no journal: %v", err)
-	}
+	// Crash inside the third store write, before its rename and before
+	// its directory sync: the process dies mid-sweep with the store
+	// holding a strict partial of the 12 runs.
+	for _, point := range []faultinject.CrashPoint{faultinject.CrashPreRename, faultinject.CrashPreDirSync} {
+		dir := t.TempDir()
+		storeArgs := append(args[:len(args):len(args)], "-store", dir)
+		_, stderr, err := runSweep(t, crashAt(point, 3), storeArgs...)
+		if code := exitCode(err); code != faultinject.CrashExitCode {
+			t.Fatalf("%s: crash-armed sweep exit code = %d, want %d; stderr:\n%s", point, code, faultinject.CrashExitCode, stderr)
+		}
+		st, err := expstore.Open(dir, expstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := st.Len(); n < 1 || n > 11 {
+			t.Fatalf("%s: crashed sweep stored %d runs, want a strict partial of 12", point, n)
+		}
 
-	// Resume: the journaled runs are reused, the rest recomputed, and the
-	// CSV matches the uninterrupted run byte for byte.
-	resumed, stderr, err := runSweep(t, nil, append(args, "-resume", jpath)...)
-	if err != nil {
-		t.Fatalf("resumed sweep: %v; stderr:\n%s", err, stderr)
-	}
-	if !bytes.Equal(resumed, baseline) {
-		t.Fatalf("resumed CSV differs from uninterrupted run:\n%s\nvs\n%s", resumed, baseline)
+		// Rerun: the stored runs are reused, the rest recomputed, and the
+		// CSV matches the uninterrupted run byte for byte.
+		rerun, stderr, err := runSweep(t, nil, storeArgs...)
+		if err != nil {
+			t.Fatalf("%s: rerun: %v; stderr:\n%s", point, err, stderr)
+		}
+		if !bytes.Equal(rerun, baseline) {
+			t.Fatalf("%s: rerun CSV differs from uninterrupted run:\n%s\nvs\n%s", point, rerun, baseline)
+		}
 	}
 }
 
-// TestResumeSpecMismatch asserts that resuming a journal with different
-// experiment flags fails loudly instead of mixing results across specs.
+// TestKillAndResumeSampled kills a sampled sweep after the first snapshot
+// journal append, before the second (workload, rep) group's journal
+// exists; the rerun opens the first journal, creates the second, and
+// prints the uninterrupted CSV.
+func TestKillAndResumeSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess crash drill")
+	}
+	args := []string{"-w", "slc", "-sample", "-refs", "1000000", "-sizes", "5", "-reps", "2", "-par", "1"}
+	baseline, stderr, err := runSweep(t, nil, args...)
+	if err != nil {
+		t.Fatalf("uninterrupted sampled sweep: %v; stderr:\n%s", err, stderr)
+	}
+
+	dir := t.TempDir()
+	storeArgs := append(args[:len(args):len(args)], "-store", dir)
+	_, stderr, err = runSweep(t, crashAt(faultinject.CrashPostJournalAppend, 1), storeArgs...)
+	if code := exitCode(err); code != faultinject.CrashExitCode {
+		t.Fatalf("crash-armed sampled sweep exit code = %d, want %d; stderr:\n%s", code, faultinject.CrashExitCode, stderr)
+	}
+	if journals, _ := filepath.Glob(filepath.Join(dir, "*.journal")); len(journals) != 1 {
+		t.Fatalf("crashed sampled sweep left %d journals, want 1: %v", len(journals), journals)
+	}
+
+	rerun, stderr, err := runSweep(t, nil, storeArgs...)
+	if err != nil {
+		t.Fatalf("rerun: %v; stderr:\n%s", err, stderr)
+	}
+	if !bytes.Equal(rerun, baseline) {
+		t.Fatalf("rerun CSV differs from uninterrupted run:\n%s\nvs\n%s", rerun, baseline)
+	}
+}
+
+// TestResumeSpecMismatch: a sweep with another seed shares the store of an
+// earlier sweep but is never served its runs; it prints exactly what a
+// fresh sweep of its own spec prints.
 func TestResumeSpecMismatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess drill")
 	}
-	jpath := filepath.Join(t.TempDir(), "sweep.journal")
-	args := []string{"-w", "slc", "-sizes", "5", "-refs", "50000", "-seed", "7", "-csv"}
-	if _, stderr, err := runSweep(t, nil, append(args, "-journal", jpath)...); err != nil {
-		t.Fatalf("journaled sweep: %v; stderr:\n%s", err, stderr)
+	dir := t.TempDir()
+	args := []string{"-w", "slc", "-sizes", "5", "-refs", "50000", "-csv"}
+	if _, stderr, err := runSweep(t, nil, append(args, "-seed", "7", "-store", dir)...); err != nil {
+		t.Fatalf("stored sweep: %v; stderr:\n%s", err, stderr)
 	}
 
-	wrong := []string{"-w", "slc", "-sizes", "5", "-refs", "50000", "-seed", "8", "-csv", "-resume", jpath}
-	_, stderr, err := runSweep(t, nil, wrong...)
-	if err == nil {
-		t.Fatal("resume with a different seed succeeded")
+	other := append(args[:len(args):len(args)], "-seed", "8")
+	want, stderr, err := runSweep(t, nil, other...)
+	if err != nil {
+		t.Fatalf("fresh seed-8 sweep: %v; stderr:\n%s", err, stderr)
 	}
-	if code := exitCode(err); code != 1 {
-		t.Fatalf("spec-mismatch resume exit code = %d, want 1", code)
+	got, stderr, err := runSweep(t, nil, append(other, "-store", dir)...)
+	if err != nil {
+		t.Fatalf("seed-8 sweep over the seed-7 store: %v; stderr:\n%s", err, stderr)
 	}
-	if !bytes.Contains(stderr, []byte("different experiment")) {
-		t.Fatalf("spec-mismatch stderr does not name the cause:\n%s", stderr)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("seed-8 sweep over the seed-7 store differs from a fresh one:\n%s\nvs\n%s", got, want)
 	}
 }
 
-// TestFlagValidation covers the checkpoint flag combinations that must be
-// rejected before any simulation starts.
+// TestFlagValidation covers the flag combinations that must be rejected
+// before any simulation starts.
 func TestFlagValidation(t *testing.T) {
+	dir := t.TempDir()
 	cases := [][]string{
-		{"-journal", "a", "-resume", "b"},
-		{"-journal", "a", "-remote", "http://127.0.0.1:1"},
+		{"-store", dir, "-remote", "http://127.0.0.1:1"},
+		{"-store", dir, "-validate-sample"},
+		{"-journal", dir},
+		{"-resume", dir},
 		{"-sizes", "5,zero"},
 		{"-sizes", "0"},
 	}

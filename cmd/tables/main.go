@@ -9,8 +9,7 @@
 //	tables -refs 4000000 -reps 1  # quicker, coarser runs
 //	tables -json                  # machine-readable report.Doc JSON
 //	tables -remote http://127.0.0.1:7421 -t 3.3   # served (and memoized) by spurd
-//	tables -t 4.1 -journal t41.journal            # checkpoint the long table
-//	tables -t 4.1 -resume t41.journal             # pick up after a crash
+//	tables -t 4.1 -store runs                     # keep runs; a rerun resumes
 //
 // -json emits the shared report.Doc serialization — the same shape the
 // spurd daemon's /v1/tables endpoint returns, so scripted consumers parse
@@ -39,8 +38,7 @@ func main() {
 	paper := flag.Bool("paper", true, "print published values alongside")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (report.Doc rows) instead of text")
 	remote := flag.String("remote", "", "spurd base URL; tables are served (and memoized) by the daemon")
-	journalPath := flag.String("journal", "", "checkpoint Table 4.1 runs to this journal (requires -t 4.1; must not exist yet)")
-	resumePath := flag.String("resume", "", "resume Table 4.1 from (and keep appending to) an existing checkpoint journal (requires -t 4.1)")
+	store := flag.String("store", "", "result store directory for Table 4.1 runs (requires -t 4.1): a rerun computes only the missing ones")
 	sampled := flag.Bool("sample", false, "estimate Table 4.1 by representative-interval sampling (requires -t 4.1; error bars replace exact counts)")
 	intervals := flag.Int("intervals", 0, "with -sample: profiling interval count (default 128)")
 	intervalLen := flag.Int64("interval-len", 0, "with -sample: interval length in references (overrides -intervals)")
@@ -60,9 +58,6 @@ func main() {
 	if *par < 1 {
 		usage("-par must be at least 1 (got %d)", *par)
 	}
-	if *journalPath != "" && *resumePath != "" {
-		usage("-journal starts a fresh checkpoint and -resume continues one; pick one")
-	}
 	if !*sampled && (*intervals != 0 || *intervalLen != 0 || *warmup != 0) {
 		usage("-intervals/-interval-len/-warmup require -sample")
 	}
@@ -79,18 +74,14 @@ func main() {
 			usage("-sample runs locally; use `sweep -sample -remote` for daemon-served estimates")
 		}
 	}
-	ckptPath, ckptResume := *journalPath, false
-	if *resumePath != "" {
-		ckptPath, ckptResume = *resumePath, true
-	}
-	if ckptPath != "" {
-		// Only the long reference-bit table has a checkpointable driver;
-		// everything else finishes in seconds.
+	if *store != "" {
+		// Only the long reference-bit table is worth resuming; everything
+		// else finishes in seconds.
 		if *which != "4.1" {
-			usage("-journal/-resume checkpoint Table 4.1 only (use -t 4.1)")
+			usage("-store keeps Table 4.1 runs only (use -t 4.1)")
 		}
 		if *remote != "" {
-			usage("-journal/-resume checkpoint local runs; the daemon journals its own jobs")
+			usage("-store keeps local runs; the daemon keeps its own store")
 		}
 	}
 
@@ -103,7 +94,7 @@ func main() {
 	if *remote != "" {
 		docs = remoteDocs(*remote, *which, *refs, *reps, *seed, *paper, usage)
 	} else {
-		docs = localDocs(*which, *refs, *reps, *seed, *par, *paper, ckptPath, ckptResume, so, usage)
+		docs = localDocs(*which, *refs, *reps, *seed, *par, *paper, *store, so, usage)
 	}
 
 	if *jsonOut {
@@ -127,7 +118,7 @@ func main() {
 
 // localDocs computes the requested artifacts in-process, in the shared
 // report.Doc form.
-func localDocs(which string, refs int64, reps int, seed uint64, par int, paper bool, ckptPath string, ckptResume bool, so *spur.SampleOptions, usage func(string, ...any)) []report.Doc {
+func localDocs(which string, refs int64, reps int, seed uint64, par int, paper bool, store string, so *spur.SampleOptions, usage func(string, ...any)) []report.Doc {
 	// "all" covers the paper's tables and figures; the extension sweeps
 	// run only when asked for by name.
 	want := func(name string) bool {
@@ -178,13 +169,7 @@ func localDocs(which string, refs int64, reps int, seed uint64, par int, paper b
 		if so != nil {
 			fmt.Fprintln(os.Stderr, "estimating Table 4.1 from representative intervals...")
 			sopts := *so
-			if ckptPath != "" {
-				if err := os.MkdirAll(ckptPath, 0o755); err != nil {
-					fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-					os.Exit(1)
-				}
-				sopts.JournalDir, sopts.Resume = ckptPath, ckptResume
-			}
+			sopts.JournalDir = store
 			rows, err := spur.Table41Sampled(t41, sopts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tables: %v\n", err)
@@ -194,9 +179,9 @@ func localDocs(which string, refs int64, reps int, seed uint64, par int, paper b
 		} else {
 			fmt.Fprintln(os.Stderr, "running Table 4.1 reference-bit policy sweeps (this is the long one)...")
 			var rows []spur.Table41Row
-			if ckptPath != "" {
+			if store != "" {
 				var err error
-				rows, err = spur.Table41Journaled(t41, ckptPath, ckptResume)
+				rows, err = spur.Table41Stored(t41, store)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 					os.Exit(1)

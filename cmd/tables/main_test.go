@@ -1,0 +1,115 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/faultinject"
+)
+
+// TestMain doubles as the tables binary: when re-executed with
+// TABLES_HELPER=1 the test process runs main() with whatever flags the test
+// passed, so the drills below exercise the real command — flag parsing,
+// store writes, crash injection and process death included.
+func TestMain(m *testing.M) {
+	if os.Getenv("TABLES_HELPER") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runTables re-executes the test binary as the tables command.
+func runTables(t *testing.T, env []string, args ...string) (stdout, stderr []byte, err error) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TABLES_HELPER=1")
+	cmd.Env = append(cmd.Env, env...)
+	var out, serr bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &serr
+	err = cmd.Run()
+	return out.Bytes(), serr.Bytes(), err
+}
+
+func exitCode(err error) int {
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	return 0
+}
+
+// killAndRerun runs tables with args uninterrupted, then into a fresh
+// -store with a crash armed at the n'th hit of point, then again on the
+// same store; the rerun must print the uninterrupted bytes.
+func killAndRerun(t *testing.T, point faultinject.CrashPoint, n int, args ...string) {
+	t.Helper()
+	baseline, stderr, err := runTables(t, nil, args...)
+	if err != nil {
+		t.Fatalf("uninterrupted tables %v: %v; stderr:\n%s", args, err, stderr)
+	}
+
+	dir := t.TempDir()
+	storeArgs := append(args[:len(args):len(args)], "-store", dir)
+	crash := []string{fmt.Sprintf("%s=%s:%d", faultinject.CrashEnv, point, n)}
+	_, stderr, err = runTables(t, crash, storeArgs...)
+	if code := exitCode(err); code != faultinject.CrashExitCode {
+		t.Fatalf("%s:%d: crash-armed tables exit code = %d, want %d; stderr:\n%s", point, n, code, faultinject.CrashExitCode, stderr)
+	}
+
+	rerun, stderr, err := runTables(t, nil, storeArgs...)
+	if err != nil {
+		t.Fatalf("%s:%d: rerun: %v; stderr:\n%s", point, n, err, stderr)
+	}
+	if !bytes.Equal(rerun, baseline) {
+		t.Fatalf("%s:%d: rerun differs from uninterrupted run:\n%s\nvs\n%s", point, n, rerun, baseline)
+	}
+}
+
+// TestKillAndResume kills Table 4.1 inside its third result-store write,
+// before the rename, and reruns it on the same store.
+func TestKillAndResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess crash drill")
+	}
+	killAndRerun(t, faultinject.CrashPreRename, 3, "-t", "4.1", "-refs", "60000", "-reps", "2", "-par", "2")
+}
+
+// TestKillAndResumeSampled kills the sampled Table 4.1 after its first
+// snapshot journal append, before the second (workload, rep) group's
+// journal exists, and reruns it on the same store.
+func TestKillAndResumeSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess crash drill")
+	}
+	killAndRerun(t, faultinject.CrashPostJournalAppend, 1, "-t", "4.1", "-sample", "-refs", "1000000", "-reps", "1", "-par", "1")
+}
+
+// TestFlagValidation covers the flag combinations that must be rejected
+// before anything runs.
+func TestFlagValidation(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	cases := [][]string{
+		{"-store", dir},
+		{"-t", "3.3", "-store", dir},
+		{"-t", "4.1", "-store", dir, "-remote", "http://127.0.0.1:1"},
+		{"-sample"},
+		{"-t", "4.1", "-journal", dir},
+		{"-t", "4.1", "-resume", dir},
+	}
+	for _, args := range cases {
+		_, _, err := runTables(t, nil, args...)
+		if code := exitCode(err); code != 2 {
+			t.Errorf("tables %v exit code = %d, want 2", args, code)
+		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a rejected -store created its directory (stat: %v)", err)
+	}
+}

@@ -30,11 +30,6 @@ type Options struct {
 	// jobs have completed and the total. Calls are serialized; done is
 	// strictly increasing from 1 to total.
 	Progress func(done, total int)
-	// Skip, when set, is consulted as each job is claimed: a true return
-	// means the job's result already exists (e.g. replayed from a
-	// checkpoint journal) and fn is not called. Skipped jobs still count
-	// toward Progress, so done still reaches total.
-	Skip func(i int) bool
 }
 
 func (o Options) workers(n int) int {
@@ -60,9 +55,9 @@ func ForEach(n int, opts Options, fn func(i int)) error {
 	ctx := opts.Context
 	var (
 		next  atomic.Int64
-		done  atomic.Int64
 		wg    sync.WaitGroup
 		mu    sync.Mutex // serializes Progress
+		done  int        // guarded by mu
 		panMu sync.Mutex
 		pan   any
 	)
@@ -88,13 +83,13 @@ func ForEach(n int, opts Options, fn func(i int)) error {
 				if ctx != nil && ctx.Err() != nil {
 					return
 				}
-				if opts.Skip == nil || !opts.Skip(i) {
-					fn(i)
-				}
+				fn(i)
 				if opts.Progress != nil {
-					d := int(done.Add(1))
+					// Counting under the lock keeps done increasing across
+					// workers that finish at the same time.
 					mu.Lock()
-					opts.Progress(d, n)
+					done++
+					opts.Progress(done, n)
 					mu.Unlock()
 				}
 			}

@@ -26,36 +26,6 @@ func TestForEachEmpty(t *testing.T) {
 	}
 }
 
-func TestSkipPredicate(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var ran [10]atomic.Int64
-		var progress []int
-		err := ForEach(10, Options{
-			Workers:  workers,
-			Skip:     func(i int) bool { return i%2 == 1 },
-			Progress: func(done, total int) { progress = append(progress, done) },
-		}, func(i int) {
-			ran[i].Add(1)
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range ran {
-			want := int64(1)
-			if i%2 == 1 {
-				want = 0
-			}
-			if got := ran[i].Load(); got != want {
-				t.Errorf("workers=%d: job %d ran %d times, want %d", workers, i, got, want)
-			}
-		}
-		// Skipped jobs still count toward progress: done reaches the total.
-		if len(progress) != 10 || progress[9] != 10 {
-			t.Errorf("workers=%d: progress = %v, want 10 strictly increasing calls", workers, progress)
-		}
-	}
-}
-
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64

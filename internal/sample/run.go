@@ -3,7 +3,9 @@ package sample
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"reflect"
 
 	"repro/internal/addr"
@@ -55,14 +57,14 @@ type MeasureOptions struct {
 	Warmup int64
 	// JournalPath, when set, records a snapshot of every variant at each
 	// interval start plus every measured interval's metrics, through
-	// internal/journal's CRC-framed fsynced writer. With Resume, an
-	// existing journal is replayed: finished intervals are served from it
-	// and simulation restarts from the last intact snapshot.
+	// internal/journal's CRC-framed fsynced writer. A journal already at
+	// the path is replayed: finished intervals are served from it and
+	// simulation restarts from the last intact snapshot. A missing one is
+	// created.
 	JournalPath string
-	Resume      bool
 	// Kind, SpecKey and Version fill the journal header (and are validated
-	// on resume, so a journal cannot be replayed against a different
-	// sampled experiment).
+	// when an existing journal is replayed, so a journal cannot be replayed
+	// against a different sampled experiment).
 	Kind    string
 	SpecKey string
 	Version string
@@ -420,9 +422,9 @@ func replayJournal(entries [][]byte, want planRec, nv, nc int) (resumeState, err
 //
 // With a JournalPath, every interval start appends one snapshot frame per
 // variant and every measured interval one metrics frame per variant, fsynced
-// through internal/journal; Resume replays finished work and restarts
-// simulation from the last interval whose snapshots are all intact, with
-// results byte-identical to an uninterrupted run.
+// through internal/journal. An existing journal's finished work is
+// replayed, and simulation restarts from the last interval whose snapshots
+// are all intact, with results byte-identical to an uninterrupted run.
 func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Variant, opts MeasureOptions) ([]Measured, error) {
 	out, _, err := measure(spec, streamSeed, plan, variants, opts)
 	return out, err
@@ -453,31 +455,31 @@ func measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 			kind = "sample"
 		}
 		hdr := journal.Header{Kind: kind, SpecKey: opts.SpecKey, Version: opts.Version}
-		if opts.Resume {
-			w, rep, err := journal.Open(opts.JournalPath)
-			if err != nil {
+		w, rep, err := journal.Open(opts.JournalPath)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			if w, err = journal.Create(opts.JournalPath, hdr); err != nil {
 				return nil, nil, err
 			}
-			if rep.Header != hdr {
-				_ = w.Close() // refusing the journal; nothing was written
-				return nil, nil, fmt.Errorf("sample: journal %s was written for a different experiment: kind=%q spec=%.12s… version=%q, this run kind=%q spec=%.12s… version=%q",
-					opts.JournalPath, rep.Header.Kind, rep.Header.SpecKey, rep.Header.Version, hdr.Kind, hdr.SpecKey, hdr.Version)
-			}
-			rs, err = replayJournal(rep.Entries, prec, nv, nc)
-			if err != nil {
-				_ = w.Close() // refusing the journal; nothing was written
-				return nil, nil, err
-			}
-			jw = w
+			rep = &journal.Replayed{Header: hdr}
+		case err != nil:
+			return nil, nil, err
+		case rep.Header != hdr:
+			_ = w.Close() // refusing the journal; nothing was written
+			return nil, nil, fmt.Errorf("sample: journal %s was written for a different experiment: kind=%q spec=%.12s… version=%q, this run kind=%q spec=%.12s… version=%q",
+				opts.JournalPath, rep.Header.Kind, rep.Header.SpecKey, rep.Header.Version, hdr.Kind, hdr.SpecKey, hdr.Version)
+		}
+		jw = w
+		if len(rep.Entries) == 0 {
+			// A new journal, or one whose plan record never reached disk:
+			// this run starts fresh.
+			err = appendRec(jw, journalRec{Type: "plan", Plan: &prec})
 		} else {
-			w, err := journal.Create(opts.JournalPath, hdr)
-			if err != nil {
-				return nil, nil, err
-			}
-			jw = w
-			if err := appendRec(jw, journalRec{Type: "plan", Plan: &prec}); err != nil {
-				return nil, nil, err
-			}
+			rs, err = replayJournal(rep.Entries, prec, nv, nc)
+		}
+		if err != nil {
+			_ = jw.Close() // already failing; the journal holds only intact frames
+			return nil, nil, err
 		}
 	}
 

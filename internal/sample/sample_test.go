@@ -327,7 +327,6 @@ func TestMeasureResumeTornJournal(t *testing.T) {
 		}
 		ropts := jopts
 		ropts.JournalPath = torn
-		ropts.Resume = true
 		got, err := Measure(spec, seed, plan, variants, ropts)
 		if err != nil {
 			t.Fatalf("resume after truncation at %.0f%%: %v", frac*100, err)
@@ -340,15 +339,33 @@ func TestMeasureResumeTornJournal(t *testing.T) {
 		}
 	}
 
-	// Resuming the complete journal recomputes nothing and still matches.
+	// A journal whose plan record never reached disk starts fresh.
+	torn := filepath.Join(dir, "header-only.journal")
+	w, err := journal.Create(torn, journal.Header{Kind: jopts.Kind, SpecKey: jopts.SpecKey, Version: jopts.Version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	ropts := jopts
-	ropts.Resume = true
+	ropts.JournalPath = torn
 	got, err := Measure(spec, seed, plan, variants, ropts)
+	if err != nil {
+		t.Fatalf("header-only journal: %v", err)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatal("run over a header-only journal differs from uninterrupted run")
+	}
+
+	// Rerunning over the complete journal recomputes nothing and still
+	// matches.
+	got, err = Measure(spec, seed, plan, variants, jopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("resume of complete journal differs")
+		t.Fatal("rerun over the complete journal differs")
 	}
 }
 
@@ -482,7 +499,7 @@ func TestMeasureMergedResumeTornJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		ropts := jopts
-		ropts.JournalPath, ropts.Resume = torn, true
+		ropts.JournalPath = torn
 		got, err := Measure(spec, seed, plan, variants, ropts)
 		if err != nil {
 			t.Fatalf("resume after truncation at %.0f%%: %v", frac*100, err)
@@ -506,14 +523,12 @@ func TestMeasureResumeRejectsForeignJournal(t *testing.T) {
 	}
 	// Different plan (different warmup) against the same journal.
 	wrong := opts
-	wrong.Resume = true
 	wrong.Warmup = opts.Warmup + 1
 	if _, err := Measure(spec, seed, plan, variants, wrong); err == nil {
 		t.Fatal("resume with a different plan succeeded")
 	}
 	// Different header entirely.
 	foreign := opts
-	foreign.Resume = true
 	foreign.SpecKey = "other"
 	if _, err := Measure(spec, seed, plan, variants, foreign); err == nil {
 		t.Fatal("resume with a different spec key succeeded")

@@ -2,11 +2,13 @@ package spur
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/expstore"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -93,13 +95,6 @@ type MemorySweepOptions struct {
 	// (e.g. schedule fault injection for specific cells in chaos drills).
 	// It runs concurrently across cells and must not mutate shared state.
 	Configure func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy)
-
-	// Checkpoint hooks, installed by MemorySweepJournaled: repetitions
-	// replayed from a journal to pre-seed, the already-done predicate, and
-	// the per-completion record hook (called concurrently across workers).
-	preseed  []ckptEntry
-	skipDone func(cell, rep int) bool
-	onRep    func(cell, rep int, r SweepRep)
 }
 
 func (o *MemorySweepOptions) fill() {
@@ -123,6 +118,42 @@ func (o *MemorySweepOptions) fill() {
 	}
 }
 
+// sweepCell is one (workload, memory size, policy) coordinate of a sweep,
+// in canonical cell-index order.
+type sweepCell struct {
+	wl  core.WorkloadName
+	mb  int
+	pol RefPolicy
+}
+
+// sweepCells enumerates a MemorySweep's cells in canonical order.
+func sweepCells(o MemorySweepOptions) []sweepCell {
+	var cells []sweepCell
+	for _, wl := range o.Workloads {
+		for _, mb := range o.SizesMB {
+			for _, pol := range o.Policies {
+				cells = append(cells, sweepCell{wl, mb, pol})
+			}
+		}
+	}
+	return cells
+}
+
+// sweepRunKind is the store kind of one hardened sweep run, the unit a
+// stored sweep memoizes.
+const sweepRunKind = "memsweep-run"
+
+// sweepRunKey is the store address of one sweep run: everything its
+// outcome depends on. The derived seed, refs, memory size and policy all
+// live in the Config, so a run of another spec can only miss.
+func sweepRunKey(cfg Config, spec Spec, auditEvery int64) (expstore.Key, error) {
+	return expstore.KeyOf(Version, sweepRunKind, struct {
+		Config     Config `json:"config"`
+		Spec       Spec   `json:"spec"`
+		AuditEvery int64  `json:"audit_every"`
+	}{cfg, spec, auditEvery})
+}
+
 // MemorySweep runs the paper's closing question — what happens to
 // reference-bit maintenance as memories keep growing — as a parameter
 // sweep: page-ins and elapsed time for each policy across memory sizes.
@@ -138,6 +169,41 @@ func (o *MemorySweepOptions) fill() {
 // RunFailure (and repro bundle, if ArtifactDir is set) — while all sibling
 // runs complete normally.
 func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
+	rows, _ := memorySweep(opts, nil) // only a store can fail
+	return rows
+}
+
+// MemorySweepStored runs MemorySweep memoized in the result store at dir
+// (created if needed). Each (cell, rep) run is looked up under its own
+// content address; a hit fills its slot, and a miss is stored as soon as it
+// finishes, so a sweep killed at any point loses at most the runs in
+// flight, and rerunning the same sweep computes only what is missing. The
+// rows (and therefore MemorySweepCSV) are byte-identical to MemorySweep's.
+// A run is keyed by its configuration, not its cell, so any number of
+// sweeps share one store, a sweep with more repetitions reuses the earlier
+// ones, and another spec is never served a run it did not ask for. The
+// first store error is returned once the sweep has finished.
+//
+// Sweeps with a Configure hook or a Deadline cannot be stored: the hook is
+// not part of the hashable spec, and deadline quarantines depend on
+// machine load, so neither replays deterministically.
+func MemorySweepStored(opts MemorySweepOptions, dir string) ([]MemorySweepRow, error) {
+	if opts.Configure != nil {
+		return nil, fmt.Errorf("spur: stored sweeps cannot use Configure: the hook is not part of the hashable spec")
+	}
+	if opts.Deadline != 0 {
+		return nil, fmt.Errorf("spur: stored sweeps cannot use Deadline: deadline quarantines are load-dependent and do not replay deterministically")
+	}
+	st, err := expstore.Open(dir, expstore.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return memorySweep(opts, st)
+}
+
+// memorySweep is MemorySweep, memoizing every run in st when st is
+// non-nil, and returning the first store error.
+func memorySweep(opts MemorySweepOptions, st *expstore.Store) ([]MemorySweepRow, error) {
 	opts.fill()
 	runOpts := RunOptions{
 		AuditEvery:  opts.AuditEvery,
@@ -152,11 +218,6 @@ func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
 			Workload: c.wl, MemMB: c.mb, Policy: c.pol,
 			Reps: make([]SweepRep, opts.Reps),
 		}
-	}
-	// Repetitions replayed from a checkpoint journal land in their slots
-	// before dispatch; skipDone keeps the engine from recomputing them.
-	for _, e := range opts.preseed {
-		rows[e.Cell].Reps[e.Rep] = SweepRep{Seed: e.Seed, Result: e.Result, Failure: e.Failure}
 	}
 
 	// Randomized experiment design: the execution order of the (cell, rep)
@@ -179,9 +240,7 @@ func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
 		Context:  opts.Context,
 		Progress: opts.Progress,
 	}
-	if opts.skipDone != nil {
-		popts.Skip = func(i int) bool { return opts.skipDone(jobs[i].cell, jobs[i].rep) }
-	}
+	errs := make([]error, len(jobs))
 	// A cancelled context leaves the unvisited cells zero-valued; callers
 	// that pass a context observe it themselves, so the error adds nothing.
 	_ = parallel.ForEach(len(jobs), popts, func(i int) {
@@ -199,12 +258,15 @@ func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
 		if c.wl == core.Workload1 {
 			spec = Workload1()
 		}
-		res, fail := RunHardened(cfg, spec, runOpts)
+		run := func() SweepRep {
+			res, fail := RunHardened(cfg, spec, runOpts)
+			return SweepRep{Seed: cfg.Seed, Result: res, Failure: fail}
+		}
 		// Each job owns its (cell, rep) slot; no two jobs share memory.
-		sr := SweepRep{Seed: cfg.Seed, Result: res, Failure: fail}
-		rows[j.cell].Reps[j.rep] = sr
-		if opts.onRep != nil {
-			opts.onRep(j.cell, j.rep, sr)
+		if st == nil {
+			rows[j.cell].Reps[j.rep] = run()
+		} else {
+			rows[j.cell].Reps[j.rep], errs[i] = memoRun(st, cfg, spec, opts.AuditEvery, run)
 		}
 	})
 
@@ -228,7 +290,31 @@ func MemorySweep(opts MemorySweepOptions) []MemorySweepRow {
 		r.RefFaults = stats.Summarize(refFaults)
 		r.Flushes = stats.Summarize(flushes)
 	}
-	return rows
+	for _, err := range errs {
+		if err != nil {
+			return rows, err
+		}
+	}
+	return rows, nil
+}
+
+// memoRun serves one sweep run from st, or runs it and stores its outcome.
+// A stored run that does not decode is recomputed.
+func memoRun(st *expstore.Store, cfg Config, spec Spec, auditEvery int64, run func() SweepRep) (SweepRep, error) {
+	key, err := sweepRunKey(cfg, spec, auditEvery)
+	if err != nil {
+		return run(), err
+	}
+	var sr SweepRep
+	if b, ok := st.Get(key); ok && json.Unmarshal(b, &sr) == nil {
+		return sr, nil
+	}
+	sr = run()
+	b, err := json.Marshal(sr)
+	if err != nil {
+		return sr, fmt.Errorf("spur: encoding sweep run: %w", err)
+	}
+	return sr, st.Put(key, b)
 }
 
 // SweepFailures extracts the cells with at least one quarantined

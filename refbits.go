@@ -98,10 +98,11 @@ func Table41(opts Table41Options) []Table41Row {
 	return table41Rows(MemorySweep(opts.sweep()))
 }
 
-// Table41Journaled is Table41 checkpointed through MemorySweepJournaled: a
-// Table 4.1 journal is the memory sweep's journal for the same grid.
-func Table41Journaled(opts Table41Options, path string, resume bool) ([]Table41Row, error) {
-	rows, err := MemorySweepJournaled(opts.sweep(), path, resume)
+// Table41Stored is Table41 memoized through MemorySweepStored: it stores
+// the runs of the memory sweep over Table 4.1's grid, so that sweep and
+// Table 4.1 serve each other's runs.
+func Table41Stored(opts Table41Options, dir string) ([]Table41Row, error) {
+	rows, err := MemorySweepStored(opts.sweep(), dir)
 	return table41Rows(rows), err
 }
 

@@ -3,6 +3,7 @@ package spur
 import (
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -56,10 +57,11 @@ type SampleOptions struct {
 	Prefix int64
 	// JournalDir, when set, checkpoints every measuring pass: one journal
 	// per (workload, repetition) group holding warmed machine snapshots and
-	// finished interval metrics. With Resume, existing journals are
-	// replayed and only the missing intervals are re-simulated.
+	// finished interval metrics. A journal's name carries the sampled spec
+	// key, so any number of experiments share the directory; a journal an
+	// earlier run of the same spec left is replayed, and only its missing
+	// intervals are re-simulated.
 	JournalDir string
-	Resume     bool
 }
 
 func (o *SampleOptions) fill(refs int64) {
@@ -127,7 +129,9 @@ type SampledRow struct {
 // policy) order and carry full-run projections with CI95 half-widths.
 //
 // Scheduling knobs (Parallel, Progress) never change the numbers; a sampled
-// sweep is byte-stable for a given (options, sample options) pair.
+// sweep is byte-stable for a given (options, sample options) pair. A
+// cancelled Context skips the groups not yet started and returns its error
+// instead of rows.
 func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow, error) {
 	if opts.Configure != nil {
 		return nil, fmt.Errorf("spur: sampled sweeps cannot use Configure: the hook is not part of the hashable spec")
@@ -137,6 +141,11 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 	key, err := sampledSweepSpecKey(opts, so)
 	if err != nil {
 		return nil, err
+	}
+	if so.JournalDir != "" {
+		if err := os.MkdirAll(so.JournalDir, 0o755); err != nil {
+			return nil, fmt.Errorf("spur: %w", err)
+		}
 	}
 
 	nv := len(opts.SizesMB) * len(opts.Policies)
@@ -154,7 +163,8 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 
 	groups := len(opts.Workloads) * opts.Reps
 	errs := make([]error, groups)
-	_ = parallel.ForEach(groups, parallel.Options{Workers: opts.Parallel, Progress: opts.Progress}, func(g int) {
+	popts := parallel.Options{Workers: opts.Parallel, Context: opts.Context, Progress: opts.Progress}
+	if err := parallel.ForEach(groups, popts, func(g int) {
 		wi, rep := g/opts.Reps, g%opts.Reps
 		wl := opts.Workloads[wi]
 		spec := SLC()
@@ -183,8 +193,7 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 		}
 		if so.JournalDir != "" {
 			mopts.JournalPath = filepath.Join(so.JournalDir,
-				fmt.Sprintf("%s-%s-rep%d.journal", sampledSweepKind, strings.ToLower(string(wl)), rep))
-			mopts.Resume = so.Resume
+				fmt.Sprintf("%s-%s-%s-rep%d.journal", sampledSweepKind, key, strings.ToLower(string(wl)), rep))
 		}
 		measured, err := sample.Measure(spec, streamSeed, plan, variants, mopts)
 		if err != nil {
@@ -195,7 +204,9 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 			est := plan.Estimate(measured[vi], variants[vi].Cfg.Timing, so.Warmup)
 			rows[wi*nv+vi].Reps[rep] = est
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -209,8 +220,8 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 }
 
 // sampledSweepSpecKey is the canonical spec hash of a sampled sweep. Its
-// kind string differs from the exact sweep's, so sampled and exact results
-// can never collide in a result store or journal header.
+// kind string differs from the exact sweep run's, so sampled and exact
+// results can never collide in a result store.
 func sampledSweepSpecKey(o MemorySweepOptions, s SampleOptions) (expstore.Key, error) {
 	pols := make([]string, len(o.Policies))
 	for i, p := range o.Policies {

@@ -6,6 +6,9 @@ package spur
 // sampled estimates from ever being served as exact results.
 
 import (
+	"context"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -75,6 +78,47 @@ func TestMemorySweepSampledRejectsConfigure(t *testing.T) {
 	}
 }
 
+// TestMemorySweepSampledSharedJournalDir: journals are named for their
+// sampled spec, so two experiments share one directory, and rerunning
+// either replays its own journals; every run prints its fresh CSV.
+func TestMemorySweepSampledSharedJournalDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, seed := range []uint64{3, 4, 3} {
+		o, s := sampledSweepOpts(2)
+		o.Seed = seed
+		want, err := MemorySweepSampled(o, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.JournalDir = dir
+		got, err := MemorySweepSampled(o, s)
+		if err != nil {
+			t.Fatalf("seed %d into a shared journal directory: %v", seed, err)
+		}
+		if SampledSweepCSV(got) != SampledSweepCSV(want) {
+			t.Errorf("seed %d: journaled CSV differs from a fresh run", seed)
+		}
+	}
+	if journals, _ := filepath.Glob(filepath.Join(dir, "*.journal")); len(journals) != 4 {
+		t.Errorf("%d journals for two specs of two groups each, want 4", len(journals))
+	}
+}
+
+// TestMemorySweepSampledCancelled: a cancelled context stops the sampled
+// sweep before any group starts, and the sweep reports the cancellation
+// instead of rows.
+func TestMemorySweepSampledCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o, s := sampledSweepOpts(2)
+	o.Context = ctx
+	o.Progress = func(done, total int) { t.Errorf("progress %d/%d after cancellation", done, total) }
+	rows, err := MemorySweepSampled(o, s)
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("cancelled sampled sweep: %d rows, err %v; want no rows and context.Canceled", len(rows), err)
+	}
+}
+
 // TestTable41SampledRenders drives the sampled Table 4.1 end to end and
 // checks the rendered artifact's shape: the full grid, error-bar columns,
 // and MISS-relative ratios anchored at 100%.
@@ -130,7 +174,7 @@ func TestValidateSamplingCI(t *testing.T) {
 }
 
 // TestSampledSpecKeysDistinct: a sampled spec must never hash to the key of
-// the exact experiment with the same option values — the store kinds keep
+// an exact sweep run with the same option values — the store kinds keep
 // the namespaces apart.
 func TestSampledSpecKeysDistinct(t *testing.T) {
 	mo := MemorySweepOptions{SizesMB: []int{8}, Refs: 400_000, Seed: 3}
@@ -141,11 +185,15 @@ func TestSampledSpecKeysDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactKey, err := sweepSpecKey(mo)
+	cfg := DefaultConfig()
+	cfg.MemoryBytes = core.MiB(8)
+	cfg.TotalRefs = mo.Refs
+	cfg.Seed = mo.Seed
+	runKey, err := sweepRunKey(cfg, SLC(), mo.AuditEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sampledKey == exactKey {
-		t.Fatal("sampled sweep collides with the exact sweep's key")
+	if sampledKey == runKey {
+		t.Fatal("sampled sweep collides with an exact sweep run's key")
 	}
 }

@@ -1,0 +1,210 @@
+package spur
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/expstore"
+)
+
+func storeSweepOpts() MemorySweepOptions {
+	return MemorySweepOptions{
+		SizesMB:   []int{5, 6},
+		Workloads: []core.WorkloadName{core.SLC},
+		Refs:      200_000,
+		Seed:      11,
+		Reps:      2,
+		Parallel:  4,
+	}
+}
+
+// openStore opens a fresh handle on the store at dir, so its Stats count
+// only what the next sweep does.
+func openStore(t *testing.T, dir string) *expstore.Store {
+	t.Helper()
+	st, err := expstore.Open(dir, expstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestMemorySweepStoredMatchesUninterrupted(t *testing.T) {
+	baseline := MemorySweepCSV(MemorySweep(storeSweepOpts()))
+
+	dir := t.TempDir()
+	rows, err := MemorySweepStored(storeSweepOpts(), dir)
+	if err != nil {
+		t.Fatalf("MemorySweepStored: %v", err)
+	}
+	if got := MemorySweepCSV(rows); got != baseline {
+		t.Fatalf("stored sweep CSV differs from plain sweep:\n%s\nvs\n%s", got, baseline)
+	}
+
+	// Rerunning over a *complete* store recomputes nothing and still matches.
+	st := openStore(t, dir)
+	rows, err = memorySweep(storeSweepOpts(), st)
+	if err != nil {
+		t.Fatalf("rerun over a complete store: %v", err)
+	}
+	if got := MemorySweepCSV(rows); got != baseline {
+		t.Fatalf("rerun CSV differs:\n%s\nvs\n%s", got, baseline)
+	}
+	if s := st.Stats(); s.Hits() != 12 || s.Misses != 0 || s.Puts != 0 {
+		t.Fatalf("rerun over a complete store: %d hits, %d misses, %d puts; want 12, 0, 0", s.Hits(), s.Misses, s.Puts)
+	}
+}
+
+func TestMemorySweepStoredResumeAfterInterrupt(t *testing.T) {
+	baseline := MemorySweepCSV(MemorySweep(storeSweepOpts()))
+
+	// Interrupt the first attempt by cancelling its context after a few
+	// runs complete; the store keeps what finished.
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := storeSweepOpts()
+	opts.Context = ctx
+	opts.Progress = func(done, total int) {
+		if done == 3 {
+			cancel()
+		}
+	}
+	if _, err := MemorySweepStored(opts, dir); err != nil {
+		t.Fatalf("interrupted sweep: %v", err)
+	}
+	st := openStore(t, dir)
+	stored := st.Len()
+	if stored < 1 || stored > 11 {
+		t.Fatalf("interrupted sweep stored %d runs, want a strict partial of 12", stored)
+	}
+
+	// Rerun with a fresh context: the stored runs are reused, the rest
+	// computed, and the CSV is byte-identical to the uninterrupted run.
+	rows, err := memorySweep(storeSweepOpts(), st)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if got := MemorySweepCSV(rows); got != baseline {
+		t.Fatalf("rerun CSV differs from uninterrupted run:\n%s\nvs\n%s", got, baseline)
+	}
+	if s := st.Stats(); s.Hits() != uint64(stored) || s.Puts != uint64(12-stored) {
+		t.Fatalf("rerun: %d hits and %d puts, want %d and %d", s.Hits(), s.Puts, stored, 12-stored)
+	}
+}
+
+// TestMemorySweepStoredOtherSpecMisses: a store is keyed by run, so a sweep
+// with another seed shares the directory but is never served the first
+// sweep's runs; it prints exactly what a fresh sweep of its own spec does.
+func TestMemorySweepStoredOtherSpecMisses(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := MemorySweepStored(storeSweepOpts(), dir); err != nil {
+		t.Fatal(err)
+	}
+
+	other := storeSweepOpts()
+	other.Seed = 999
+	st := openStore(t, dir)
+	rows, err := memorySweep(other, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := MemorySweepCSV(rows), MemorySweepCSV(MemorySweep(other)); got != want {
+		t.Fatalf("seed-999 sweep over a seed-11 store differs from a fresh one:\n%s\nvs\n%s", got, want)
+	}
+	if s := st.Stats(); s.Hits() != 0 {
+		t.Fatalf("seed-999 sweep was served %d seed-11 runs", s.Hits())
+	}
+}
+
+func TestMemorySweepStoredRejectsUnhashableKnobs(t *testing.T) {
+	dir := t.TempDir()
+	opts := storeSweepOpts()
+	opts.Configure = func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy) {}
+	if _, err := MemorySweepStored(opts, dir); err == nil {
+		t.Error("stored sweep with Configure succeeded")
+	}
+	opts = storeSweepOpts()
+	opts.Deadline = 1
+	if _, err := MemorySweepStored(opts, dir); err == nil {
+		t.Error("stored sweep with Deadline succeeded")
+	}
+}
+
+func TestTable41JournaledResume(t *testing.T) {
+	base := Table41Options{Refs: 150_000, Reps: 2, Seed: 5, SizesMB: []int{5}, Parallel: 4}
+	baseline := Table41(base)
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := base
+	opts.Context = ctx
+	opts.Progress = func(done, total int) {
+		if done == 2 {
+			cancel()
+		}
+	}
+	if _, err := Table41Stored(opts, dir); err != nil {
+		t.Fatalf("interrupted table 4.1: %v", err)
+	}
+
+	rows, err := Table41Stored(base, dir)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if !reflect.DeepEqual(rows, baseline) {
+		t.Fatalf("resumed Table 4.1 differs from uninterrupted run:\n%+v\nvs\n%+v", rows, baseline)
+	}
+
+	// The rendered table (what cmd/tables prints) is identical too.
+	if got, want := RenderTable41(rows, true).String(), RenderTable41(baseline, true).String(); got != want {
+		t.Fatalf("rendered table differs:\n%s\nvs\n%s", got, want)
+	}
+
+	// A Table 4.1 run is the memory sweep's run of the same cell: the sweep
+	// over Table 4.1's grid is served entirely from the store, and every
+	// other spec gives exactly the rows of a fresh sweep.
+	grid := func() MemorySweepOptions {
+		return MemorySweepOptions{
+			Workloads: []core.WorkloadName{core.SLC, core.Workload1},
+			SizesMB:   []int{5},
+			Policies:  RefPolicies,
+			Refs:      150_000,
+			Seed:      5,
+			Reps:      2,
+		}
+	}
+	st := openStore(t, dir)
+	sw, err := memorySweep(grid(), st)
+	if err != nil {
+		t.Fatalf("memory sweep over Table 4.1's grid: %v", err)
+	}
+	if got := table41Rows(sw); !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("sweep served from the Table 4.1 store gives other rows:\n%+v\nvs\n%+v", got, baseline)
+	}
+	if s := st.Stats(); s.Puts != 0 {
+		t.Fatalf("sweep over Table 4.1's grid recomputed %d runs", s.Puts)
+	}
+	for name, edit := range map[string]func(*MemorySweepOptions){
+		"seed":        func(o *MemorySweepOptions) { o.Seed = 6 },
+		"refs":        func(o *MemorySweepOptions) { o.Refs = 160_000 },
+		"reps":        func(o *MemorySweepOptions) { o.Reps = 3 },
+		"sizes":       func(o *MemorySweepOptions) { o.SizesMB = []int{6} },
+		"workloads":   func(o *MemorySweepOptions) { o.Workloads = []core.WorkloadName{core.SLC} },
+		"policies":    func(o *MemorySweepOptions) { o.Policies = []RefPolicy{RefMISS, RefTRUE} },
+		"audit_every": func(o *MemorySweepOptions) { o.AuditEvery = 1000 },
+	} {
+		o := grid()
+		edit(&o)
+		got, err := MemorySweepStored(o, dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := MemorySweep(o); !reflect.DeepEqual(got, want) {
+			t.Errorf("a sweep with another %s over the Table 4.1 store differs from a fresh one:\n%+v\nvs\n%+v", name, got, want)
+		}
+	}
+}
