@@ -12,11 +12,12 @@
 // result store when an identical sweep has run before, and the output is
 // byte-identical to the local run either way.
 //
-// With -store, every completed run is kept in a result store directory as
-// the sweep progresses (a sampled sweep keeps its snapshot journals there);
-// after a crash (or SIGKILL), rerunning the same command recomputes only
-// the missing runs and produces byte-identical output to an uninterrupted
-// run. Any number of sweeps, exact and sampled, share one store.
+// With -store, every completed run (with -sample, every sampled workload
+// and repetition group) is kept in a result store directory as the sweep
+// progresses; after a crash (or SIGKILL), rerunning the same command
+// recomputes only the missing ones and produces byte-identical output to an
+// uninterrupted run. Any number of sweeps, exact and sampled, share one
+// store.
 //
 // Usage:
 //
@@ -171,9 +172,14 @@ func main() {
 	}
 
 	if *sampled {
-		so.JournalDir = *store
 		fmt.Fprintf(os.Stderr, "sampling memory sizes (%d reps/cell, %d at a time)...\n", *reps, *par)
-		rows, err := spur.MemorySweepSampled(opts, so)
+		var rows []spur.SampledRow
+		var err error
+		if *store != "" {
+			rows, err = spur.MemorySweepSampledStored(opts, so, *store)
+		} else {
+			rows, err = spur.MemorySweepSampled(opts, so)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 			os.Exit(1)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/expstore"
@@ -99,36 +98,42 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
-// TestKillAndResumeSampled kills a sampled sweep after the first snapshot
-// journal append, before the second (workload, rep) group's journal
-// exists; the rerun opens the first journal, creates the second, and
-// prints the uninterrupted CSV.
+// TestKillAndResumeSampled is the crash drill for a stored sampled sweep of
+// four (workload, rep) groups, run one at a time: killed inside the second
+// group's store write, the store holds exactly the groups whose write got
+// past its rename, and the rerun prints the uninterrupted CSV.
 func TestKillAndResumeSampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash drill")
 	}
-	args := []string{"-w", "slc", "-sample", "-refs", "1000000", "-sizes", "5", "-reps", "2", "-par", "1"}
+	args := []string{"-sample", "-refs", "1000000", "-sizes", "5", "-reps", "2", "-par", "1"}
 	baseline, stderr, err := runSweep(t, nil, args...)
 	if err != nil {
 		t.Fatalf("uninterrupted sampled sweep: %v; stderr:\n%s", err, stderr)
 	}
 
-	dir := t.TempDir()
-	storeArgs := append(args[:len(args):len(args)], "-store", dir)
-	_, stderr, err = runSweep(t, crashAt(faultinject.CrashPostJournalAppend, 1), storeArgs...)
-	if code := exitCode(err); code != faultinject.CrashExitCode {
-		t.Fatalf("crash-armed sampled sweep exit code = %d, want %d; stderr:\n%s", code, faultinject.CrashExitCode, stderr)
-	}
-	if journals, _ := filepath.Glob(filepath.Join(dir, "*.journal")); len(journals) != 1 {
-		t.Fatalf("crashed sampled sweep left %d journals, want 1: %v", len(journals), journals)
-	}
+	for point, want := range map[faultinject.CrashPoint]int{faultinject.CrashPreRename: 1, faultinject.CrashPreDirSync: 2} {
+		dir := t.TempDir()
+		storeArgs := append(args[:len(args):len(args)], "-store", dir)
+		_, stderr, err = runSweep(t, crashAt(point, 2), storeArgs...)
+		if code := exitCode(err); code != faultinject.CrashExitCode {
+			t.Fatalf("%s: crash-armed sampled sweep exit code = %d, want %d; stderr:\n%s", point, code, faultinject.CrashExitCode, stderr)
+		}
+		st, err := expstore.Open(dir, expstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := st.Len(); n != want {
+			t.Fatalf("%s: crashed sampled sweep stored %d groups, want %d", point, n, want)
+		}
 
-	rerun, stderr, err := runSweep(t, nil, storeArgs...)
-	if err != nil {
-		t.Fatalf("rerun: %v; stderr:\n%s", err, stderr)
-	}
-	if !bytes.Equal(rerun, baseline) {
-		t.Fatalf("rerun CSV differs from uninterrupted run:\n%s\nvs\n%s", rerun, baseline)
+		rerun, stderr, err := runSweep(t, nil, storeArgs...)
+		if err != nil {
+			t.Fatalf("%s: rerun: %v; stderr:\n%s", point, err, stderr)
+		}
+		if !bytes.Equal(rerun, baseline) {
+			t.Fatalf("%s: rerun CSV differs from uninterrupted run:\n%s\nvs\n%s", point, rerun, baseline)
+		}
 	}
 }
 

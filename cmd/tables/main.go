@@ -168,9 +168,13 @@ func localDocs(which string, refs int64, reps int, seed uint64, par int, paper b
 		t41 := spur.Table41Options{Refs: refs, Reps: reps, Seed: seed, Parallel: par}
 		if so != nil {
 			fmt.Fprintln(os.Stderr, "estimating Table 4.1 from representative intervals...")
-			sopts := *so
-			sopts.JournalDir = store
-			rows, err := spur.Table41Sampled(t41, sopts)
+			var rows []spur.SampledRow
+			var err error
+			if store != "" {
+				rows, err = spur.Table41SampledStored(t41, *so, store)
+			} else {
+				rows, err = spur.Table41Sampled(t41, *so)
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 				os.Exit(1)

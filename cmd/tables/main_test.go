@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/expstore"
 	"repro/internal/faultinject"
 )
 
@@ -47,8 +48,9 @@ func exitCode(err error) int {
 
 // killAndRerun runs tables with args uninterrupted, then into a fresh
 // -store with a crash armed at the n'th hit of point, then again on the
-// same store; the rerun must print the uninterrupted bytes.
-func killAndRerun(t *testing.T, point faultinject.CrashPoint, n int, args ...string) {
+// same store; the rerun must print the uninterrupted bytes. It returns how
+// many results the crashed run left in the store.
+func killAndRerun(t *testing.T, point faultinject.CrashPoint, n int, args ...string) int {
 	t.Helper()
 	baseline, stderr, err := runTables(t, nil, args...)
 	if err != nil {
@@ -62,6 +64,11 @@ func killAndRerun(t *testing.T, point faultinject.CrashPoint, n int, args ...str
 	if code := exitCode(err); code != faultinject.CrashExitCode {
 		t.Fatalf("%s:%d: crash-armed tables exit code = %d, want %d; stderr:\n%s", point, n, code, faultinject.CrashExitCode, stderr)
 	}
+	st, err := expstore.Open(dir, expstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := st.Len()
 
 	rerun, stderr, err := runTables(t, nil, storeArgs...)
 	if err != nil {
@@ -70,6 +77,7 @@ func killAndRerun(t *testing.T, point faultinject.CrashPoint, n int, args ...str
 	if !bytes.Equal(rerun, baseline) {
 		t.Fatalf("%s:%d: rerun differs from uninterrupted run:\n%s\nvs\n%s", point, n, rerun, baseline)
 	}
+	return stored
 }
 
 // TestKillAndResume kills Table 4.1 inside its third result-store write,
@@ -81,14 +89,19 @@ func TestKillAndResume(t *testing.T) {
 	killAndRerun(t, faultinject.CrashPreRename, 3, "-t", "4.1", "-refs", "60000", "-reps", "2", "-par", "2")
 }
 
-// TestKillAndResumeSampled kills the sampled Table 4.1 after its first
-// snapshot journal append, before the second (workload, rep) group's
-// journal exists, and reruns it on the same store.
+// TestKillAndResumeSampled kills the sampled Table 4.1, four (workload,
+// rep) groups run one at a time, inside its second group's store write:
+// the store holds exactly the groups whose write got past its rename, and
+// the rerun prints the uninterrupted table.
 func TestKillAndResumeSampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash drill")
 	}
-	killAndRerun(t, faultinject.CrashPostJournalAppend, 1, "-t", "4.1", "-sample", "-refs", "1000000", "-reps", "1", "-par", "1")
+	for point, want := range map[faultinject.CrashPoint]int{faultinject.CrashPreRename: 1, faultinject.CrashPreDirSync: 2} {
+		if n := killAndRerun(t, point, 2, "-t", "4.1", "-sample", "-refs", "1000000", "-reps", "2", "-par", "1"); n != want {
+			t.Errorf("%s: crashed sampled Table 4.1 stored %d groups, want %d", point, n, want)
+		}
+	}
 }
 
 // TestFlagValidation covers the flag combinations that must be rejected

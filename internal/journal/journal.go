@@ -51,8 +51,7 @@ const maxFrame = 64 << 20
 // verbatim; resuming callers compare it against their own spec and refuse
 // mismatches.
 type Header struct {
-	// Kind names the journal family ("memsweep-sampled", "spurd-jobs",
-	// "spurd-outbox").
+	// Kind names the journal family ("spurd-jobs", "spurd-outbox").
 	Kind string `json:"kind"`
 	// SpecKey is the canonical spec hash (an expstore key) of the
 	// experiment the journal checkpoints, when there is one.

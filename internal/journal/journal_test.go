@@ -63,8 +63,9 @@ func TestJournalCreateRefusesExisting(t *testing.T) {
 
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
+	// The "beta" frame is an 8-byte length/CRC header and a 4-byte payload.
 	for name, chop := range map[string]int{
-		"mid-frame-header": 3,
+		"mid-frame-header": 7,
 		"mid-payload":      1,
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -8,14 +8,25 @@ import (
 
 // DeterminismAnalyzer enforces that simulation/model packages compute a pure
 // function of their inputs: no wall-clock reads, no process-global or
-// cryptographic randomness, and no map iteration whose order can leak into
-// results. These are correctness rules, not style: the parallel engine and
-// the content-addressed experiment store both assume a spec replays
+// cryptographic randomness, no map iteration whose order can leak into
+// results, and no durable state: a model package under internal/ may not
+// import the journal or the result store, since persisting results is its
+// callers' business (the root package's stored drivers, the server). These
+// are correctness rules, not style: the parallel engine and the
+// content-addressed experiment store both assume a spec replays
 // byte-identically (see DESIGN.md, "Static analysis & determinism rules").
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global randomness and order-sensitive map iteration in model packages",
+	Doc:  "forbid wall-clock, global randomness, order-sensitive map iteration and durable state in model packages",
 	Run:  runDeterminism,
+}
+
+// durablePackages persist state. The root package is a model package too,
+// but its stored drivers memoize whole runs in the result store, so only
+// model packages under internal/ are held to this list.
+var durablePackages = map[string]bool{
+	"repro/internal/journal":  true,
+	"repro/internal/expstore": true,
 }
 
 // forbiddenTimeFuncs are the time package functions that read or depend on
@@ -33,8 +44,12 @@ func runDeterminism(p *Pass) {
 	}
 	for _, f := range p.Pkg.Files {
 		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "crypto/rand" {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if path == "crypto/rand" {
 				p.Reportf(imp, "crypto/rand is nondeterministic by design; model code must draw from an explicitly seeded workload RNG")
+			}
+			if durablePackages[path] && strings.HasPrefix(p.Pkg.Path, "repro/internal/") {
+				p.Reportf(imp, "%s keeps durable state; a model package returns results and leaves persisting them to its callers", path)
 			}
 		}
 		var enclosing []*ast.FuncDecl

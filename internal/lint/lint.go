@@ -27,7 +27,7 @@
 //     a tainted non-model function is a finding, reported with the chain.
 //   - statecomplete: every mutable field of a registered state type is
 //     covered by its snapshot/restore pair, or annotated with why it is
-//     derived, configuration, or rebuilt by replay.
+//     derived, configuration, or built by the stream's environment calls.
 //   - lockconfine: in the concurrent packages, fields documented
 //     `// guarded by mu` are only touched with that mutex held.
 //
@@ -144,9 +144,9 @@ var modelPackages = map[string]bool{
 	"repro/internal/mem":       true,
 	"repro/internal/pte":       true,
 	"repro/internal/proc":      true,
-	// The sampling engine replays streams and restores snapshots; a clock
-	// read or map-order dependence anywhere in it breaks byte-identical
-	// resume.
+	// The sampling engine's estimates are stored by content address and
+	// its merged variants must equal solo runs bit for bit; a clock read
+	// or map-order dependence anywhere in it breaks both.
 	"repro/internal/sample":   true,
 	"repro/internal/stats":    true,
 	"repro/internal/timing":   true,

@@ -5,25 +5,25 @@ import (
 	"go/types"
 )
 
-// StateCompleteAnalyzer enforces snapshot completeness. Checkpointed sweeps
-// and the sampling engine (PR 5/8) assume Snapshot/Restore cover *every*
-// mutable field of machine state: a field added without a snapshot path
-// does not fail a test — it resumes a machine that silently diverges from
-// the run it claims to continue. This analyzer makes that a lint failure.
+// StateCompleteAnalyzer enforces snapshot completeness. The sampling
+// engine's fanout splits assume Snapshot/Restore cover *every* mutable field
+// of machine state: a field added without a snapshot path does not fail a
+// test — it splits off a machine that silently diverges from the run it
+// claims to continue. This analyzer makes that a lint failure.
 //
 // Each registered state type (the registry below) names the functions that
 // form its snapshot path and its restore path. The analyzer enumerates the
 // struct's fields via go/types and requires every one to be referenced by
-// each path; a field that is derived, rebuilt by stream replay, or pure
-// configuration is exempted — on the record — with
+// each path; a field that is derived, built by the workload stream's
+// environment calls, or pure configuration is exempted — on the record — with
 //
 //	//spurlint:ignore statecomplete — <why this field needs no snapshot>
 //
-// on its declaration line. Registered serialization records (MachineState,
+// on its declaration line. Registered snapshot records (MachineState,
 // PagerState) get the mirrored check: every record field must be produced
 // by the capture path and consumed by the restore path, and no record
 // field may embed workload/proc generator state, which the snapshot
-// contract rebuilds by replaying the stream rather than serializing.
+// contract rebuilds from the stream rather than copying.
 var StateCompleteAnalyzer = &Analyzer{
 	Name:       "statecomplete",
 	Doc:        "every mutable field of registered state types is covered by its Snapshot/Restore pair",
@@ -52,20 +52,20 @@ type stateReg struct {
 	snapshot []stateFunc
 	restore  []stateFunc
 
-	// record marks serialized snapshot records (the structs that travel
-	// through the journal) rather than live machine state; records
-	// additionally must not embed replay-rebuilt generator types.
+	// record marks snapshot records (the structs a capture copies state
+	// into) rather than live machine state; records additionally must not
+	// embed replay-rebuilt generator types.
 	record bool
 }
 
 // stateRegistry is the full registration list: the machine-state types
-// whose Snapshot/Restore pairs the checkpoint (PR 5) and sampling (PR 8)
-// engines depend on, the machine assembly itself, and the serialization
-// records. Workload and proc generator state (workload.Script, proc.
-// Scheduler, ...) is deliberately NOT snapshot-registered: the snapshot
+// whose Snapshot/Restore pairs the sampling engine's fanout splits depend
+// on, the machine assembly itself, and the snapshot records. Workload and
+// proc generator state (workload.Script, proc.Scheduler, ...) is
+// deliberately NOT snapshot-registered: the snapshot
 // contract rebuilds it by replaying the reference stream — a pure function
 // of (spec, seed) — and the replayRebuilt list below enforces that those
-// types never leak into a serialized record.
+// types never leak into a snapshot record.
 var stateRegistry = []stateReg{
 	{pkg: "repro/internal/cache", typ: "Cache",
 		snapshot: []stateFunc{{recv: "Cache", name: "ExportState"}},
@@ -100,8 +100,8 @@ var stateRegistry = []stateReg{
 }
 
 // replayRebuilt are the generator-state types the snapshot contract
-// rebuilds by replaying the workload stream. Serializing one of these into
-// a snapshot record is a design error — its state is a pure function of
+// rebuilds by replaying the workload stream. Copying one of these into a
+// snapshot record is a design error — its state is a pure function of
 // (spec, seed), and carrying a copy invites divergence between the copy
 // and the replay.
 var replayRebuilt = map[[2]string]bool{
@@ -160,7 +160,7 @@ func runStateComplete(p *ProgramPass) {
 				if path.kind == "restore" {
 					what = "restored"
 				}
-				p.Reportf(pkg, node, "field %s of %s.%s is not %s by %s; a checkpoint omitting it resumes corrupt — cover it, or annotate //spurlint:ignore statecomplete — <why it is derived, config, or rebuilt by replay>",
+				p.Reportf(pkg, node, "field %s of %s.%s is not %s by %s; a snapshot omitting it restores corrupt — cover it, or annotate //spurlint:ignore statecomplete — <why it is derived, config, or built by the stream's environment calls>",
 					f.Name(), pkg.Types.Name(), reg.typ, what, describeList(names))
 			}
 		}
@@ -170,7 +170,7 @@ func runStateComplete(p *ProgramPass) {
 				f := st.Field(i)
 				if leak := rebuiltLeak(f.Type()); leak != "" {
 					if node := fieldDecls[f.Name()]; node != nil {
-						p.Reportf(pkg, node, "snapshot record field %s embeds %s, which is generator state rebuilt by stream replay, never serialized (see internal/sample.MachineState)", f.Name(), leak)
+						p.Reportf(pkg, node, "snapshot record field %s embeds %s, which is generator state the workload stream rebuilds, never captured (see internal/sample.MachineState)", f.Name(), leak)
 					}
 				}
 			}
@@ -306,7 +306,7 @@ func receiverTypeName(fd *ast.FuncDecl) string {
 
 // referencedFields returns the names of named's fields referenced anywhere
 // in the given function bodies: through selectors (m.Cache), composite
-// literal keys (MachineState{Refs: n}), and positional composite literals
+// literal keys (MachineState{PTE: p}), and positional composite literals
 // (which reference the first len(elts) fields).
 func referencedFields(decls []funcDeclIn, named *types.Named) map[string]bool {
 	st, ok := named.Underlying().(*types.Struct)

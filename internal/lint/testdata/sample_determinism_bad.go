@@ -1,15 +1,15 @@
 //spurlint:path repro/internal/sample
 
 // Positive determinism fixtures for the sampling engine: the mistakes a
-// checkpointed, resumable measurement pass cannot afford — stamping plans
-// with the wall clock and folding cluster weights in map order. Either one
-// makes a resumed run diverge byte-for-byte from the original.
+// memoized measurement pass cannot afford — stamping plans with the wall
+// clock and folding cluster weights in map order. Either one makes a rerun
+// that measures a group again diverge byte-for-byte from the stored one.
 package fixture
 
 import "time"
 
 // StampPlan records when the plan was built. Two builds of the same profile
-// then differ, so the journal's plan frame no longer matches on resume.
+// then differ.
 func StampPlan() int64 {
 	return time.Now().Unix() // want determinism "time.Now reads the wall clock"
 }

@@ -2,7 +2,7 @@
 
 // Positive goroutine-confinement fixture for the sampling engine: fanning
 // the per-variant measurement out to goroutines races on the shared
-// generation buffer and journals frames in completion order instead of
+// generation buffer and records results in completion order instead of
 // variant order.
 package fixture
 

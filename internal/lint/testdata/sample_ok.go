@@ -1,8 +1,8 @@
 //spurlint:path repro/internal/sample
 
 // Negative fixtures for the sampling engine: the idioms the real package
-// uses pass unflagged — deterministic seeding, the sorted-keys walk for
-// journal replay, and sequential per-variant loops.
+// uses pass unflagged — deterministic seeding, the sorted-keys walk over
+// per-interval results, and sequential per-variant loops.
 package fixture
 
 import "sort"
@@ -14,8 +14,7 @@ func SeededPick(seed uint64, n int) int {
 	return int(seed % uint64(n))
 }
 
-// ReplayFrames walks journalled interval frames in interval order, not map
-// order.
+// ReplayFrames walks per-interval frames in interval order, not map order.
 func ReplayFrames(frames map[int]string) []string {
 	var idx []int
 	for i := range frames {

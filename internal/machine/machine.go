@@ -89,14 +89,15 @@ type Machine struct {
 	//spurlint:ignore statecomplete — fault-injection harness configuration; experiments never checkpoint under injection
 	Inject *faultinject.Injector
 
-	// Segment allocation is a pure function of the workload stream: replaying
-	// the recorded warm-up prefix (sample.MachineState.Refs) reconstructs it.
-	//spurlint:ignore statecomplete — rebuilt by replaying the warm-up reference stream
+	// Segment allocation is a pure function of the workload stream: a machine
+	// driven by the same stream up to a snapshot point already holds it
+	// (see sample.Restore).
+	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv
 	segNext addr.SegmentID
-	//spurlint:ignore statecomplete — rebuilt by replaying the warm-up reference stream
+	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv
 	segFree []addr.SegmentID
 
-	//spurlint:ignore statecomplete — rebuilt by replaying the warm-up reference stream
+	//spurlint:ignore statecomplete — Run's reference count for Result.Refs; the sampling engine drives the engine directly and never reads it
 	refs int64
 }
 

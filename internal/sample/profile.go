@@ -44,10 +44,11 @@
 // with the free list cut to the member's frames, and from then on the
 // member is simulated on its own.
 //
-// Machine state persists across the gaps ("checkpointed warmup"), and each
-// representative's start can be journaled through internal/journal, so an
-// interrupted sampled run resumes from the last interval snapshot instead
-// of restarting.
+// Machine state persists across the gaps ("checkpointed warmup"): each
+// variant's machine is warmed through the whole stream once and never
+// rebuilt. The measuring pass does no I/O. Resuming belongs to the caller:
+// the root package's stored sampled sweep keeps each group's estimates in
+// the result store, and a rerun measures only the groups it lacks.
 //
 // Everything here is deterministic: the profile, the clustering, the
 // representative choice, and the measured metrics are pure functions of

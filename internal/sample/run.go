@@ -1,16 +1,11 @@
 package sample
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"reflect"
 
 	"repro/internal/addr"
 	"repro/internal/counters"
-	"repro/internal/journal"
 	"repro/internal/machine"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -55,41 +50,6 @@ type MeasureOptions struct {
 	// Warmup is how many references to simulate before each representative
 	// interval to refresh cache and resident-set state.
 	Warmup int64
-	// JournalPath, when set, records a snapshot of every variant at each
-	// interval start plus every measured interval's metrics, through
-	// internal/journal's CRC-framed fsynced writer. A journal already at
-	// the path is replayed: finished intervals are served from it and
-	// simulation restarts from the last intact snapshot. A missing one is
-	// created.
-	JournalPath string
-	// Kind, SpecKey and Version fill the journal header (and are validated
-	// when an existing journal is replayed, so a journal cannot be replayed
-	// against a different sampled experiment).
-	Kind    string
-	SpecKey string
-	Version string
-}
-
-// journalRec is one journal frame of a sampled run (after the header): the
-// plan record, a variant snapshot at an interval start, a variant's measured
-// interval metrics, a variant's exact cold-start prefix metrics, or a
-// variant's end-of-run cumulative totals.
-type journalRec struct {
-	Type     string           `json:"type"` // "plan" | "snap" | "metrics" | "prefix" | "final"
-	Interval int              `json:"interval,omitempty"`
-	Variant  int              `json:"variant,omitempty"`
-	Plan     *planRec         `json:"plan,omitempty"`
-	Snap     *MachineState    `json:"snap,omitempty"`
-	Metrics  *IntervalMetrics `json:"metrics,omitempty"`
-}
-
-// planRec pins everything that shapes a sampled run, so a resumed journal
-// is provably from the same experiment.
-type planRec struct {
-	Seed     uint64    `json:"seed"`
-	Warmup   int64     `json:"warmup"`
-	Plan     Plan      `json:"plan"`
-	Variants []Variant `json:"variants"`
 }
 
 // statsDiff returns a − b field by field.
@@ -175,14 +135,13 @@ type fanout struct {
 	served []int64
 }
 
-// newFanout groups the machines under their leaders; with merge false,
-// every variant starts split.
-func newFanout(src trace.BatchSource, ms []*machine.Machine, merge bool) *fanout {
+// newFanout groups the machines under their leaders.
+func newFanout(src trace.BatchSource, ms []*machine.Machine) *fanout {
 	f := &fanout{BatchSource: src, ms: ms, leader: make([]int, len(ms)), served: make([]int64, len(ms))}
 	for vi, m := range ms {
 		l := vi
 		for li, c := range ms {
-			if !merge || !sameButRefAndMemory(m.Cfg, c.Cfg) {
+			if !sameButRefAndMemory(m.Cfg, c.Cfg) {
 				continue
 			}
 			if t := c.Pool.Total(); t > ms[l].Pool.Total() || t == ms[l].Pool.Total() && li < l {
@@ -227,14 +186,19 @@ func (f *fanout) NextBatch(buf []trace.Rec) int {
 			n = min(n, h)
 			continue
 		}
-		// Restore ignores the snapshot's stream position.
-		if err := Restore(f.ms[vi], f.capture(vi, 0)); err != nil {
-			panic(fmt.Sprintf("sample: splitting variant %d off variant %d: %v", vi, l, err))
-		}
-		f.leader[vi] = vi
-		f.step = append(f.step, f.ms[vi])
+		f.split(vi)
 	}
 	return f.BatchSource.NextBatch(buf[:n])
+}
+
+// split restores merged member vi from its leader's projected state and
+// steps it on its own from then on.
+func (f *fanout) split(vi int) {
+	if err := Restore(f.ms[vi], f.capture(vi)); err != nil {
+		panic(fmt.Sprintf("sample: splitting variant %d off variant %d: %v", vi, f.leader[vi], err))
+	}
+	f.leader[vi] = vi
+	f.step = append(f.step, f.ms[vi])
 }
 
 // run simulates one batch on every stepped machine (functionally when
@@ -259,14 +223,13 @@ func (f *fanout) run(b []trace.Rec, warm bool) {
 // its free list differs (see capture).
 func (f *fanout) holder(vi int) *machine.Machine { return f.ms[f.leader[vi]] }
 
-// capture is Capture of variant vi's state at stream position refs. A
-// merged member's is its leader's with the free list cut to the member's
-// frames. The pool reuses freed frames first and hands out fresh ones
-// lowest first, and a positive horizon means the leader never ran out of
-// frames below the member's total, so the frames cut are ones the leader
-// never allocated.
-func (f *fanout) capture(vi int, refs int64) *MachineState {
-	s := Capture(f.holder(vi), refs)
+// capture is Capture of variant vi's state. A merged member's is its
+// leader's with the free list cut to the member's frames. The pool reuses
+// freed frames first and hands out fresh ones lowest first, and a positive
+// horizon means the leader never ran out of frames below the member's
+// total, so the frames cut are ones the leader never allocated.
+func (f *fanout) capture(vi int) *MachineState {
+	s := Capture(f.holder(vi))
 	if f.leader[vi] != vi {
 		total := f.ms[vi].Pool.Total()
 		free := make([]addr.PFN, 0, len(s.PoolFree))
@@ -280,137 +243,6 @@ func (f *fanout) capture(vi int, refs int64) *MachineState {
 	return s
 }
 
-// resumeState is what a replayed journal contributes: already-measured
-// metrics, the interval to restart from, and the snapshots to restart with.
-type resumeState struct {
-	metrics [][]*IntervalMetrics // [interval][variant]
-	prefix  []*IntervalMetrics   // [variant] exact prefix deltas, if journaled
-	final   []*IntervalMetrics   // [variant] end-of-run totals, if journaled
-	from    int                  // first interval to simulate
-	snaps   []*MachineState      // all-variant snapshots at `from`, or nil
-}
-
-// replayJournal validates a replayed sampled-run journal against this run's
-// plan record and extracts the resume state.
-func replayJournal(entries [][]byte, want planRec, nv, nc int) (resumeState, error) {
-	rs := resumeState{
-		metrics: make([][]*IntervalMetrics, nc),
-		prefix:  make([]*IntervalMetrics, nv),
-		final:   make([]*IntervalMetrics, nv),
-	}
-	for i := range rs.metrics {
-		rs.metrics[i] = make([]*IntervalMetrics, nv)
-	}
-	snaps := make([][]*MachineState, nc)
-	for i := range snaps {
-		snaps[i] = make([]*MachineState, nv)
-	}
-	sawPlan := false
-	for i, b := range entries {
-		var rec journalRec
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return rs, fmt.Errorf("sample: journal record %d: %w", i, err)
-		}
-		switch rec.Type {
-		case "plan":
-			if rec.Plan == nil {
-				return rs, fmt.Errorf("sample: journal record %d: plan record without plan", i)
-			}
-			got, err1 := json.Marshal(*rec.Plan)
-			exp, err2 := json.Marshal(want)
-			if err1 != nil || err2 != nil || !bytes.Equal(got, exp) {
-				return rs, fmt.Errorf("sample: journal was written for a different sampled run (plan mismatch); refusing to mix results")
-			}
-			sawPlan = true
-		case "snap", "metrics":
-			if rec.Interval < 0 || rec.Interval >= nc || rec.Variant < 0 || rec.Variant >= nv {
-				return rs, fmt.Errorf("sample: journal record %d: coordinates (%d,%d) outside the %d-interval × %d-variant design", i, rec.Interval, rec.Variant, nc, nv)
-			}
-			if rec.Type == "snap" {
-				snaps[rec.Interval][rec.Variant] = rec.Snap
-			} else {
-				rs.metrics[rec.Interval][rec.Variant] = rec.Metrics
-			}
-		case "prefix", "final":
-			if rec.Variant < 0 || rec.Variant >= nv {
-				return rs, fmt.Errorf("sample: journal record %d: %s for variant %d outside the %d-variant design", i, rec.Type, rec.Variant, nv)
-			}
-			if rec.Type == "prefix" {
-				rs.prefix[rec.Variant] = rec.Metrics
-			} else {
-				rs.final[rec.Variant] = rec.Metrics
-			}
-		default:
-			return rs, fmt.Errorf("sample: journal record %d: unknown type %q", i, rec.Type)
-		}
-	}
-	if !sawPlan {
-		return rs, fmt.Errorf("sample: journal holds no plan record; refusing to resume")
-	}
-	// done is the longest prefix of fully measured intervals; the restart
-	// point is the latest interval ≤ done where every variant has an intact
-	// snapshot (re-measuring from there reproduces the tail bit for bit).
-	done := 0
-	for done < nc {
-		full := true
-		for v := 0; v < nv; v++ {
-			if rs.metrics[done][v] == nil {
-				full = false
-				break
-			}
-		}
-		if !full {
-			break
-		}
-		done++
-	}
-	finalDone := true
-	for _, f := range rs.final {
-		if f == nil {
-			finalDone = false
-			break
-		}
-	}
-	if done == nc && finalDone {
-		rs.from = nc
-	} else {
-		// If only the end-of-run totals are missing, the last interval is
-		// redone from its snapshot so the tail can be re-warmed.
-		limit := done
-		if limit == nc {
-			limit = nc - 1
-		}
-		rs.from = 0
-		for ci := limit; ci >= 0; ci-- {
-			full := true
-			for v := 0; v < nv; v++ {
-				if snaps[ci][v] == nil {
-					full = false
-					break
-				}
-			}
-			if full {
-				rs.from = ci
-				rs.snaps = snaps[ci]
-				break
-			}
-		}
-	}
-	// A mid-run restart replays the prefix deltas from the journal rather
-	// than re-simulating [0, Prefix); if any variant's prefix frame was
-	// torn, the only faithful option is a cold restart.
-	if want.Plan.Prefix > 0 {
-		for _, p := range rs.prefix {
-			if p == nil {
-				rs.from = 0
-				rs.snaps = nil
-				break
-			}
-		}
-	}
-	return rs, nil
-}
-
 // Measure runs the measuring pass: one generated stream drives every
 // variant machine through warmup plus each representative interval, and the
 // per-interval metric deltas come back per variant. Between intervals the
@@ -419,12 +251,7 @@ func replayJournal(entries [][]byte, want planRec, nv, nc int) (resumeState, err
 // configurations differ only in reference-bit policy and memory size share
 // one simulated machine until their page daemons could first run (see
 // fanout); the results are those of simulating every variant on its own.
-//
-// With a JournalPath, every interval start appends one snapshot frame per
-// variant and every measured interval one metrics frame per variant, fsynced
-// through internal/journal. An existing journal's finished work is
-// replayed, and simulation restarts from the last interval whose snapshots
-// are all intact, with results byte-identical to an uninterrupted run.
+// Measure is a pure function of its arguments and does no I/O.
 func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Variant, opts MeasureOptions) ([]Measured, error) {
 	out, _, err := measure(spec, streamSeed, plan, variants, opts)
 	return out, err
@@ -433,8 +260,7 @@ func Measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 // measure is Measure, also returning how many references each variant
 // followed its leader for instead of being simulated.
 func measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Variant, opts MeasureOptions) ([]Measured, []int64, error) {
-	nv, nc := len(variants), len(plan.Chosen)
-	if nv == 0 {
+	if len(variants) == 0 {
 		return nil, nil, fmt.Errorf("sample: no variants to measure")
 	}
 	for _, v := range variants {
@@ -443,123 +269,28 @@ func measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 		}
 	}
 
-	prec := planRec{Seed: streamSeed, Warmup: opts.Warmup, Plan: plan, Variants: variants}
-	rs := resumeState{metrics: make([][]*IntervalMetrics, nc)}
-	for i := range rs.metrics {
-		rs.metrics[i] = make([]*IntervalMetrics, nv)
-	}
-	var jw *journal.Writer
-	if opts.JournalPath != "" {
-		kind := opts.Kind
-		if kind == "" {
-			kind = "sample"
-		}
-		hdr := journal.Header{Kind: kind, SpecKey: opts.SpecKey, Version: opts.Version}
-		w, rep, err := journal.Open(opts.JournalPath)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			if w, err = journal.Create(opts.JournalPath, hdr); err != nil {
-				return nil, nil, err
-			}
-			rep = &journal.Replayed{Header: hdr}
-		case err != nil:
-			return nil, nil, err
-		case rep.Header != hdr:
-			_ = w.Close() // refusing the journal; nothing was written
-			return nil, nil, fmt.Errorf("sample: journal %s was written for a different experiment: kind=%q spec=%.12s… version=%q, this run kind=%q spec=%.12s… version=%q",
-				opts.JournalPath, rep.Header.Kind, rep.Header.SpecKey, rep.Header.Version, hdr.Kind, hdr.SpecKey, hdr.Version)
-		}
-		jw = w
-		if len(rep.Entries) == 0 {
-			// A new journal, or one whose plan record never reached disk:
-			// this run starts fresh.
-			err = appendRec(jw, journalRec{Type: "plan", Plan: &prec})
-		} else {
-			rs, err = replayJournal(rep.Entries, prec, nv, nc)
-		}
-		if err != nil {
-			_ = jw.Close() // already failing; the journal holds only intact frames
-			return nil, nil, err
-		}
-	}
-
-	out := make([]Measured, nv)
-	for vi := range out {
-		out[vi] = Measured{Variant: variants[vi].Name, Intervals: make([]IntervalMetrics, nc)}
-	}
-	for ci := 0; ci < rs.from; ci++ {
-		for vi := 0; vi < nv; vi++ {
-			out[vi].Intervals[ci] = *rs.metrics[ci][vi]
-		}
-	}
-	havePrefix := plan.Prefix == 0
-	if !havePrefix && len(rs.prefix) == nv {
-		havePrefix = true
-		for _, p := range rs.prefix {
-			if p == nil {
-				havePrefix = false
-				break
-			}
-		}
-		if havePrefix {
-			for vi := range out {
-				out[vi].Prefix = *rs.prefix[vi]
-			}
-		}
-	}
-	haveFinal := false
-	if len(rs.final) == nv {
-		haveFinal = true
-		for _, f := range rs.final {
-			if f == nil {
-				haveFinal = false
-				break
-			}
-		}
-		if haveFinal {
-			for vi := range out {
-				out[vi].Final = *rs.final[vi]
-			}
-		}
-	}
-	if rs.from == nc && havePrefix && haveFinal {
-		// Everything was already measured; nothing to simulate.
-		if jw != nil {
-			return out, nil, jw.Close()
-		}
-		return out, nil, nil
-	}
-
-	ms := make([]*machine.Machine, nv)
-	for i, v := range variants {
+	ms := make([]*machine.Machine, len(variants))
+	out := make([]Measured, len(variants))
+	for vi, v := range variants {
 		cfg := v.Cfg
 		cfg.Seed = streamSeed
 		cfg.TotalRefs = plan.TotalRefs
-		ms[i] = machine.New(cfg)
+		ms[vi] = machine.New(cfg)
+		out[vi] = Measured{Variant: v.Name, Intervals: make([]IntervalMetrics, len(plan.Chosen))}
 	}
 	script := workload.NewScript(multiEnv{ms}, streamSeed, spec)
 	for _, m := range ms {
 		m.Pager.Runnable = script.Runnable
 	}
-	// A run restarted from snapshots starts with every variant split.
-	f := newFanout(script, ms, rs.snaps == nil)
+	f := newFanout(script, ms)
 
-	// Generation modes: skip regenerates the stream with no machine effects
-	// beyond the environment calls (used only up to a snapshot about to be
-	// restored on top); warm advances VM state functionally through
-	// Engine.Touch; sim is full simulation.
-	const (
-		genSkip = iota
-		genWarm
-		genSim
-	)
+	// gen advances the stream to target, warming the machines functionally
+	// (Engine.TouchBatch) or simulating them in full.
 	var pos int64
 	buf := make([]trace.Rec, trace.BatchSize)
-	gen := func(target int64, mode int) error {
+	gen := func(target int64, warm bool) error {
 		pos += trace.Pump(f, buf, target-pos, 0, func(b []trace.Rec) bool {
-			if mode != genSkip {
-				f.run(b, mode == genWarm)
-			}
+			f.run(b, warm)
 			return true
 		})
 		if pos < target {
@@ -567,121 +298,56 @@ func measure(spec workload.Spec, streamSeed uint64, plan Plan, variants []Varian
 		}
 		return nil
 	}
-
-	bases := make([]baseline, nv)
-	if plan.Prefix > 0 && rs.snaps == nil {
-		// Cold start: simulate [0, Prefix) exactly from reference zero, so
-		// the startup transient is counted rather than extrapolated. On a
-		// snapshot restart the prefix deltas come from the journal instead
-		// (replayJournal forces a cold restart when they were torn).
-		for vi := range ms {
-			bases[vi] = readBaseline(f.holder(vi))
-		}
-		if err := gen(plan.Prefix, genSim); err != nil {
-			return nil, nil, err
-		}
-		for vi := range ms {
-			after := readBaseline(f.holder(vi))
-			im := IntervalMetrics{
-				Shadow: counters.Diff(after.shadow, bases[vi].shadow),
-				Pager:  statsDiff(after.pager, bases[vi].pager),
-				Cycles: after.cycles - bases[vi].cycles,
-				Refs:   plan.Prefix,
-			}
-			out[vi].Prefix = im
-			if jw != nil {
-				if err := appendRec(jw, journalRec{Type: "prefix", Variant: vi, Metrics: &im}); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-
-	restored := -1
-	if rs.snaps != nil {
-		start := int64(plan.Chosen[rs.from].Index) * plan.IntervalLen
-		if err := gen(start, genSkip); err != nil {
-			return nil, nil, err
-		}
-		for vi, m := range ms {
-			if rs.snaps[vi].Refs != start {
-				return nil, nil, fmt.Errorf("sample: snapshot for variant %d is at ref %d, interval starts at %d", vi, rs.snaps[vi].Refs, start)
-			}
-			if err := Restore(m, rs.snaps[vi]); err != nil {
-				return nil, nil, err
-			}
-		}
-		restored = rs.from
-	}
-
-	for ci := rs.from; ci < nc; ci++ {
-		start := int64(plan.Chosen[ci].Index) * plan.IntervalLen
-		if ci != restored {
-			warmStart := start - opts.Warmup
-			if warmStart < pos {
-				warmStart = pos
-			}
-			if err := gen(warmStart, genWarm); err != nil {
-				return nil, nil, err
-			}
-			if err := gen(start, genSim); err != nil {
-				return nil, nil, err
-			}
-			if jw != nil {
-				for vi := range ms {
-					if err := appendRec(jw, journalRec{Type: "snap", Interval: ci, Variant: vi, Snap: f.capture(vi, start)}); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
+	// span simulates the stream in full up to start and then over
+	// [start, start+n), handing each variant's metric deltas over the
+	// latter to each.
+	bases := make([]baseline, len(ms))
+	span := func(start, n int64, each func(vi int, im IntervalMetrics)) error {
+		if err := gen(start, false); err != nil {
+			return err
 		}
 		for vi := range ms {
 			bases[vi] = readBaseline(f.holder(vi))
 		}
-		if err := gen(start+plan.IntervalLen, genSim); err != nil {
-			return nil, nil, err
+		if err := gen(start+n, false); err != nil {
+			return err
 		}
 		for vi := range ms {
 			after := readBaseline(f.holder(vi))
-			im := IntervalMetrics{
+			each(vi, IntervalMetrics{
 				Shadow: counters.Diff(after.shadow, bases[vi].shadow),
 				Pager:  statsDiff(after.pager, bases[vi].pager),
 				Cycles: after.cycles - bases[vi].cycles,
-				Refs:   plan.IntervalLen,
-			}
-			out[vi].Intervals[ci] = im
-			if jw != nil {
-				if err := appendRec(jw, journalRec{Type: "metrics", Interval: ci, Variant: vi, Metrics: &im}); err != nil {
-					return nil, nil, err
-				}
-			}
+				Refs:   n,
+			})
+		}
+		return nil
+	}
+
+	// Cold start: simulate [0, Prefix) exactly from reference zero, so the
+	// startup transient is counted rather than extrapolated.
+	if plan.Prefix > 0 {
+		if err := span(0, plan.Prefix, func(vi int, im IntervalMetrics) { out[vi].Prefix = im }); err != nil {
+			return nil, nil, err
+		}
+	}
+	for ci, c := range plan.Chosen {
+		start := int64(c.Index) * plan.IntervalLen
+		if err := gen(max(start-opts.Warmup, pos), true); err != nil {
+			return nil, nil, err
+		}
+		if err := span(start, plan.IntervalLen, func(vi int, im IntervalMetrics) { out[vi].Intervals[ci] = im }); err != nil {
+			return nil, nil, err
 		}
 	}
 	// Warm the tail past the last representative so Final's cumulative
 	// VM-event counts cover the entire timeline [0, TotalRefs).
-	if err := gen(plan.TotalRefs, genWarm); err != nil {
+	if err := gen(plan.TotalRefs, true); err != nil {
 		return nil, nil, err
 	}
 	for vi := range ms {
 		t := readBaseline(f.holder(vi))
-		fm := IntervalMetrics{Shadow: t.shadow, Pager: t.pager, Cycles: t.cycles, Refs: plan.TotalRefs}
-		out[vi].Final = fm
-		if jw != nil {
-			if err := appendRec(jw, journalRec{Type: "final", Variant: vi, Metrics: &fm}); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if jw != nil {
-		return out, f.served, jw.Close()
+		out[vi].Final = IntervalMetrics{Shadow: t.shadow, Pager: t.pager, Cycles: t.cycles, Refs: plan.TotalRefs}
 	}
 	return out, f.served, nil
-}
-
-func appendRec(w *journal.Writer, rec journalRec) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("sample: encoding journal record: %w", err)
-	}
-	return w.Append(b)
 }

@@ -4,14 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/machine"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -126,11 +123,10 @@ func TestBuildPlanShape(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip is the snapshot fuzz: across seeds and prefix
-// lengths, capture a warmed machine, push the state through journal bytes,
-// restore it onto a fresh machine (after regenerating the stream prefix),
-// and check the two machines stay bit-for-bit identical over the rest of
-// the stream.
+// TestSnapshotRoundTrip: across seeds and prefix lengths, capture a warmed
+// machine, restore the capture onto a fresh machine (after regenerating the
+// stream prefix, which registers the same regions and segments), and check
+// the two machines stay bit-for-bit identical over the rest of the stream.
 func TestSnapshotRoundTrip(t *testing.T) {
 	spec := workload.SLCSpec()
 	for _, tc := range []struct {
@@ -145,50 +141,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		cfg := testConfig(200_000)
 		cfg.Seed = tc.seed
 
-		// Original: simulate the prefix, snapshot, keep going.
+		// Original: simulate the prefix, capture, keep going.
 		m1 := machine.New(cfg)
 		s1 := workload.NewScript(m1, tc.seed, spec)
 		m1.Pager.Runnable = s1.Runnable
 		var pos1 int64
 		drive(t, m1, s1, &pos1, tc.prefix, true)
-		snap := Capture(m1, tc.prefix)
+		snap := Capture(m1)
 
-		// Round-trip the state through the CRC-framed journal machinery.
-		path := filepath.Join(t.TempDir(), "snap.journal")
-		w, err := journal.Create(path, journal.Header{Kind: "test-snap", SpecKey: "k", Version: "v"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := journal.Replay(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Entries) != 1 {
-			t.Fatalf("journal replay has %d entries, want 1", len(rep.Entries))
-		}
-		var restored MachineState
-		if err := json.Unmarshal(rep.Entries[0], &restored); err != nil {
-			t.Fatal(err)
-		}
-
-		// Replica: regenerate the prefix (registers regions/segments, no
-		// simulation), then apply the journaled state.
+		// Replica: regenerate the prefix without simulating it, then apply
+		// the capture.
 		m2 := machine.New(cfg)
 		s2 := workload.NewScript(m2, tc.seed, spec)
 		m2.Pager.Runnable = s2.Runnable
 		var pos2 int64
 		drive(t, m2, s2, &pos2, tc.prefix, false)
-		if err := Restore(m2, &restored); err != nil {
+		if err := Restore(m2, snap); err != nil {
 			t.Fatalf("seed %d prefix %d: Restore: %v", tc.seed, tc.prefix, err)
 		}
 
@@ -196,8 +164,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		// over the rest of the stream.
 		drive(t, m1, s1, &pos1, 200_000, true)
 		drive(t, m2, s2, &pos2, 200_000, true)
-		end1, end2 := Capture(m1, 200_000), Capture(m2, 200_000)
-		if !reflect.DeepEqual(end1, end2) {
+		if !reflect.DeepEqual(Capture(m1), Capture(m2)) {
 			t.Fatalf("seed %d prefix %d: machines diverged after restore", tc.seed, tc.prefix)
 		}
 	}
@@ -206,7 +173,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestRestoreRejectsBadState(t *testing.T) {
 	cfg := testConfig(10_000)
 	m := machine.New(cfg)
-	snap := Capture(m, 0)
+	snap := Capture(m)
 	snap.CacheMeta = snap.CacheMeta[:len(snap.CacheMeta)-1]
 	if err := Restore(machine.New(cfg), snap); err == nil {
 		t.Fatal("Restore accepted a truncated cache meta array")
@@ -291,81 +258,32 @@ func TestMeasureRejectsFaultPlans(t *testing.T) {
 	}
 }
 
-// TestMeasureResumeTornJournal mirrors the sweep drivers' kill-and-resume
-// test at the snapshot layer: truncate a sampled run's journal mid-frame
-// (as a crash during an append would), resume, and require byte-identical
-// results to an uninterrupted run.
+// TestMeasureResumeTornJournal checks the encoding a stored sampled sweep
+// keeps for each group: its estimates must come back from JSON unchanged,
+// or a rerun over the store would print other numbers than the run that
+// filled it. The root package's stored-sweep tests check the same end to
+// end; this one fails in the package that defines Estimate, when a field is
+// added that JSON cannot carry.
 func TestMeasureResumeTornJournal(t *testing.T) {
 	spec, seed, plan, variants, opts := sampledFixture()
-	ref, err := Measure(spec, seed, plan, variants, opts)
+	ms, err := Measure(spec, seed, plan, variants, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sample.journal")
-	jopts := opts
-	jopts.JournalPath = path
-	jopts.Kind, jopts.SpecKey, jopts.Version = "sample-test", "spec", "v"
-	full, err := Measure(spec, seed, plan, variants, jopts)
+	ests := make([]Estimate, len(ms))
+	for vi := range ms {
+		ests[vi] = plan.Estimate(ms[vi], variants[vi].Cfg.Timing, opts.Warmup)
+	}
+	b, err := json.Marshal(ests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref, full) {
-		t.Fatal("journaled run differs from plain run")
-	}
-
-	whole, err := os.ReadFile(path)
-	if err != nil {
+	var back []Estimate
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	for _, frac := range []float64{0.35, 0.6, 0.9} {
-		cut := int(float64(len(whole)) * frac)
-		torn := filepath.Join(dir, "torn.journal")
-		if err := os.WriteFile(torn, whole[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ropts := jopts
-		ropts.JournalPath = torn
-		got, err := Measure(spec, seed, plan, variants, ropts)
-		if err != nil {
-			t.Fatalf("resume after truncation at %.0f%%: %v", frac*100, err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("resume after truncation at %.0f%% differs from uninterrupted run", frac*100)
-		}
-		if err := os.Remove(torn); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A journal whose plan record never reached disk starts fresh.
-	torn := filepath.Join(dir, "header-only.journal")
-	w, err := journal.Create(torn, journal.Header{Kind: jopts.Kind, SpecKey: jopts.SpecKey, Version: jopts.Version})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ropts := jopts
-	ropts.JournalPath = torn
-	got, err := Measure(spec, seed, plan, variants, ropts)
-	if err != nil {
-		t.Fatalf("header-only journal: %v", err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("run over a header-only journal differs from uninterrupted run")
-	}
-
-	// Rerunning over the complete journal recomputes nothing and still
-	// matches.
-	got, err = Measure(spec, seed, plan, variants, jopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("rerun over the complete journal differs")
+	if !reflect.DeepEqual(back, ests) {
+		t.Fatalf("estimates changed through JSON:\n%+v\nvs\n%+v", back, ests)
 	}
 }
 
@@ -436,102 +354,101 @@ func TestMeasureMergedMatchesSolo(t *testing.T) {
 	}
 }
 
-// journalSnaps returns a sampled-run journal's snapshot records per
-// variant, in interval order.
-func journalSnaps(t *testing.T, path string, nv int) [][]*MachineState {
-	t.Helper()
-	rep, err := journal.Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := make([][]*MachineState, nv)
-	for _, b := range rep.Entries {
-		var rec journalRec
-		if err := json.Unmarshal(b, &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Type == "snap" {
-			snaps[rec.Variant] = append(snaps[rec.Variant], rec.Snap)
-		}
-	}
-	return snaps
-}
-
-// TestMeasureMergedResumeTornJournal journals a run whose variants merge:
-// every variant's snapshot records must equal those of its solo run (a
-// merged member's are its leader's, projected to its memory), and a
-// journal torn anywhere must resume to the uninterrupted results.
+// TestMeasureMergedResumeTornJournal checks the state a merged member
+// splits off with. Driving mergeVariants' machines through one fanout over
+// the whole stream, every member that splits off its leader must at that
+// moment hold exactly the state of a machine that simulated it alone, and
+// at the end every variant's state — projected from its leader for the
+// members that never split — must be its solo machine's.
 func TestMeasureMergedResumeTornJournal(t *testing.T) {
-	spec, seed, plan, _, opts := sampledFixture()
+	spec, seed, plan, _, _ := sampledFixture()
 	variants := mergeVariants(plan.TotalRefs)
-	ref, err := Measure(spec, seed, plan, variants, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	jopts := opts
-	jopts.JournalPath = filepath.Join(dir, "merged.journal")
-	jopts.Kind, jopts.SpecKey, jopts.Version = "sample-test", "spec", "v"
-	if _, err := Measure(spec, seed, plan, variants, jopts); err != nil {
-		t.Fatal(err)
-	}
-	merged := journalSnaps(t, jopts.JournalPath, len(variants))
+	nv := len(variants)
+	ms, solo := make([]*machine.Machine, nv), make([]*machine.Machine, nv)
+	soloScripts, soloPos := make([]*workload.Script, nv), make([]int64, nv)
 	for vi, v := range variants {
-		sopts := jopts
-		sopts.JournalPath = filepath.Join(dir, fmt.Sprintf("solo%d.journal", vi))
-		if _, err := Measure(spec, seed, plan, []Variant{v}, sopts); err != nil {
-			t.Fatal(err)
-		}
-		solo := journalSnaps(t, sopts.JournalPath, 1)[0]
-		if len(solo) != len(plan.Chosen) || !reflect.DeepEqual(merged[vi], solo) {
-			t.Errorf("%s: merged run journaled %d snapshots unequal to its solo run's %d", v.Name, len(merged[vi]), len(solo))
-		}
+		cfg := v.Cfg
+		cfg.Seed = seed
+		ms[vi], solo[vi] = machine.New(cfg), machine.New(cfg)
+		soloScripts[vi] = workload.NewScript(solo[vi], seed, spec)
+		solo[vi].Pager.Runnable = soloScripts[vi].Runnable
 	}
+	script := workload.NewScript(multiEnv{ms}, seed, spec)
+	for _, m := range ms {
+		m.Pager.Runnable = script.Runnable
+	}
+	f := newFanout(script, ms)
+	merged := append([]int(nil), f.leader...)
 
-	whole, err := os.ReadFile(jopts.JournalPath)
-	if err != nil {
-		t.Fatal(err)
+	var pos int64
+	splits := 0
+	trace.Pump(f, make([]trace.Rec, trace.BatchSize), plan.TotalRefs, 0, func(b []trace.Rec) bool {
+		for vi := range variants {
+			if merged[vi] == vi || f.leader[vi] != vi {
+				continue
+			}
+			// vi split off before this batch, at stream position pos.
+			merged[vi] = vi
+			splits++
+			drive(t, solo[vi], soloScripts[vi], &soloPos[vi], pos, true)
+			if !reflect.DeepEqual(Capture(ms[vi]), Capture(solo[vi])) {
+				t.Errorf("%s split off at ref %d with state unequal to its solo machine's", variants[vi].Name, pos)
+			}
+		}
+		f.run(b, false)
+		pos += int64(len(b))
+		return true
+	})
+	if pos != plan.TotalRefs {
+		t.Fatalf("stream ended at %d refs, want %d", pos, plan.TotalRefs)
 	}
-	for _, frac := range []float64{0.15, 0.4, 0.65, 0.9} {
-		torn := filepath.Join(dir, "torn.journal")
-		if err := os.WriteFile(torn, whole[:int(float64(len(whole))*frac)], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ropts := jopts
-		ropts.JournalPath = torn
-		got, err := Measure(spec, seed, plan, variants, ropts)
-		if err != nil {
-			t.Fatalf("resume after truncation at %.0f%%: %v", frac*100, err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("resume after truncation at %.0f%% differs from uninterrupted run", frac*100)
-		}
-		if err := os.Remove(torn); err != nil {
-			t.Fatal(err)
+	// The three 2.5 MB variants split; 8 MB/REF and 8 MB/NOREF never do.
+	if splits != 3 {
+		t.Errorf("%d variants split off, want 3", splits)
+	}
+	for vi, v := range variants {
+		drive(t, solo[vi], soloScripts[vi], &soloPos[vi], pos, true)
+		if !reflect.DeepEqual(f.capture(vi), Capture(solo[vi])) {
+			t.Errorf("%s: final state unequal to its solo machine's", v.Name)
 		}
 	}
 }
 
+// TestMeasureResumeRejectsForeignJournal: a stored sweep that resumes
+// measures only the groups its store lacks, in whatever order they come,
+// so a group's measurements must depend on its own inputs alone. Measuring
+// a foreign group — another stream seed, warmup or variant set — in between
+// leaves a group's measurements unchanged, and each foreign group measures
+// differently, so a store must never serve one for the other.
 func TestMeasureResumeRejectsForeignJournal(t *testing.T) {
 	spec, seed, plan, variants, opts := sampledFixture()
-	path := filepath.Join(t.TempDir(), "sample.journal")
-	opts.JournalPath = path
-	opts.Kind, opts.SpecKey, opts.Version = "sample-test", "spec", "v"
-	if _, err := Measure(spec, seed, plan, variants, opts); err != nil {
+	want, err := Measure(spec, seed, plan, variants, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Different plan (different warmup) against the same journal.
-	wrong := opts
-	wrong.Warmup = opts.Warmup + 1
-	if _, err := Measure(spec, seed, plan, variants, wrong); err == nil {
-		t.Fatal("resume with a different plan succeeded")
-	}
-	// Different header entirely.
-	foreign := opts
-	foreign.SpecKey = "other"
-	if _, err := Measure(spec, seed, plan, variants, foreign); err == nil {
-		t.Fatal("resume with a different spec key succeeded")
+	longer := opts
+	longer.Warmup *= 2
+	smaller := append([]Variant(nil), variants...)
+	smaller[1].Cfg.MemoryBytes = 5 << 19 // 2.5 MB: the page daemon runs
+	for name, foreign := range map[string]func() ([]Measured, error){
+		"seed":     func() ([]Measured, error) { return Measure(spec, seed+1, plan, variants, opts) },
+		"warmup":   func() ([]Measured, error) { return Measure(spec, seed, plan, variants, longer) },
+		"variants": func() ([]Measured, error) { return Measure(spec, seed, plan, smaller, opts) },
+	} {
+		other, err := foreign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(other, want) {
+			t.Errorf("a group with another %s measured the same", name)
+		}
+		got, err := Measure(spec, seed, plan, variants, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("measuring a group with another %s in between changed this group's measurements", name)
+		}
 	}
 }
 

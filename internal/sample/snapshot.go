@@ -13,43 +13,39 @@ import (
 
 // PTERecord is one non-zero page-table entry in a machine snapshot.
 type PTERecord struct {
-	VPN   uint64 `json:"vpn"`
-	Entry uint32 `json:"entry"`
+	VPN   uint64
+	Entry uint32
 }
 
-// MachineState is the complete serializable warm state of one machine: the
-// cache's packed tag/meta arrays, every valid PTE, the pager's pages and
-// clock ring, the frame pool's free-list order, the counter block, and the
-// engine's accumulated cycles. What it deliberately omits is everything the
-// workload stream rebuilds deterministically on restore — regions, segment
-// allocation, and the generator's own state — because generation is a pure
-// function of (spec, seed) and is always replayed up to the snapshot point
-// before this state is applied.
+// MachineState is the complete warm state of one machine: the cache's
+// packed tag/meta arrays, every valid PTE, the pager's pages and clock ring,
+// the frame pool's free-list order, the counter block, and the engine's
+// accumulated cycles. What it deliberately omits is everything the workload
+// stream builds through the machine's environment calls — regions and
+// segment allocation — and the generator's own state: generation is a pure
+// function of (spec, seed), and a machine driven by the same stream up to
+// the capture point already holds them.
 type MachineState struct {
-	// Refs is the stream position the snapshot was taken at.
-	//spurlint:ignore statecomplete — consumed by the replay driver, which replays the stream to Refs before Restore
-	Refs int64 `json:"refs"`
+	CacheTags  []addr.BlockAddr
+	CacheMeta  []byte
+	CacheStats cache.Stats
 
-	CacheTags  []addr.BlockAddr `json:"cache_tags"`
-	CacheMeta  []byte           `json:"cache_meta"`
-	CacheStats cache.Stats      `json:"cache_stats"`
+	PTE []PTERecord
 
-	PTE []PTERecord `json:"pte"`
+	Pager    vm.PagerState
+	PoolFree []addr.PFN
 
-	Pager    vm.PagerState `json:"pager"`
-	PoolFree []addr.PFN    `json:"pool_free"`
+	CtrMode   int
+	CtrHW     [counters.HardwareCounters + 1]uint32
+	CtrShadow [counters.NumEvents]uint64
 
-	CtrMode   int                                   `json:"ctr_mode"`
-	CtrHW     [counters.HardwareCounters + 1]uint32 `json:"ctr_hw"`
-	CtrShadow [counters.NumEvents]uint64            `json:"ctr_shadow"`
-
-	EngineCycles uint64    `json:"engine_cycles"`
-	FaultsByKind [4]uint64 `json:"faults_by_kind"`
+	EngineCycles uint64
+	FaultsByKind [4]uint64
 }
 
-// Capture serializes machine m's warm state at stream position refs.
-func Capture(m *machine.Machine, refs int64) *MachineState {
-	s := &MachineState{Refs: refs}
+// Capture copies machine m's warm state.
+func Capture(m *machine.Machine) *MachineState {
+	s := &MachineState{}
 	s.CacheTags, s.CacheMeta = m.Cache.ExportState()
 	s.CacheStats = m.Cache.Stats
 	m.Table.Range(func(p addr.GVPN, e pte.Entry) bool {
@@ -66,12 +62,13 @@ func Capture(m *machine.Machine, refs int64) *MachineState {
 	return s
 }
 
-// Restore applies a captured state to machine m. The caller must already
-// have regenerated the workload stream up to s.Refs against m (which
-// re-registers regions and segments exactly as the original run did);
-// Restore then overwrites the simulated state on top. After Restore, m is
-// bit-for-bit the machine the snapshot was captured from: driving the same
-// subsequent references produces identical counters, cycles and statistics.
+// Restore applies a captured state to machine m. m must already have
+// received the workload environment calls the captured machine received up
+// to the capture point (a fanout member gets them through multiEnv), so its
+// regions and segments match; Restore then overwrites the simulated state
+// on top. After Restore, m is bit-for-bit the machine the snapshot was
+// captured from: driving the same subsequent references produces identical
+// counters, cycles and statistics.
 func Restore(m *machine.Machine, s *MachineState) error {
 	if err := m.Cache.RestoreState(s.CacheTags, s.CacheMeta); err != nil {
 		return err

@@ -1,127 +1,67 @@
 package sample
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"repro/internal/journal"
+	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// FuzzSnapshotJournal fuzzes the two failure surfaces a checkpointed run
-// depends on: the snapshot's serialized round-trip (a restored machine must
-// be bit-for-bit the captured one over the rest of the stream) and the
-// CRC-framed journal's torn-write recovery (a truncated file must replay to
-// either the intact snapshot or a cleanly detected torn/absent frame —
-// never a corrupt state that restores without error).
+// FuzzSnapshotJournal fuzzes the snapshot a fanout split restores from. A
+// merged member may split off its leader at any point within its horizon,
+// not only where the horizon runs out, and from then on it must be
+// bit-for-bit the machine that simulated it alone. The fuzzer picks the
+// stream seed, the split point, and the member's memory size and policy;
+// a member whose horizon runs out first splits where the fanout splits it.
 func FuzzSnapshotJournal(f *testing.F) {
 	f.Add(uint64(1), uint16(10_000), uint16(65_535))
 	f.Add(uint64(2), uint16(33_333), uint16(17))
 	f.Add(uint64(3), uint16(5_000), uint16(0))
 	f.Add(uint64(4), uint16(60_000), uint16(40_000))
-	f.Fuzz(func(t *testing.T, seed uint64, prefix16, cut16 uint16) {
-		prefix := int64(prefix16)%50_000 + 1_000
-		const tail = 10_000
+	f.Fuzz(func(t *testing.T, seed uint64, split16, member16 uint16) {
+		split := int64(split16)%50_000 + 1_000
+		refs := split + 10_000
 		spec := workload.SLCSpec()
-		cfg := testConfig(prefix + tail)
-		cfg.Seed = seed
+		leader := testConfig(refs)
+		leader.Seed = seed
+		leader.MemoryBytes = core.MiB(8)
+		member := leader
+		member.MemoryBytes = core.MiB(2) + int(member16%13)<<19 // 2 to 8 MB
+		member.Ref = core.RefPolicies[member16/13%3]
 
-		// Original: simulate to the snapshot point, capture.
-		m1 := machine.New(cfg)
-		s1 := workload.NewScript(m1, seed, spec)
-		m1.Pager.Runnable = s1.Runnable
-		var pos1 int64
-		drive(t, m1, s1, &pos1, prefix, true)
-		snap := Capture(m1, prefix)
-
-		// Journal the snapshot, then truncate at a fuzzed byte offset.
-		dir := t.TempDir()
-		path := filepath.Join(dir, "snap.journal")
-		w, err := journal.Create(path, journal.Header{Kind: "fuzz-snap", SpecKey: "k", Version: "v"})
-		if err != nil {
-			t.Fatal(err)
+		ms := []*machine.Machine{machine.New(leader), machine.New(member)}
+		script := workload.NewScript(multiEnv{ms}, seed, spec)
+		for _, m := range ms {
+			m.Pager.Runnable = script.Runnable
 		}
-		b, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
+		fo := newFanout(script, ms)
+		var pos int64
+		advance := func(target int64) {
+			pos += trace.Pump(fo, make([]trace.Rec, 512), target-pos, 0, func(b []trace.Rec) bool {
+				fo.run(b, false)
+				return true
+			})
 		}
-		if err := w.Append(b); err != nil {
-			t.Fatal(err)
+		advance(split)
+		if fo.leader[1] != 1 {
+			fo.split(1)
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// headerEnd: bytes an empty journal occupies (magic + header frame).
-		empty := filepath.Join(dir, "empty.journal")
-		we, err := journal.Create(empty, journal.Header{Kind: "fuzz-snap", SpecKey: "k", Version: "v"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := we.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ei, err := os.Stat(empty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		headerEnd := int(ei.Size())
-
-		cut := int(uint64(cut16) * uint64(len(data)+1) / 65_536)
-		if cut > len(data) {
-			cut = len(data)
-		}
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
+		advance(refs)
+		if pos != refs {
+			t.Fatalf("stream ended at %d refs, want %d", pos, refs)
 		}
 
-		rep, err := journal.Replay(path)
-		if err != nil {
-			// Only a cut inside the magic/header may make the file
-			// unreadable; past that, recovery must succeed.
-			if cut >= headerEnd {
-				t.Fatalf("cut %d/%d (header %d): replay failed: %v", cut, len(data), headerEnd, err)
-			}
-			return
-		}
-		switch len(rep.Entries) {
-		case 0:
-			// Torn snapshot frame: detected and dropped. The driver
-			// re-simulates from the stream start; nothing to verify.
-			if cut == len(data) {
-				t.Fatalf("intact journal replayed to zero entries")
-			}
-			return
-		case 1:
-		default:
-			t.Fatalf("replayed %d entries from a one-snapshot journal", len(rep.Entries))
-		}
-
-		// The frame survived its CRC: it must decode and restore into a
-		// machine indistinguishable from the original.
-		var restored MachineState
-		if err := json.Unmarshal(rep.Entries[0], &restored); err != nil {
-			t.Fatalf("CRC-valid frame failed to decode: %v", err)
-		}
-		m2 := machine.New(cfg)
-		s2 := workload.NewScript(m2, seed, spec)
-		m2.Pager.Runnable = s2.Runnable
-		var pos2 int64
-		drive(t, m2, s2, &pos2, prefix, false)
-		if err := Restore(m2, &restored); err != nil {
-			t.Fatalf("restore of round-tripped snapshot: %v", err)
-		}
-		drive(t, m1, s1, &pos1, prefix+tail, true)
-		drive(t, m2, s2, &pos2, prefix+tail, true)
-		if !reflect.DeepEqual(Capture(m1, prefix+tail), Capture(m2, prefix+tail)) {
-			t.Fatalf("seed %d prefix %d: restored machine diverged from original", seed, prefix)
+		solo := machine.New(member)
+		s := workload.NewScript(solo, seed, spec)
+		solo.Pager.Runnable = s.Runnable
+		var soloPos int64
+		drive(t, solo, s, &soloPos, refs, true)
+		if !reflect.DeepEqual(Capture(ms[1]), Capture(solo)) {
+			t.Fatalf("seed %d: %d KB/%s split off at ref %d diverged from its solo run",
+				seed, member.MemoryBytes>>10, member.Ref, split)
 		}
 	})
 }

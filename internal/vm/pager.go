@@ -97,7 +97,7 @@ type Pager struct {
 	//spurlint:ignore statecomplete — timing configuration from the spec, not accumulated state
 	tp timing.Params
 
-	//spurlint:ignore statecomplete — rebuilt by replaying the warm-up reference stream (see sample.MachineState)
+	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv (see sample.Restore)
 	regions []Region
 	pages   map[addr.GVPN]*Page
 

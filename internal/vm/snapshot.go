@@ -8,34 +8,34 @@ import (
 	"repro/internal/addr"
 )
 
-// PageState is the serializable form of one Page: everything the pager
-// knows about the page, minus the clock-ring linkage (the ring is
-// serialized separately, as an ordered VPN list, because the *order* is the
-// state — it decides which page the daemon examines next).
+// PageState is the captured form of one Page: everything the pager knows
+// about the page, minus the clock-ring linkage (the ring is captured
+// separately, as an ordered VPN list, because the *order* is the state — it
+// decides which page the daemon examines next).
 type PageState struct {
-	VPN         uint64   `json:"vpn"`
-	Kind        PageKind `json:"kind"`
-	Resident    bool     `json:"resident,omitempty"`
-	Frame       addr.PFN `json:"frame,omitempty"`
-	OnStore     bool     `json:"on_store,omitempty"`
-	SoftDirty   bool     `json:"soft_dirty,omitempty"`
-	EverDirtied bool     `json:"ever_dirtied,omitempty"`
+	VPN         uint64
+	Kind        PageKind
+	Resident    bool
+	Frame       addr.PFN
+	OnStore     bool
+	SoftDirty   bool
+	EverDirtied bool
 }
 
 // PagerState is a checkpoint of the pager's mutable state. Regions are not
-// part of it: a restore regenerates the workload stream up to the
-// checkpoint first, which re-registers every live region through the same
-// Env calls the original run made, so the snapshot only carries what
+// part of it: the pager a checkpoint is restored onto has already received
+// the Env calls the original did (a fanout member through multiEnv), which
+// registered every live region, so the snapshot only carries what
 // generation cannot rebuild — the instantiated pages, the clock ring, the
 // statistics and the accumulated paging cycles.
 type PagerState struct {
 	// Pages lists every instantiated page in ascending VPN order.
-	Pages []PageState `json:"pages"`
+	Pages []PageState
 	// Clock lists the resident pages' VPNs in ring order starting at the
 	// hand, so a restore rebuilds an identical replacement sequence.
-	Clock  []uint64 `json:"clock"`
-	Stats  Stats    `json:"stats"`
-	Cycles uint64   `json:"cycles"`
+	Clock  []uint64
+	Stats  Stats
+	Cycles uint64
 }
 
 // ExportState captures the pager's mutable state for a checkpoint.

@@ -258,16 +258,14 @@ func memorySweep(opts MemorySweepOptions, st *expstore.Store) ([]MemorySweepRow,
 		if c.wl == core.Workload1 {
 			spec = Workload1()
 		}
-		run := func() SweepRep {
+		run := func() (SweepRep, error) {
 			res, fail := RunHardened(cfg, spec, runOpts)
-			return SweepRep{Seed: cfg.Seed, Result: res, Failure: fail}
+			return SweepRep{Seed: cfg.Seed, Result: res, Failure: fail}, nil
 		}
 		// Each job owns its (cell, rep) slot; no two jobs share memory.
-		if st == nil {
-			rows[j.cell].Reps[j.rep] = run()
-		} else {
-			rows[j.cell].Reps[j.rep], errs[i] = memoRun(st, cfg, spec, opts.AuditEvery, run)
-		}
+		rows[j.cell].Reps[j.rep], errs[i] = memo(st, func() (expstore.Key, error) {
+			return sweepRunKey(cfg, spec, opts.AuditEvery)
+		}, run)
 	})
 
 	for i := range rows {
@@ -298,23 +296,30 @@ func memorySweep(opts MemorySweepOptions, st *expstore.Store) ([]MemorySweepRow,
 	return rows, nil
 }
 
-// memoRun serves one sweep run from st, or runs it and stores its outcome.
-// A stored run that does not decode is recomputed.
-func memoRun(st *expstore.Store, cfg Config, spec Spec, auditEvery int64, run func() SweepRep) (SweepRep, error) {
-	key, err := sweepRunKey(cfg, spec, auditEvery)
+// memo serves a value from st under key, or computes it with run and
+// stores it as JSON; with a nil st it only runs. A stored value that does
+// not decode is recomputed. Both stored drivers, exact and sampled, resume
+// through it: a sweep killed at any point loses only the values in flight.
+func memo[T any](st *expstore.Store, key func() (expstore.Key, error), run func() (T, error)) (T, error) {
+	if st == nil {
+		return run()
+	}
+	var v T
+	k, err := key()
 	if err != nil {
-		return run(), err
+		return v, err
 	}
-	var sr SweepRep
-	if b, ok := st.Get(key); ok && json.Unmarshal(b, &sr) == nil {
-		return sr, nil
+	if b, ok := st.Get(k); ok && json.Unmarshal(b, &v) == nil {
+		return v, nil
 	}
-	sr = run()
-	b, err := json.Marshal(sr)
+	if v, err = run(); err != nil {
+		return v, err
+	}
+	b, err := json.Marshal(v)
 	if err != nil {
-		return sr, fmt.Errorf("spur: encoding sweep run: %w", err)
+		return v, fmt.Errorf("spur: encoding %T for the store: %w", v, err)
 	}
-	return sr, st.Put(key, b)
+	return v, st.Put(k, b)
 }
 
 // SweepFailures extracts the cells with at least one quarantined

@@ -3,10 +3,7 @@ package spur
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/expstore"
@@ -21,9 +18,10 @@ import (
 // validation mode that checks the estimates against full runs at a scale
 // where full runs are still affordable.
 //
-// Sampled results are estimates with error bars, not exact counts, so they
-// are keyed under their own journal/store kind: a sampled result can never
-// be served where an exact one was asked for, or vice versa.
+// Sampled results are estimates with error bars, not exact counts, so a
+// sampled (workload, repetition) group is stored under its own kind: a
+// sampled result can never be served where an exact one was asked for, or
+// vice versa.
 const sampledSweepKind = "memsweep-sampled"
 
 // sampledSeedSalt separates sampled stream seeds from the exact drivers'
@@ -55,13 +53,6 @@ type SampleOptions struct {
 	// max(2×IntervalLen, 100000) capped at a quarter of the run; set
 	// negative to disable.
 	Prefix int64
-	// JournalDir, when set, checkpoints every measuring pass: one journal
-	// per (workload, repetition) group holding warmed machine snapshots and
-	// finished interval metrics. A journal's name carries the sampled spec
-	// key, so any number of experiments share the directory; a journal an
-	// earlier run of the same spec left is replayed, and only its missing
-	// intervals are re-simulated.
-	JournalDir string
 }
 
 func (o *SampleOptions) fill(refs int64) {
@@ -133,20 +124,36 @@ type SampledRow struct {
 // cancelled Context skips the groups not yet started and returns its error
 // instead of rows.
 func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow, error) {
+	return memorySweepSampled(opts, so, nil)
+}
+
+// MemorySweepSampledStored runs MemorySweepSampled memoized in the result
+// store at dir (created if needed), as MemorySweepStored does for exact
+// sweeps. Each (workload, repetition) group is looked up under its own
+// content address before its profiling pass; a hit fills the group's
+// estimates, and a miss is stored as soon as it is measured, so a sweep
+// killed at any point loses at most the groups in flight, and rerunning
+// the same sweep computes only what is missing. The rows are
+// byte-identical to MemorySweepSampled's. Any number of sweeps, exact and
+// sampled, share one store, and another spec is never served a group it
+// did not ask for. The first error, from measuring or from the store, is
+// returned once every group has finished.
+func MemorySweepSampledStored(opts MemorySweepOptions, so SampleOptions, dir string) ([]SampledRow, error) {
+	st, err := expstore.Open(dir, expstore.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return memorySweepSampled(opts, so, st)
+}
+
+// memorySweepSampled is MemorySweepSampled, memoizing every group in st
+// when st is non-nil.
+func memorySweepSampled(opts MemorySweepOptions, so SampleOptions, st *expstore.Store) ([]SampledRow, error) {
 	if opts.Configure != nil {
 		return nil, fmt.Errorf("spur: sampled sweeps cannot use Configure: the hook is not part of the hashable spec")
 	}
 	opts.fill()
 	so.fill(opts.Refs)
-	key, err := sampledSweepSpecKey(opts, so)
-	if err != nil {
-		return nil, err
-	}
-	if so.JournalDir != "" {
-		if err := os.MkdirAll(so.JournalDir, 0o755); err != nil {
-			return nil, fmt.Errorf("spur: %w", err)
-		}
-	}
 
 	nv := len(opts.SizesMB) * len(opts.Policies)
 	rows := make([]SampledRow, len(opts.Workloads)*nv)
@@ -166,9 +173,8 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 	popts := parallel.Options{Workers: opts.Parallel, Context: opts.Context, Progress: opts.Progress}
 	if err := parallel.ForEach(groups, popts, func(g int) {
 		wi, rep := g/opts.Reps, g%opts.Reps
-		wl := opts.Workloads[wi]
 		spec := SLC()
-		if wl == core.Workload1 {
+		if opts.Workloads[wi] == core.Workload1 {
 			spec = Workload1()
 		}
 		streamSeed := parallel.DeriveSeed(opts.Seed, sampledSeedSalt, uint64(wi), uint64(rep))
@@ -186,22 +192,26 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 			}
 		}
 
-		profile := sample.BuildProfile(spec, streamSeed, opts.Refs, so.IntervalLen)
-		plan := sample.BuildPlan(profile, so.K, streamSeed, so.Prefix)
-		mopts := sample.MeasureOptions{
-			Warmup: so.Warmup, Kind: sampledSweepKind, SpecKey: string(key), Version: Version,
-		}
-		if so.JournalDir != "" {
-			mopts.JournalPath = filepath.Join(so.JournalDir,
-				fmt.Sprintf("%s-%s-%s-rep%d.journal", sampledSweepKind, key, strings.ToLower(string(wl)), rep))
-		}
-		measured, err := sample.Measure(spec, streamSeed, plan, variants, mopts)
+		ests, err := memo(st, func() (expstore.Key, error) {
+			return sampledGroupKey(spec, streamSeed, opts.Refs, so, variants)
+		}, func() ([]sample.Estimate, error) {
+			profile := sample.BuildProfile(spec, streamSeed, opts.Refs, so.IntervalLen)
+			plan := sample.BuildPlan(profile, so.K, streamSeed, so.Prefix)
+			measured, err := sample.Measure(spec, streamSeed, plan, variants, sample.MeasureOptions{Warmup: so.Warmup})
+			if err != nil {
+				return nil, err
+			}
+			ests := make([]sample.Estimate, len(variants))
+			for vi := range variants {
+				ests[vi] = plan.Estimate(measured[vi], variants[vi].Cfg.Timing, so.Warmup)
+			}
+			return ests, nil
+		})
 		if err != nil {
 			errs[g] = err
 			return
 		}
-		for vi := range variants {
-			est := plan.Estimate(measured[vi], variants[vi].Cfg.Timing, so.Warmup)
+		for vi, est := range ests {
 			rows[wi*nv+vi].Reps[rep] = est
 		}
 	}); err != nil {
@@ -219,26 +229,22 @@ func MemorySweepSampled(opts MemorySweepOptions, so SampleOptions) ([]SampledRow
 	return rows, nil
 }
 
-// sampledSweepSpecKey is the canonical spec hash of a sampled sweep. Its
-// kind string differs from the exact sweep run's, so sampled and exact
-// results can never collide in a result store.
-func sampledSweepSpecKey(o MemorySweepOptions, s SampleOptions) (expstore.Key, error) {
-	pols := make([]string, len(o.Policies))
-	for i, p := range o.Policies {
-		pols[i] = p.String()
-	}
+// sampledGroupKey is the store address of one sampled (workload,
+// repetition) group: everything its estimates depend on. The stream seed
+// is derived from the sweep seed, workload index and repetition; the
+// variants carry every memory size and policy; the sample options are
+// filled for the run length.
+func sampledGroupKey(spec Spec, streamSeed uint64, refs int64, so SampleOptions, variants []sample.Variant) (expstore.Key, error) {
 	return expstore.KeyOf(Version, sampledSweepKind, struct {
-		Workloads   []core.WorkloadName `json:"workloads"`
-		SizesMB     []int               `json:"sizes_mb"`
-		Policies    []string            `json:"policies"`
-		Refs        int64               `json:"refs"`
-		Seed        uint64              `json:"seed"`
-		Reps        int                 `json:"reps"`
-		IntervalLen int64               `json:"interval_len"`
-		K           int                 `json:"k"`
-		Warmup      int64               `json:"warmup"`
-		Prefix      int64               `json:"prefix"`
-	}{o.Workloads, o.SizesMB, pols, o.Refs, o.Seed, o.Reps, s.IntervalLen, s.K, s.Warmup, s.Prefix})
+		Spec        Spec             `json:"spec"`
+		StreamSeed  uint64           `json:"stream_seed"`
+		Refs        int64            `json:"refs"`
+		IntervalLen int64            `json:"interval_len"`
+		K           int              `json:"k"`
+		Warmup      int64            `json:"warmup"`
+		Prefix      int64            `json:"prefix"`
+		Variants    []sample.Variant `json:"variants"`
+	}{spec, streamSeed, refs, so.IntervalLen, so.K, so.Warmup, so.Prefix, variants})
 }
 
 // Table41Sampled estimates the reference-bit experiment by interval
@@ -246,6 +252,13 @@ func sampledSweepSpecKey(o MemorySweepOptions, s SampleOptions) (expstore.Key, e
 // opts.SizesMB, all reference-bit policies).
 func Table41Sampled(opts Table41Options, so SampleOptions) ([]SampledRow, error) {
 	return MemorySweepSampled(opts.sweep(), so)
+}
+
+// Table41SampledStored is Table41Sampled memoized through
+// MemorySweepSampledStored, so the sampled sweep over Table 4.1's grid and
+// the sampled Table 4.1 serve each other's groups.
+func Table41SampledStored(opts Table41Options, so SampleOptions, dir string) ([]SampledRow, error) {
+	return MemorySweepSampledStored(opts.sweep(), so, dir)
 }
 
 // sampledMetric returns the named metric of a row's canonical estimate

@@ -8,11 +8,11 @@ package spur
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sample"
 )
 
 func sampledSweepOpts(par int) (MemorySweepOptions, SampleOptions) {
@@ -76,31 +76,38 @@ func TestMemorySweepSampledRejectsConfigure(t *testing.T) {
 	if _, err := MemorySweepSampled(o, s); err == nil {
 		t.Fatal("sampled sweep accepted a Configure hook")
 	}
+	if _, err := MemorySweepSampledStored(o, s, t.TempDir()); err == nil {
+		t.Fatal("stored sampled sweep accepted a Configure hook")
+	}
 }
 
-// TestMemorySweepSampledSharedJournalDir: journals are named for their
-// sampled spec, so two experiments share one directory, and rerunning
-// either replays its own journals; every run prints its fresh CSV.
+// TestMemorySweepSampledSharedJournalDir: two sampled specs share one
+// store. Each group is keyed by its own content address, so every run
+// prints its fresh CSV, the store ends up holding both specs' groups, and
+// rerunning the first spec is served entirely from the store.
 func TestMemorySweepSampledSharedJournalDir(t *testing.T) {
 	dir := t.TempDir()
-	for _, seed := range []uint64{3, 4, 3} {
-		o, s := sampledSweepOpts(2)
+	for i, seed := range []uint64{3, 4, 3} {
+		o, so := sampledSweepOpts(2)
 		o.Seed = seed
-		want, err := MemorySweepSampled(o, s)
+		want, err := MemorySweepSampled(o, so)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.JournalDir = dir
-		got, err := MemorySweepSampled(o, s)
+		st := openStore(t, dir)
+		got, err := memorySweepSampled(o, so, st)
 		if err != nil {
-			t.Fatalf("seed %d into a shared journal directory: %v", seed, err)
+			t.Fatalf("seed %d into a shared store: %v", seed, err)
 		}
 		if SampledSweepCSV(got) != SampledSweepCSV(want) {
-			t.Errorf("seed %d: journaled CSV differs from a fresh run", seed)
+			t.Errorf("seed %d: stored CSV differs from a fresh run", seed)
+		}
+		if s := st.Stats(); i == 2 && (s.Hits() != 2 || s.Puts != 0) {
+			t.Errorf("seed %d rerun over the shared store: %d hits and %d puts, want 2 and 0", seed, s.Hits(), s.Puts)
 		}
 	}
-	if journals, _ := filepath.Glob(filepath.Join(dir, "*.journal")); len(journals) != 4 {
-		t.Errorf("%d journals for two specs of two groups each, want 4", len(journals))
+	if n := openStore(t, dir).Len(); n != 4 {
+		t.Errorf("%d stored groups for two specs of two groups each, want 4", n)
 	}
 }
 
@@ -173,27 +180,27 @@ func TestValidateSamplingCI(t *testing.T) {
 	}
 }
 
-// TestSampledSpecKeysDistinct: a sampled spec must never hash to the key of
-// an exact sweep run with the same option values — the store kinds keep
+// TestSampledSpecKeysDistinct: a sampled group must never hash to the key
+// of an exact sweep run with the same option values — the store kinds keep
 // the namespaces apart.
 func TestSampledSpecKeysDistinct(t *testing.T) {
 	mo := MemorySweepOptions{SizesMB: []int{8}, Refs: 400_000, Seed: 3}
 	mo.fill()
 	so := SampleOptions{IntervalLen: 20_000}
 	so.fill(mo.Refs)
-	sampledKey, err := sampledSweepSpecKey(mo, so)
+	cfg := DefaultConfig()
+	cfg.MemoryBytes = core.MiB(8)
+	groupKey, err := sampledGroupKey(SLC(), mo.Seed, mo.Refs, so, []sample.Variant{{Name: "8MB/MISS", Cfg: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.MemoryBytes = core.MiB(8)
 	cfg.TotalRefs = mo.Refs
 	cfg.Seed = mo.Seed
 	runKey, err := sweepRunKey(cfg, SLC(), mo.AuditEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sampledKey == runKey {
-		t.Fatal("sampled sweep collides with an exact sweep run's key")
+	if groupKey == runKey {
+		t.Fatal("sampled group collides with an exact sweep run's key")
 	}
 }

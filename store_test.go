@@ -2,6 +2,7 @@ package spur
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -205,6 +206,116 @@ func TestTable41JournaledResume(t *testing.T) {
 		}
 		if want := MemorySweep(o); !reflect.DeepEqual(got, want) {
 			t.Errorf("a sweep with another %s over the Table 4.1 store differs from a fresh one:\n%+v\nvs\n%+v", name, got, want)
+		}
+	}
+}
+
+// sampledGroups is how many (workload, rep) groups sampledSweepOpts runs.
+const sampledGroups = 2
+
+func TestMemorySweepSampledStoredMatchesUninterrupted(t *testing.T) {
+	o, so := sampledSweepOpts(2)
+	want, err := MemorySweepSampled(o, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	got, err := MemorySweepSampledStored(o, so, dir)
+	if err != nil {
+		t.Fatalf("MemorySweepSampledStored: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored sampled sweep differs from a plain one:\n%+v\nvs\n%+v", got, want)
+	}
+
+	// A complete store serves every group and measures none.
+	st := openStore(t, dir)
+	got, err = memorySweepSampled(o, so, st)
+	if err != nil {
+		t.Fatalf("rerun over a complete store: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rerun over a complete store differs:\n%+v\nvs\n%+v", got, want)
+	}
+	if s := st.Stats(); s.Hits() != sampledGroups || s.Misses != 0 || s.Puts != 0 {
+		t.Fatalf("rerun over a complete store: %d hits, %d misses, %d puts; want %d, 0, 0", s.Hits(), s.Misses, s.Puts, sampledGroups)
+	}
+}
+
+func TestMemorySweepSampledStoredResumeAfterInterrupt(t *testing.T) {
+	o, so := sampledSweepOpts(1)
+	want, err := MemorySweepSampled(o, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cancel the first attempt once its first group is stored.
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := o
+	first.Context = ctx
+	first.Progress = func(done, total int) {
+		if done == 1 {
+			cancel()
+		}
+	}
+	if _, err := MemorySweepSampledStored(first, so, dir); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted sampled sweep: err %v, want context.Canceled", err)
+	}
+	st := openStore(t, dir)
+	stored := st.Len()
+	if stored < 1 || stored >= sampledGroups {
+		t.Fatalf("interrupted sampled sweep stored %d groups, want a strict partial of %d", stored, sampledGroups)
+	}
+
+	got, err := memorySweepSampled(o, so, st)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rerun differs from an uninterrupted sweep:\n%+v\nvs\n%+v", got, want)
+	}
+	if s := st.Stats(); s.Hits() != uint64(stored) || s.Puts != uint64(sampledGroups-stored) {
+		t.Fatalf("rerun: %d hits and %d puts, want %d and %d", s.Hits(), s.Puts, stored, sampledGroups-stored)
+	}
+}
+
+// TestMemorySweepSampledStoredOtherSpecMisses: a sampled sweep of another
+// spec — seed, memory sizes or any sample option — shares the store but is
+// never served the first sweep's groups; it returns exactly the rows of a
+// fresh sweep of its own spec.
+func TestMemorySweepSampledStoredOtherSpecMisses(t *testing.T) {
+	dir := t.TempDir()
+	o, so := sampledSweepOpts(2)
+	if _, err := MemorySweepSampledStored(o, so, dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*MemorySweepOptions, *SampleOptions){
+		"seed":         func(o *MemorySweepOptions, _ *SampleOptions) { o.Seed = 4 },
+		"sizes":        func(o *MemorySweepOptions, _ *SampleOptions) { o.SizesMB = []int{6} },
+		"interval_len": func(_ *MemorySweepOptions, s *SampleOptions) { s.IntervalLen = 25_000 },
+		"k":            func(_ *MemorySweepOptions, s *SampleOptions) { s.K = 6 },
+		"warmup":       func(_ *MemorySweepOptions, s *SampleOptions) { s.Warmup = 30_000 },
+		"prefix":       func(_ *MemorySweepOptions, s *SampleOptions) { s.Prefix = -1 },
+	} {
+		o, so := sampledSweepOpts(2)
+		edit(&o, &so)
+		want, err := MemorySweepSampled(o, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := openStore(t, dir)
+		got, err := memorySweepSampled(o, so, st)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("a sampled sweep with another %s over the store differs from a fresh one", name)
+		}
+		if s := st.Stats(); s.Hits() != 0 {
+			t.Errorf("a sampled sweep with another %s was served %d stored groups", name, s.Hits())
 		}
 	}
 }
