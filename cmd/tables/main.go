@@ -3,9 +3,10 @@
 //
 // Usage:
 //
-//	tables                        # everything (Table 4.1 takes minutes)
+//	tables                        # everything, the claims last (about a minute)
 //	tables -t 3.3                 # one table: 2.1, 3.1, 3.2, 3.3, 3.4, 3.5, 4.1
 //	tables -t f3.1                # a figure: f3.1, f3.2
+//	tables -t claims              # the paper's claims checked, tables not printed
 //	tables -refs 4000000 -reps 1  # quicker, coarser runs
 //	tables -json                  # machine-readable report.Doc JSON
 //	tables -remote http://127.0.0.1:7421 -t 3.3   # served (and memoized) by spurd
@@ -30,7 +31,7 @@ import (
 )
 
 func main() {
-	which := flag.String("t", "all", "table/figure: 2.1, 3.1, 3.2, 3.3, 3.4, 3.5, 4.1, f3.1, f3.2, ext, all")
+	which := flag.String("t", "all", "table/figure: 2.1, 3.1, 3.2, 3.3, 3.4, 3.5, 4.1, f3.1, f3.2, ext, claims, all")
 	refs := flag.Int64("refs", 0, "references per run (0 = default scale)")
 	reps := flag.Int("reps", 0, "repetitions for Table 4.1 (0 = default)")
 	seed := flag.Uint64("seed", 1, "workload seed")
@@ -117,18 +118,18 @@ func main() {
 }
 
 // localDocs computes the requested artifacts in-process, in the shared
-// report.Doc form.
+// report.Doc form. The claims are checked on the rows computed for the
+// tables, so -t claims computes every table without printing it.
 func localDocs(which string, refs int64, reps int, seed uint64, par int, paper bool, store string, so *spur.SampleOptions, usage func(string, ...any)) []report.Doc {
-	// "all" covers the paper's tables and figures; the extension sweeps
-	// run only when asked for by name.
-	want := func(name string) bool {
-		if name == "ext" {
-			return which == "ext"
-		}
-		return which == "all" || which == name
-	}
+	want := func(name string) bool { return which == "all" || which == name }
+	need := func(name string) bool { return want(name) || which == "claims" }
 	var docs []report.Doc
-	add := func(d report.Doc) { docs = append(docs, d) }
+	add := func(d report.Doc) {
+		if which != "claims" {
+			docs = append(docs, d)
+		}
+	}
+	var cr spur.ClaimRows
 
 	if want("2.1") {
 		add(spur.Table21().Doc())
@@ -146,25 +147,25 @@ func localDocs(which string, refs int64, reps int, seed uint64, par int, paper b
 		add(report.TextDoc("Figure 3.2", spur.Figure32()))
 	}
 
-	var rows33 []spur.Table33Row
-	if want("3.3") || want("3.4") {
+	if need("3.3") || need("3.4") {
 		fmt.Fprintln(os.Stderr, "running Table 3.3 event-frequency sweeps...")
-		rows33 = spur.Table33(spur.Table33Options{Refs: refs, Seed: seed})
+		cr.T33 = spur.Table33(spur.Table33Options{Refs: refs, Seed: seed})
 	}
 	if want("3.3") {
-		add(spur.RenderTable33(rows33, paper).Doc())
+		add(spur.RenderTable33(cr.T33, paper).Doc())
 	}
 	if want("3.4") {
-		add(spur.Table34(rows33).Doc())
+		add(spur.Table34(cr.T33).Doc())
 		if paper {
 			add(spur.PaperTable34().Doc())
 		}
 	}
-	if want("3.5") {
+	if need("3.5") {
 		fmt.Fprintln(os.Stderr, "running Table 3.5 Sprite host sweeps...")
-		add(spur.RenderTable35(spur.Table35(seed), paper).Doc())
+		cr.T35 = spur.Table35(seed)
+		add(spur.RenderTable35(cr.T35, paper).Doc())
 	}
-	if want("4.1") {
+	if need("4.1") {
 		t41 := spur.Table41Options{Refs: refs, Reps: reps, Seed: seed, Parallel: par}
 		if so != nil {
 			fmt.Fprintln(os.Stderr, "estimating Table 4.1 from representative intervals...")
@@ -193,20 +194,29 @@ func localDocs(which string, refs int64, reps int, seed uint64, par int, paper b
 			} else {
 				rows = spur.Table41(t41)
 			}
+			cr.T41 = rows
 			add(spur.RenderTable41(rows, paper).Doc())
 		}
 	}
-	if want("ext") {
+	if need("ext") {
 		fmt.Fprintln(os.Stderr, "running extension sweeps (cache size, fault-handler cost)...")
-		add(spur.RenderCacheSweep(spur.CacheSweep(spur.CacheSweepOptions{Refs: refs, Seed: seed})).Doc())
+		cr.Cache = spur.CacheSweep(spur.CacheSweepOptions{Refs: refs, Seed: seed})
+		add(spur.RenderCacheSweep(cr.Cache).Doc())
+		rows33 := cr.T33
 		if rows33 == nil {
 			rows33 = spur.Table33(spur.Table33Options{Refs: refs, Seed: seed, SizesMB: []int{5}})
 		}
-		add(spur.RenderFaultHandlerSweep(spur.FaultHandlerSweep(rows33[0].Events)).Doc())
+		cr.Tds = spur.FaultHandlerSweep(rows33[0].Events)
+		add(spur.RenderFaultHandlerSweep(cr.Tds).Doc())
+	}
+	if want("claims") {
+		fmt.Fprintln(os.Stderr, "running the dirty-bit policies and checking the claims...")
+		cr.Dirty = spur.DirtySweep(0, seed)
+		docs = append(docs, spur.RenderClaims(spur.CheckClaims(cr)).Doc())
 	}
 
 	if len(docs) == 0 {
-		usage("unknown table %q; valid: 2.1 3.1 3.2 3.3 3.4 3.5 4.1 f3.1 f3.2 ext all")
+		usage("unknown table %q; valid: 2.1 3.1 3.2 3.3 3.4 3.5 4.1 f3.1 f3.2 ext claims all", which)
 	}
 	return docs
 }
@@ -214,14 +224,11 @@ func localDocs(which string, refs int64, reps int, seed uint64, par int, paper b
 // remoteDocs fetches the requested artifacts from a spurd daemon; repeated
 // invocations are answered from its result store without re-simulating.
 func remoteDocs(base, which string, refs int64, reps int, seed uint64, paper bool, usage func(string, ...any)) []report.Doc {
+	// The claims are checked locally only, so the daemon serves the
+	// tables of -t all without them.
 	var ids []string
 	if which == "all" {
-		// The same coverage as a local -t all (extensions stay opt-in).
-		for _, id := range client.TableIDs {
-			if id != "ext" {
-				ids = append(ids, id)
-			}
-		}
+		ids = client.TableIDs
 	} else if client.ValidTableID(which) {
 		ids = []string{which}
 	} else {

@@ -115,6 +115,8 @@ func TestFlagValidation(t *testing.T) {
 		{"-sample"},
 		{"-t", "4.1", "-journal", dir},
 		{"-t", "4.1", "-resume", dir},
+		{"-t", "claims", "-remote", "http://127.0.0.1:1"}, // the claims are local only
+		{"-t", "nosuch"},
 	}
 	for _, args := range cases {
 		_, _, err := runTables(t, nil, args...)

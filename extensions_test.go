@@ -9,66 +9,26 @@ import (
 )
 
 func TestCacheSweepShape(t *testing.T) {
-	// A reduced sweep: the smallest and an "approaching infinite" cache.
+	// A reduced sweep: the prototype's cache and an "approaching infinite"
+	// one.
 	rows := CacheSweep(CacheSweepOptions{
 		CacheSizes: []int{128 << 10, 8 << 20},
 		Refs:       3_000_000,
 	})
-	get := func(cb int, pol RefPolicy) CacheSweepRow {
-		for _, r := range rows {
-			if r.CacheBytes == cb && r.Policy == pol {
-				return r
-			}
-		}
-		t.Fatalf("missing row %d/%v", cb, pol)
-		return CacheSweepRow{}
-	}
-	// At the prototype's cache size the MISS approximation is essentially
-	// free; at the huge cache it pays more page-ins than REF while taking
-	// fewer reference faults (blocks stop missing, so bits stop getting
-	// set — the paper's degradation argument).
-	small := get(128<<10, RefMISS)
-	big := get(8<<20, RefMISS)
-	if small.RelPageIns > 1.05 {
-		t.Errorf("MISS at 128K already %f of REF", small.RelPageIns)
-	}
-	if big.RelPageIns < small.RelPageIns {
-		t.Errorf("MISS approximation did not degrade with cache size: %.3f -> %.3f",
-			small.RelPageIns, big.RelPageIns)
-	}
-	if big.RefFaults >= get(8<<20, RefTRUE).RefFaults {
-		t.Error("MISS should set fewer bits than REF at a huge cache")
-	}
-	// NOREF never takes reference faults at any size.
-	if get(8<<20, RefNONE).RefFaults != 0 {
-		t.Error("NOREF took reference faults")
-	}
+	assertClaims(t, ClaimRows{Cache: rows}, "Cache")
 	if s := RenderCacheSweep(rows).String(); !strings.Contains(s, "8192K") {
 		t.Error("rendering incomplete")
 	}
 }
 
 func TestFaultHandlerSweepInsensitive(t *testing.T) {
-	// Over the published SLC@5 events, FAULT's relative overhead must stay
-	// in a narrow band across a 16x sweep of t_ds — the paper's footnote 2
-	// claim that tuning the handler would not change the conclusions.
-	ev := core.PaperTable33[0].Events()
-	rows := FaultHandlerSweep(ev)
+	// Over the published SLC@5 events: the paper's footnote 2 claim that
+	// tuning the handler would not change the conclusions.
+	rows := FaultHandlerSweep(core.PaperTable33[0].Events())
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		if r.Relative[DirtyFAULT] < 1.0 || r.Relative[DirtyFAULT] > 1.25 {
-			t.Errorf("t_ds=%d: FAULT relative %.2f left the band", r.TdsCycles, r.Relative[DirtyFAULT])
-		}
-		if r.Relative[DirtySPUR] > r.Relative[DirtyFAULT] {
-			t.Errorf("t_ds=%d: SPUR worse than FAULT", r.TdsCycles)
-		}
-	}
-	// WRITE gets relatively worse as faults get cheaper.
-	if rows[0].Relative[DirtyWRITE] <= rows[len(rows)-1].Relative[DirtyWRITE] {
-		t.Error("WRITE relative overhead should fall as t_ds grows")
-	}
+	assertClaims(t, ClaimRows{Tds: rows}, "Tds")
 	if s := RenderFaultHandlerSweep(rows).String(); !strings.Contains(s, "t_ds") {
 		t.Error("rendering incomplete")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -155,4 +156,49 @@ func splitLines(s string) []string {
 		out = append(out, s[start:])
 	}
 	return out
+}
+
+// defaultGolden is the exact output of `go run ./cmd/tables -reps 3`: every
+// table at the default scale (seed 1) with the claims last. CI's
+// default-goldens job regenerates and diffs it; the same command,
+// redirected, rewrites it.
+const defaultGolden = "testdata/goldens/tables-default.golden"
+
+// TestExperimentsQuoteDefaultGolden holds EXPERIMENTS.md's measured blocks
+// to the default-scale golden: each block between "<!-- golden -->" and
+// "<!-- end golden -->" must be a run of the golden's lines (trailing
+// blanks aside), so no measured number there is typed by hand.
+func TestExperimentsQuoteDefaultGolden(t *testing.T) {
+	golden, err := os.ReadFile(defaultGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := func(s string) []string {
+		var out []string
+		for _, l := range strings.Split(strings.Trim(s, "\n"), "\n") {
+			if !strings.HasPrefix(l, "```") {
+				out = append(out, strings.TrimRight(l, " "))
+			}
+		}
+		return out
+	}
+	want := strings.Join(lines(string(golden)), "\n") + "\n"
+	blocks := strings.Split(string(doc), "<!-- golden -->")[1:]
+	for i, b := range blocks {
+		body, _, ok := strings.Cut(b, "<!-- end golden -->")
+		if !ok {
+			t.Fatalf("EXPERIMENTS.md block %d has no end marker", i+1)
+		}
+		quoted := strings.Join(lines(body), "\n")
+		if quoted == "" || !strings.Contains("\n"+want, "\n"+quoted+"\n") {
+			t.Errorf("EXPERIMENTS.md block %d is not a run of %s's lines:\n%s", i+1, defaultGolden, quoted)
+		}
+	}
+	if len(blocks) == 0 {
+		t.Error("EXPERIMENTS.md quotes no block of the default-scale golden")
+	}
 }

@@ -16,7 +16,14 @@ func TestOutboxBackoffSchedule(t *testing.T) {
 
 	durations := make(chan time.Duration, 1024)
 	newTimer := func(d time.Duration) *time.Timer {
-		durations <- d
+		// With timers firing at once, a sender retrying a down peer fills
+		// the buffer while this goroutine waits for a CPU; blocking here
+		// would stall it, so Flush times out and the deferred Close hangs.
+		// The test reads only the first durations of each ladder.
+		select {
+		case durations <- d:
+		default:
+		}
 		return time.NewTimer(0) // fire immediately: the schedule, not the wait, is under test
 	}
 	o, err := openOutboxWith("", "v", sink.send, t.Logf, time.Now, newTimer)

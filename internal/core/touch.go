@@ -23,7 +23,8 @@ import (
 //
 // Touch mirrors Access's state transitions: misses fill the block (and the
 // PTE block in-cache translation would fetch), displacing the same victims;
-// write hits update the same line flags and take the same dirty-bit faults;
+// write hits update the same line flags, fetch the PTE block WRITE's check
+// would fetch, and take the same dirty-bit faults;
 // page faults, reference faults and their handler PTE stores go through the
 // same xlate and pager paths. What it omits is exactly the measurement: hit
 // and miss counters, policy-check events (dirty-bit misses, excess faults,
@@ -55,15 +56,22 @@ func (e *Engine) TouchBatch(recs []trace.Rec) {
 	}
 }
 
-// touchMiss mirrors miss: warm the PTE block in, fault the page resident if
-// needed, apply the reference-bit and dirty-bit policies, fill the block.
-func (e *Engine) touchMiss(op trace.Op, b addr.BlockAddr, p addr.GVPN) {
+// touchPTE brings page p's PTE block into the cache when it is absent, as
+// in-cache translation does (xlate's TranslateMiss), without counting the
+// walk or charging its cycles, and returns the PTE.
+func (e *Engine) touchPTE(p addr.GVPN) pte.Entry {
 	pteBlock := e.X.Table().PTEAddr(p).Block()
 	if _, hit := e.Cache.Probe(pteBlock); !hit {
 		e.Cache.IssueBus(coherence.BusRead, pteBlock)
 		e.Cache.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
 	}
-	entry := e.X.Table().Lookup(p)
+	return e.X.Table().Lookup(p)
+}
+
+// touchMiss mirrors miss: warm the PTE block in, fault the page resident if
+// needed, apply the reference-bit and dirty-bit policies, fill the block.
+func (e *Engine) touchMiss(op trace.Op, b addr.BlockAddr, p addr.GVPN) {
+	entry := e.touchPTE(p)
 
 	if !entry.Valid() {
 		e.Cycles += e.TP.FaultCycles
@@ -112,7 +120,9 @@ func (e *Engine) touchWriteHit(l cache.LineRef, p addr.GVPN, b addr.BlockAddr) {
 			e.necessaryFault(p)
 		}
 	case DirtyWRITE:
-		if !l.BlockDirty() && !e.X.Table().Lookup(p).Dirty() {
+		// The first write to a clean block checks the PTE, fetching its
+		// block as CheckPTE does.
+		if !l.BlockDirty() && !e.touchPTE(p).Dirty() {
 			e.necessaryFault(p)
 		}
 	case DirtyPROT:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -297,5 +298,26 @@ func TestBatchedRunMatchesPerRef(t *testing.T) {
 	}
 	if batch.Refs != 300_000 || batch.Pager.PageOuts == 0 || batch.Pager.ZeroFills == 0 {
 		t.Errorf("run too quiet to prove anything: %+v", batch.Pager)
+	}
+}
+
+// TestTable41WorkloadOneStreamRuns replays the stream of Table 4.1's
+// WORKLOAD1 cell at 5 MB under NOREF, repetition 0 at seed 1 — the first
+// default-scale run on which a monitor's due point fell on a task's last
+// reference. Batched generation then reaped the task, releasing its
+// regions, while that reference was still waiting to be consumed, and the
+// run died with "fault outside any region" after 14,399,999 references.
+func TestTable41WorkloadOneStreamRuns(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemoryBytes = core.MiB(5)
+	cfg.Ref = core.RefNONE
+	cfg.Seed = parallel.DeriveSeed(1, 11, 0)
+	cfg.TotalRefs = 14_500_000
+	res, fail := RunSpecHardened(cfg, workload.Workload1Spec(), RunOptions{})
+	if fail != nil {
+		t.Fatalf("run failed after %d refs: %s", fail.Refs, fail.Reason)
+	}
+	if res.Refs != cfg.TotalRefs {
+		t.Errorf("ran %d refs, want %d", res.Refs, cfg.TotalRefs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/counters"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -471,5 +472,57 @@ func TestEstimateWeighting(t *testing.T) {
 	}
 	if pi.CI95 <= 0 {
 		t.Fatal("two distinct intervals must yield a positive CI95")
+	}
+}
+
+// TestTouchBatchMirrorsAccessBatch drives one stream through two machines,
+// one simulating it (AccessBatch) and one warming functionally
+// (TouchBatch), and requires the warmed state to equal the simulated one
+// after every batch under each dirty-bit policy: cache tags and line
+// metadata, PTEs, pager state, the free list, and the VM events Estimate
+// takes as exact from Final. Measure's gaps are only as good as this.
+func TestTouchBatchMirrorsAccessBatch(t *testing.T) {
+	vmEvents := []counters.Event{counters.EvDirtyFault, counters.EvZeroFillFault,
+		counters.EvRefFault, counters.EvRefClear, counters.EvPageFlush}
+	for _, spec := range []workload.Spec{workload.SLCSpec(), workload.Workload1Spec()} {
+		for _, pol := range core.AllDirtyPolicies {
+			cfg := testConfig(0)
+			cfg.MemoryBytes = core.MiB(2) // the daemon runs early
+			cfg.Dirty = pol
+			ms := []*machine.Machine{machine.New(cfg), machine.New(cfg)}
+			script := workload.NewScript(multiEnv{ms}, 3, spec)
+			for _, m := range ms {
+				m.Pager.Runnable = script.Runnable
+			}
+			var diverged string
+			pos := trace.Pump(script, make([]trace.Rec, trace.BatchSize), 600_000, 0, func(b []trace.Rec) bool {
+				ms[0].Engine.AccessBatch(b)
+				ms[1].Engine.TouchBatch(b)
+				sim, warm := Capture(ms[0]), Capture(ms[1])
+				switch {
+				case !reflect.DeepEqual(sim.CacheTags, warm.CacheTags) || !reflect.DeepEqual(sim.CacheMeta, warm.CacheMeta):
+					diverged = "cache"
+				case !reflect.DeepEqual(sim.PTE, warm.PTE):
+					diverged = "PTEs"
+				case !reflect.DeepEqual(sim.Pager, warm.Pager):
+					diverged = "pager"
+				case !reflect.DeepEqual(sim.PoolFree, warm.PoolFree):
+					diverged = "free list"
+				case sim.FaultsByKind != warm.FaultsByKind:
+					diverged = "faults by kind"
+				}
+				for _, ev := range vmEvents {
+					if diverged == "" && sim.CtrShadow[ev] != warm.CtrShadow[ev] {
+						diverged = fmt.Sprintf("event %v", ev)
+					}
+				}
+				return diverged == ""
+			})
+			if diverged != "" {
+				t.Errorf("%s under %v: warmed %s diverged from simulation after %d refs", spec.Name, pol, diverged, pos)
+			} else if ms[0].Pager.Stats.PageOuts == 0 {
+				t.Errorf("%s under %v: no page-outs in %d refs; the daemon never ran", spec.Name, pol, pos)
+			}
+		}
 	}
 }

@@ -136,12 +136,25 @@ func startCluster(t *testing.T, n, replication int) *testCluster {
 		}
 		node.start(lns[i])
 		tc.nodes = append(tc.nodes, node)
-		t.Cleanup(func() {
-			if err := node.hs.Close(); err == nil || err == http.ErrServerClosed {
-				_ = node.srv.Close()
-			}
-		})
 	}
+	// Cleanups run last-in first-out, so this one, registered after every
+	// node's TempDir, stops the whole fleet before any store directory is
+	// removed: a node left running could still be writing a replicated
+	// blob into a peer's store. Shutdown waits for in-flight handlers,
+	// which http.Server.Close does not; Server.Close then stops the
+	// outboxes and the job journals.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, n := range tc.nodes {
+			if err := n.hs.Shutdown(ctx); err != nil {
+				_ = n.hs.Close()
+			}
+		}
+		for _, n := range tc.nodes {
+			_ = n.srv.Close()
+		}
+	})
 	return tc
 }
 

@@ -213,9 +213,10 @@ func (s *Script) Next() (trace.Rec, bool) {
 // scheduler is the monitor respawn check, and a monitor can only fire at the
 // reference where refCount reaches its due point — so the stream is cut into
 // windows guaranteed to contain no due point, generated in bulk by the
-// scheduler, and single-stepped through the due points themselves. A monitor
-// that is still up bounds the window the same way: if it exits mid-window
-// its successor cannot be due before the recorded due point either.
+// scheduler, and single-stepped through the due points themselves, each
+// step returned as a batch of one. A monitor that is still up bounds the
+// window the same way: if it exits mid-window its successor cannot be due
+// before the recorded due point either.
 func (s *Script) NextBatch(buf []trace.Rec) int {
 	n := 0
 	for n < len(buf) {
@@ -243,13 +244,16 @@ func (s *Script) NextBatch(buf []trace.Rec) int {
 				// buffer.
 				return n
 			}
+			// The single step is a batch of its own: its reference may be
+			// a task's last, and the scheduler reaps that task when it
+			// generates the next one, before the machine has consumed
+			// this one.
 			r, ok := s.Next()
 			if !ok {
-				return n
+				return 0
 			}
-			buf[n] = r
-			n++
-			continue
+			buf[0] = r
+			return 1
 		}
 		k := s.sched.NextBatch(buf[n : n+int(win)])
 		s.refCount += int64(k)

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -282,5 +284,114 @@ func TestWindowSpecValidAndStreams(t *testing.T) {
 	}
 	if writes == 0 {
 		t.Fatal("no writes")
+	}
+}
+
+// releaseLog wraps fakeEnv and records, for every ReleaseRegion and
+// FreeSegment, how many references the consumer had taken when it came.
+type releaseLog struct {
+	*fakeEnv
+	consumed int64
+	events   []string
+}
+
+func (e *releaseLog) ReleaseRegion(r vm.Region) {
+	e.events = append(e.events, fmt.Sprintf("release %v at %d", r, e.consumed))
+	e.fakeEnv.ReleaseRegion(r)
+}
+
+func (e *releaseLog) FreeSegment(s addr.SegmentID) {
+	e.events = append(e.events, fmt.Sprintf("free segment %d at %d", s, e.consumed))
+	e.fakeEnv.FreeSegment(s)
+}
+
+// releases runs total references of spec at seed and returns the release
+// log. sizes == nil takes one Next per reference; otherwise NextBatch is
+// called with the buffer lengths in sizes, cyclically, and each batch
+// counts as consumed only once the call returns — as a machine replays it.
+func releases(t *testing.T, spec Spec, seed uint64, total int64, sizes []int) []string {
+	t.Helper()
+	env := &releaseLog{fakeEnv: newFakeEnv()}
+	s := NewScript(env, seed, spec)
+	buf := make([]trace.Rec, trace.BatchSize)
+	for si := 0; env.consumed < total; si++ {
+		k := 0
+		if sizes == nil {
+			if _, ok := s.Next(); ok {
+				k = 1
+			}
+		} else {
+			n := int64(sizes[si%len(sizes)])
+			if rem := total - env.consumed; n > rem {
+				n = rem
+			}
+			k = s.NextBatch(buf[:n])
+		}
+		if k == 0 {
+			t.Fatalf("stream ran dry at ref %d", env.consumed)
+		}
+		env.consumed += int64(k)
+	}
+	return env.events
+}
+
+// churnSpec ends a task every few dozen references and makes a monitor due
+// every 61, so monitor due points often land on a task's last reference.
+func churnSpec() Spec {
+	spec := miniSpec()
+	spec.Foreground = nil
+	for i, refs := range []int64{7, 13, 29, 41} {
+		fg := miniSpec().Foreground[0]
+		fg.Params.Name = fmt.Sprintf("fg%d", i)
+		fg.Params.Refs = refs
+		spec.Foreground = append(spec.Foreground, fg)
+	}
+	spec.Monitors[0].Period = 61
+	spec.Monitors[0].Spec.Params.Refs = 5
+	spec.Quantum = 16
+	return spec
+}
+
+// TestScriptBatchReleasesWhereNextDoes is the release-order oracle: every
+// region release and segment free must come after exactly the references
+// the per-reference path consumes before it, however the batches are cut.
+// The buffer lengths stand in for every batched caller: trace.Pump's full
+// batches and its alignment cuts (Machine.Run's audits, the sampler's
+// profiling intervals) and the sampling fanout's horizon caps. The stream
+// covers task reaping and heap-generation turnover inside the scheduler's
+// Horizoned loop, and the monitor due points Script single-steps.
+func TestScriptBatchReleasesWhereNextDoes(t *testing.T) {
+	cases := []struct {
+		spec  Spec
+		seeds []uint64
+		refs  int64
+	}{
+		{churnSpec(), []uint64{1, 2, 3}, 100_000},
+		// The shipped specs release rarely: WORKLOAD1 first at ~550k
+		// references, SLC once a heap generation outgrows its region.
+		{Workload1Spec(), []uint64{1, 11}, 1_000_000},
+		{SLCSpec(), []uint64{1, 11}, 3_000_000},
+	}
+	for _, c := range cases {
+		for _, seed := range c.seeds {
+			want := releases(t, c.spec, seed, c.refs, nil)
+			if len(want) == 0 {
+				t.Fatalf("%s seed %d: no releases in %d refs", c.spec.Name, seed, c.refs)
+			}
+			for _, sizes := range [][]int{{trace.BatchSize}, {1, 61, 999, 3, 17, 4000}} {
+				got := releases(t, c.spec, seed, c.refs, sizes)
+				if len(got) != len(want) {
+					t.Errorf("%s seed %d sizes %v: %d releases, per-reference path %d",
+						c.spec.Name, seed, sizes, len(got), len(want))
+				}
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Errorf("%s seed %d sizes %v: batched %s, per-reference %s",
+							c.spec.Name, seed, sizes, got[i], want[i])
+						break
+					}
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,8 @@ package workload
 // the reference scale the machine config chooses (default ~2x10^7), with
 // file-backed regions persistent across command instances (the Sprite file
 // cache) and fresh zero-fill heap per command instance. The parameters were
-// calibrated against Table 3.3's ratios (see cmd/calibrate).
+// calibrated against Table 3.3's ratios, which the "3.3" claims in the root
+// package's claims.go check.
 func Workload1Spec() Spec {
 	compile := func(module string) JobSpec {
 		return JobSpec{

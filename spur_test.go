@@ -1,14 +1,12 @@
 package spur
 
 // Integration tests: run the actual experiments at a reduced reference
-// budget and assert the paper's qualitative results — the bands its
-// abstract and conclusions state, not exact counts.
+// budget and assert the paper's claims (claims.go) on their rows — the
+// bands its abstract and conclusions state, not exact counts.
 
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 const testRefs = 4_000_000
@@ -28,65 +26,11 @@ func TestTable33Shape(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byWorkload := map[core.WorkloadName][]Table33Row{}
-	for _, r := range rows {
-		ev := r.Events
-		if ev.Nds == 0 || ev.Nzfod == 0 || ev.NwMiss == 0 {
-			t.Fatalf("%s/%d: dead counters %+v", r.Workload, r.MemMB, ev)
-		}
-		// Zero-fill faults are a large share of necessary faults
-		// (roughly 0.4-0.7 in the paper).
-		if f := float64(ev.Nzfod) / float64(ev.Nds); f < 0.2 || f > 0.9 {
-			t.Errorf("%s/%d: zfod share %.2f out of band", r.Workload, r.MemMB, f)
-		}
-		// Excess faults are a small minority of necessary faults.
-		if f := ev.ExcessFractionExcludingZFOD(); f < 0.02 || f > 0.5 {
-			t.Errorf("%s/%d: excess fraction %.2f out of band", r.Workload, r.MemMB, f)
-		}
-		// Roughly one fifth of modified blocks are read before written.
-		if f := ev.ReadBeforeWriteFraction(); f < 0.08 || f > 0.35 {
-			t.Errorf("%s/%d: read-before-write %.2f out of band", r.Workload, r.MemMB, f)
-		}
-		byWorkload[r.Workload] = append(byWorkload[r.Workload], r)
-	}
-	// Page-ins and necessary faults must not increase with memory.
-	for wl, rs := range byWorkload {
-		for i := 1; i < len(rs); i++ {
-			if rs[i].MemMB < rs[i-1].MemMB {
-				t.Fatalf("%s rows out of memory order", wl)
-			}
-			if rs[i].Events.PageIns > rs[i-1].Events.PageIns {
-				t.Errorf("%s: page-ins rose with memory: %d@%dMB -> %d@%dMB",
-					wl, rs[i-1].Events.PageIns, rs[i-1].MemMB, rs[i].Events.PageIns, rs[i].MemMB)
-			}
-			// Allow a little noise at the reduced test budget.
-			if float64(rs[i].Events.Nds) > 1.03*float64(rs[i-1].Events.Nds) {
-				t.Errorf("%s: N_ds rose with memory: %d@%dMB -> %d@%dMB",
-					wl, rs[i-1].Events.Nds, rs[i-1].MemMB, rs[i].Events.Nds, rs[i].MemMB)
-			}
-		}
-	}
+	assertClaims(t, ClaimRows{T33: rows}, "3.3")
 }
 
 func TestTable34FromMeasuredEvents(t *testing.T) {
-	rows := table33(t)
-	tp := Timing()
-	for _, r := range rows {
-		o := core.OverheadTable(r.Events, tp)
-		// The paper's ordering: MIN <= SPUR <= FAULT <= FLUSH; WRITE worst.
-		if !(o.Cycles[DirtyMIN] <= o.Cycles[DirtySPUR] &&
-			o.Cycles[DirtySPUR] <= o.Cycles[DirtyFAULT] &&
-			o.Cycles[DirtyFAULT] <= o.Cycles[DirtyFLUSH]) {
-			t.Errorf("%s/%d: ordering violated: %v", r.Workload, r.MemMB, o.Cycles)
-		}
-		if o.Cycles[DirtyWRITE] <= o.Cycles[DirtyFLUSH] {
-			t.Errorf("%s/%d: WRITE not worst", r.Workload, r.MemMB)
-		}
-		// SPUR buys little over FAULT (a few percent of MIN).
-		if o.Relative[DirtySPUR] > 1.10 {
-			t.Errorf("%s/%d: SPUR relative %.2f, want ~1.03", r.Workload, r.MemMB, o.Relative[DirtySPUR])
-		}
-	}
+	assertClaims(t, ClaimRows{T33: table33(t)}, "3.4")
 }
 
 func TestRenderersCarryPaperNumbers(t *testing.T) {
@@ -133,40 +77,11 @@ func TestFigure32Formats(t *testing.T) {
 }
 
 func TestTable41Shape(t *testing.T) {
-	// Two repetitions on independent derived seeds: the relative columns
-	// compare means of independent samples, so the bands below leave room
-	// for cross-cell sampling noise at the reduced test budget.
+	// Two repetitions on independent derived seeds at the reduced budget:
+	// the claims' reduced-scale bands leave room for the cross-cell
+	// sampling noise of their point values.
 	rows := Table41(Table41Options{Refs: testRefs, Reps: 2, SizesMB: []int{5}, Parallel: 4})
-	get := func(wl core.WorkloadName, pol RefPolicy) Table41Row {
-		for _, r := range rows {
-			if r.Workload == wl && r.Policy == pol {
-				return r
-			}
-		}
-		t.Fatalf("missing row %s/%v", wl, pol)
-		return Table41Row{}
-	}
-	for _, wl := range []core.WorkloadName{core.SLC, core.Workload1} {
-		miss := get(wl, RefMISS)
-		ref := get(wl, RefTRUE)
-		noref := get(wl, RefNONE)
-		if miss.RelPageIns != 1 || miss.RelElapsed != 1 {
-			t.Errorf("%s MISS not the baseline: %+v", wl, miss)
-		}
-		// NOREF pays significantly more page-ins under memory pressure.
-		if noref.RelPageIns < 1.2 {
-			t.Errorf("%s@5MB: NOREF page-ins only %.0f%% of MISS", wl, 100*noref.RelPageIns)
-		}
-		// REF never beats MISS on elapsed time (the paper's key claim) —
-		// up to the sampling noise of independent per-cell streams.
-		if ref.RelElapsed < 0.99 {
-			t.Errorf("%s@5MB: REF elapsed %.1f%% beat MISS", wl, 100*ref.RelElapsed)
-		}
-		// REF's page-ins stay close to MISS (93%-102% in the paper).
-		if ref.RelPageIns < 0.85 || ref.RelPageIns > 1.15 {
-			t.Errorf("%s@5MB: REF page-ins %.0f%% of MISS", wl, 100*ref.RelPageIns)
-		}
-	}
+	assertClaims(t, ClaimRows{T41: rows}, "4.1")
 	s := RenderTable41(rows, true).String()
 	if !strings.Contains(s, "NOREF") || !strings.Contains(s, "11959") {
 		t.Error("Table 4.1 rendering incomplete")
@@ -180,42 +95,7 @@ func TestTable35Shape(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	var with8, with12 []float64
-	for _, r := range rows {
-		if r.PotMod == 0 {
-			t.Errorf("%s@%dMB: no writable page-outs", r.Host.Name, r.Host.MemMB)
-			continue
-		}
-		// The key result: the large majority of modifiable pages are
-		// modified when replaced, and the extra paging I/O without
-		// dirty bits stays small.
-		if r.PctNotMod > 40 {
-			t.Errorf("%s: %.0f%% clean writable page-outs", r.Host.Name, r.PctNotMod)
-		}
-		if r.PctExtraIO > 5 {
-			t.Errorf("%s: %.1f%% extra paging I/O", r.Host.Name, r.PctExtraIO)
-		}
-		switch r.Host.MemMB {
-		case 8:
-			with8 = append(with8, r.PctNotMod)
-		case 12:
-			with12 = append(with12, r.PctNotMod)
-		}
-	}
-	// The fraction of clean writable page-outs falls with memory size.
-	if len(with8) > 0 && len(with12) > 0 {
-		avg := func(xs []float64) float64 {
-			var s float64
-			for _, x := range xs {
-				s += x
-			}
-			return s / float64(len(xs))
-		}
-		if avg(with12) >= avg(with8) {
-			t.Errorf("clean fraction did not fall with memory: 8MB %.1f%% vs 12MB %.1f%%",
-				avg(with8), avg(with12))
-		}
-	}
+	assertClaims(t, ClaimRows{T35: rows}, "3.5")
 	s := RenderTable35(rows, true).String()
 	if !strings.Contains(s, "murder") || !strings.Contains(s, "23302") {
 		t.Error("Table 3.5 rendering incomplete")
@@ -234,24 +114,14 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestDirtyPolicySimulatedOrdering(t *testing.T) {
-	// Direct simulation must reproduce the analytic ordering of dirty-bit
-	// policy cost: MIN <= SPUR <= FAULT <= FLUSH on total cycles.
-	cycles := map[DirtyPolicy]uint64{}
-	for _, pol := range DirtyPolicies {
-		cfg := DefaultConfig()
-		cfg.MemoryBytes = 6 << 20
-		cfg.TotalRefs = 1_500_000
-		cfg.Dirty = pol
-		cycles[pol] = Run(cfg, Workload1()).Cycles
+	// Direct simulation of every dirty-bit policy on one stream must keep
+	// the analytic ordering of their cost, and PROT must cost what SPUR
+	// does.
+	rows := DirtySweep(1_250_000, 1)
+	if len(rows) != len(AllDirtyPolicies) {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	if !(cycles[DirtyMIN] <= cycles[DirtySPUR] && cycles[DirtySPUR] <= cycles[DirtyFAULT]) {
-		t.Errorf("sim ordering violated: MIN=%d SPUR=%d FAULT=%d",
-			cycles[DirtyMIN], cycles[DirtySPUR], cycles[DirtyFAULT])
-	}
-	if cycles[DirtyFLUSH] < cycles[DirtyFAULT] {
-		t.Errorf("FLUSH (%d) beat FAULT (%d) despite excess faults being rare",
-			cycles[DirtyFLUSH], cycles[DirtyFAULT])
-	}
+	assertClaims(t, ClaimRows{Dirty: rows}, "Dirty")
 }
 
 func TestWindowWorkloadCharacter(t *testing.T) {
