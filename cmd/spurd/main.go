@@ -23,8 +23,8 @@
 //
 // Fleet mode: give every node the same -peers list plus its own -self URL
 // and the daemons shard the result store over a consistent-hash ring with
-// -replicas copies of each blob. Non-owners proxy to the owner (bounded by
-// -max-hops), successful results replicate through a durable outbox
+// -replicas copies of each blob. Non-owners proxy to the owner (at most two
+// hops), successful results replicate through a durable outbox
 // (-outbox), the scrubber repairs corrupt or missing blobs from replicas
 // before recomputing, and GET /v1/cluster reports membership and health.
 //
@@ -64,14 +64,10 @@ func main() {
 	self := flag.String("self", "", "this node's base URL as it appears in -peers (empty = standalone)")
 	peers := flag.String("peers", "", "comma-separated fleet base URLs incl. -self (empty = standalone)")
 	replicas := flag.Int("replicas", 0, "copies of each result across the fleet (0 = 2, clamped to peers)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per peer on the hash ring (0 = default)")
-	maxHops := flag.Int("max-hops", 0, "proxy hop budget before serving locally (0 = default)")
 	outbox := flag.String("outbox", "auto", `durable replication outbox path ("auto" = <store>/outbox.journal, "off" = none)`)
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-peer replication/probe timeout (0 = default)")
-	netFaults := flag.String("net-faults", "", "deterministic network fault spec (overrides $"+faultinject.NetFaultEnv+"; drills only)")
-	diskFaults := flag.String("disk-faults", "", "deterministic disk fault spec (overrides $"+faultinject.DiskFaultEnv+"; drills only)")
-	allowEnvFaults := flag.Bool("allow-env-faults", false,
-		"honor $"+faultinject.NetFaultEnv+"/$"+faultinject.DiskFaultEnv+"/$"+faultinject.CrashEnv+" (drills only; the -*-faults flags need no opt-in)")
+	netFaults := flag.String("net-faults", "", "deterministic network fault spec (drills only)")
+	diskFaults := flag.String("disk-faults", "", "deterministic disk fault spec (drills only)")
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintln(os.Stderr, "spurd: -jobs must be at least 1")
@@ -89,31 +85,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spurd: -self and -peers must be set together")
 		os.Exit(2)
 	}
-	// Env-armed faults need an explicit opt-in: a stray variable inherited
-	// from a torture run must not silently inject ENOSPC/EIO or corrupted
-	// traffic into a production daemon. Refusing loudly beats ignoring —
-	// a drill that forgot the flag should fail, not run clean.
-	if !*allowEnvFaults {
-		for _, k := range []string{faultinject.NetFaultEnv, faultinject.DiskFaultEnv, faultinject.CrashEnv} {
-			if os.Getenv(k) != "" {
-				fmt.Fprintf(os.Stderr, "spurd: $%s is set but -allow-env-faults is not; refusing to arm a fault plane from the environment\n", k)
-				os.Exit(2)
-			}
-		}
-	}
-	if err := faultinject.ArmCrashFromEnv(); err != nil {
-		fmt.Fprintf(os.Stderr, "spurd: %v\n", err)
-		os.Exit(2)
-	}
-	// The torture harness arms its fault plane through these: flags beat
-	// env, env beats nothing. A daemon with no spec runs fault-free.
-	netSpec := *netFaults
-	if netSpec == "" {
-		netSpec = os.Getenv(faultinject.NetFaultEnv)
-	}
+	// The torture harness arms its fault planes through these flags; a
+	// daemon started without them runs fault-free.
 	var netInj *faultinject.NetInjector
-	if netSpec != "" {
-		rules, err := faultinject.ParseNetRules(netSpec)
+	if *netFaults != "" {
+		rules, err := faultinject.ParseNetRules(*netFaults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spurd: %v\n", err)
 			os.Exit(2)
@@ -127,9 +103,6 @@ func main() {
 			os.Exit(2)
 		}
 		faultinject.ArmDisk(faultinject.NewDisk(rules...))
-	} else if err := faultinject.ArmDiskFromEnv(); err != nil {
-		fmt.Fprintf(os.Stderr, "spurd: %v\n", err)
-		os.Exit(2)
 	}
 	journalPath := ""
 	switch *jobsJournal {
@@ -176,8 +149,6 @@ func main() {
 		Self:        *self,
 		Peers:       peerList,
 		Replication: *replicas,
-		VNodes:      *vnodes,
-		MaxHops:     *maxHops,
 		Outbox:      outboxPath,
 		PeerTimeout: *peerTimeout,
 		NetFaults:   netInj,
@@ -201,8 +172,8 @@ func main() {
 	if len(peerList) > 0 {
 		log.Printf("spurd: fleet member %s of %d peers", *self, len(peerList))
 	}
-	if netSpec != "" {
-		log.Printf("spurd: network fault plane armed: %s", netSpec)
+	if *netFaults != "" {
+		log.Printf("spurd: network fault plane armed: %s", *netFaults)
 	}
 	if faultinject.ArmedDisk() != nil {
 		log.Printf("spurd: disk fault plane armed")

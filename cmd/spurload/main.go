@@ -56,7 +56,6 @@ func main() {
 	seeds := flag.Uint64("seeds", 8, "distinct workload seeds (fewer seeds = more store hits)")
 	seed := flag.Int64("seed", 1, "schedule RNG seed (same flags + seed = identical request sequence)")
 	replicas := flag.Int("replicas", 0, "fleet replication factor (0 = client default)")
-	vnodes := flag.Int("vnodes", 0, "ring virtual nodes per peer (0 = client default)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request deadline")
 	flag.Parse()
 	if *n < 1 || *c < 1 || *seeds < 1 {
@@ -70,7 +69,7 @@ func main() {
 			peerList = append(peerList, p)
 		}
 	}
-	fleet, err := client.NewFleet(peerList, client.FleetOptions{Replication: *replicas, VNodes: *vnodes})
+	fleet, err := client.NewFleet(peerList, client.FleetOptions{Replication: *replicas})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spurload: %v\n", err)
 		os.Exit(2)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/report"
 )
 
@@ -55,17 +56,22 @@ func CacheSweep(opts CacheSweepOptions) []CacheSweepRow {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
+	np := len(RefPolicies)
+	// Map fails only on a cancelled Context, and none is passed.
+	runs, _ := parallel.Map(len(opts.CacheSizes)*np, parallel.Options{}, func(i int) Result {
+		cfg := DefaultConfig()
+		cfg.CacheBytes = opts.CacheSizes[i/np]
+		cfg.MemoryBytes = core.MiB(opts.MemMB)
+		cfg.TotalRefs = opts.Refs
+		cfg.Seed = opts.Seed
+		cfg.Ref = RefPolicies[i%np]
+		return Run(cfg, SLC())
+	})
 	var rows []CacheSweepRow
-	for _, cb := range opts.CacheSizes {
+	for ci, cb := range opts.CacheSizes {
 		base := map[RefPolicy]Result{}
-		for _, pol := range RefPolicies {
-			cfg := DefaultConfig()
-			cfg.CacheBytes = cb
-			cfg.MemoryBytes = core.MiB(opts.MemMB)
-			cfg.TotalRefs = opts.Refs
-			cfg.Seed = opts.Seed
-			cfg.Ref = pol
-			base[pol] = Run(cfg, SLC())
+		for pi, pol := range RefPolicies {
+			base[pol] = runs[ci*np+pi]
 		}
 		refIns := base[RefTRUE].Events.PageIns
 		for _, pol := range RefPolicies {

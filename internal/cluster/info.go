@@ -5,10 +5,8 @@ type Info struct {
 	// Self is this node's advertised base URL; Version its code version.
 	Self    string `json:"self"`
 	Version string `json:"version"`
-	// Replication is the replica count M every key is stored under;
-	// VNodes the virtual nodes per peer on the placement ring.
+	// Replication is the replica count M every key is stored under.
 	Replication int `json:"replication"`
-	VNodes      int `json:"vnodes"`
 	// Peers is the full static membership, sorted, with live health: the
 	// node probes every peer's /healthz when answering.
 	Peers []PeerHealth `json:"peers"`

@@ -25,6 +25,8 @@ import (
 // DefaultVNodes is how many virtual nodes each peer contributes to the
 // ring. 64 keeps the per-peer share of the key space within a few percent
 // of uniform for small fleets without making ring construction noticeable.
+// Daemons and clients route alike only when their rings agree, so it is a
+// constant rather than a setting.
 const DefaultVNodes = 64
 
 // point is one virtual node: a position on the ring and the peer it maps
@@ -38,17 +40,13 @@ type point struct {
 // safe for concurrent use.
 type Ring struct {
 	peers  []string // sorted, deduped
-	vnodes int
-	points []point // sorted by pos
+	points []point  // sorted by pos
 }
 
 // NewRing builds a ring over peers (deduped; order does not matter — two
 // nodes given the same peer set in any order compute identical placement)
-// with vnodes virtual nodes per peer (0 = DefaultVNodes).
-func NewRing(peers []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// with DefaultVNodes virtual nodes per peer.
+func NewRing(peers []string) (*Ring, error) {
 	seen := map[string]bool{}
 	var uniq []string
 	for _, p := range peers {
@@ -64,10 +62,10 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: ring needs at least one peer")
 	}
 	sort.Strings(uniq)
-	r := &Ring{peers: uniq, vnodes: vnodes}
-	r.points = make([]point, 0, len(uniq)*vnodes)
+	r := &Ring{peers: uniq}
+	r.points = make([]point, 0, len(uniq)*DefaultVNodes)
 	for _, p := range uniq {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			r.points = append(r.points, point{pos: ringHash(fmt.Sprintf("%s#%d", p, i)), peer: p})
 		}
 	}
@@ -93,9 +91,6 @@ func ringHash(s string) uint64 {
 
 // Peers returns the ring's sorted peer list.
 func (r *Ring) Peers() []string { return append([]string(nil), r.peers...) }
-
-// VNodes returns the virtual-node count per peer.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner returns the peer that owns key: the peer of the first virtual node
 // at or clockwise of the key's ring position.

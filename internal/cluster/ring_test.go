@@ -7,11 +7,11 @@ import (
 )
 
 func TestRingPlacementIsDeterministicAndOrderIndependent(t *testing.T) {
-	a, err := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	a, err := NewRing([]string{"http://n1", "http://n2", "http://n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"http://n3", "http://n1", "http://n2", "http://n1"}, 0)
+	b, err := NewRing([]string{"http://n3", "http://n1", "http://n2", "http://n1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRingPlacementIsDeterministicAndOrderIndependent(t *testing.T) {
 }
 
 func TestRingReplicasAreDistinctAndClamped(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c"}, 16)
+	r, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRingReplicasAreDistinctAndClamped(t *testing.T) {
 // TestRingBalance checks virtual nodes spread ownership: with 3 peers no
 // peer should own a wildly disproportionate share of keys.
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c"}, 0)
+	r, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingRejectsEmpty(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty peer list accepted")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty peer name accepted")
 	}
 }

@@ -34,7 +34,7 @@ var crashPoints = map[CrashPoint]bool{
 	CrashPreDirSync:        true,
 }
 
-// CrashEnv is the environment variable the command mains consult to arm a
+// CrashEnv is the environment variable sweep and tables consult to arm a
 // crash point in a subprocess: "<point>:<n>" kills the process on the n'th
 // hit of the point (e.g. "post-journal-append:3").
 const CrashEnv = "SPUR_CRASH"

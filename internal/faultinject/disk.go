@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,10 +246,6 @@ func CheckDiskWrite(path string, n int) (int, error) {
 	return partial, err
 }
 
-// DiskFaultEnv is the environment variable command mains consult to arm the
-// disk fault plane in a subprocess; its value is a ParseDiskRules spec.
-const DiskFaultEnv = "SPUR_DISKFAULTS"
-
 // ParseDiskRules parses a disk-rule spec: rules separated by ';', each
 // "<errno>@k=v,k=v,..." with errno "enospc" or "eio" and keys op (required),
 // path, every (default 1), seed, after, max, partial. Example:
@@ -306,20 +301,4 @@ func ParseDiskRules(spec string) ([]DiskRule, error) {
 		rules = append(rules, r)
 	}
 	return rules, nil
-}
-
-// ArmDiskFromEnv arms the disk fault plane from SPUR_DISKFAULTS. An unset
-// or empty variable is a no-op; a malformed value is an error so a mistyped
-// drill fails loudly instead of never injecting.
-func ArmDiskFromEnv() error {
-	v := os.Getenv(DiskFaultEnv)
-	if v == "" {
-		return nil
-	}
-	rules, err := ParseDiskRules(v)
-	if err != nil {
-		return fmt.Errorf("%s: %w", DiskFaultEnv, err)
-	}
-	ArmDisk(NewDisk(rules...))
-	return nil
 }

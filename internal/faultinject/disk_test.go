@@ -94,18 +94,3 @@ func TestParseDiskRules(t *testing.T) {
 		t.Fatal("unknown errno should error")
 	}
 }
-
-func TestArmDiskFromEnv(t *testing.T) {
-	t.Setenv(DiskFaultEnv, "eio@op=read,path=blob")
-	defer DisarmDisk()
-	if err := ArmDiskFromEnv(); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDisk(DiskRead, "store/blob-1.json"); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("armed-from-env seam: %v", err)
-	}
-	t.Setenv(DiskFaultEnv, "bogus")
-	if err := ArmDiskFromEnv(); err == nil {
-		t.Fatal("malformed env must error")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -452,10 +451,6 @@ func (r *bodyRecorder) Write(b []byte) (int, error) {
 	return r.buf.Write(b)
 }
 
-// NetFaultEnv is the environment variable command mains consult to arm the
-// network fault plane in a subprocess; its value is a ParseNetRules spec.
-const NetFaultEnv = "SPUR_NETFAULTS"
-
 // ParseNetRules parses a fault-rule spec: rules separated by ';', each
 // "<fault>@k=v,k=v,..." with keys peer, op, every (default 1), seed, after,
 // max, and ms (NetDelay's hold time). The "@..." part may be omitted for a
@@ -503,20 +498,6 @@ func ParseNetRules(spec string) ([]NetRule, error) {
 			return nil, err
 		}
 		rules = append(rules, r)
-	}
-	return rules, nil
-}
-
-// NetRulesFromEnv parses SPUR_NETFAULTS. An unset or empty variable yields
-// no rules; a malformed value is an error so a mistyped drill fails loudly.
-func NetRulesFromEnv() ([]NetRule, error) {
-	v := os.Getenv(NetFaultEnv)
-	if v == "" {
-		return nil, nil
-	}
-	rules, err := ParseNetRules(v)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", NetFaultEnv, err)
 	}
 	return rules, nil
 }

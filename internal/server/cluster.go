@@ -30,6 +30,9 @@ const (
 	// hopHeader counts proxy forwards so a misconfigured fleet degrades
 	// into local computes instead of a forwarding loop.
 	hopHeader = "X-Spur-Hops"
+	// maxHops is the proxy hop budget: a request that has been forwarded
+	// this many times is served where it lands.
+	maxHops = 2
 	// nodeHeader names the node that actually produced the response, so
 	// drills can assert where a request landed.
 	nodeHeader = "X-Spur-Node"
@@ -40,12 +43,11 @@ const (
 
 // clusterNode is the server's view of the fleet.
 type clusterNode struct {
-	self    string
-	ring    *cluster.Ring
-	rep     int
-	maxHops int
-	outbox  *cluster.Outbox
-	hc      *http.Client
+	self   string
+	ring   *cluster.Ring
+	rep    int
+	outbox *cluster.Outbox
+	hc     *http.Client
 	// breakers holds one outgoing circuit breaker per other peer. The map
 	// is static after newClusterNode; each Breaker locks itself. Health
 	// probes bypass it — an operator must see a down peer as down, not as
@@ -59,7 +61,7 @@ func newClusterNode(cfg Config) (*clusterNode, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("server: cluster mode needs Self (this node's advertised URL)")
 	}
-	ring, err := cluster.NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := cluster.NewRing(cfg.Peers)
 	if err != nil {
 		return nil, err
 	}
@@ -81,13 +83,12 @@ func newClusterNode(cfg Config) (*clusterNode, error) {
 		self:     cfg.Self,
 		ring:     ring,
 		rep:      cfg.Replication,
-		maxHops:  cfg.MaxHops,
 		hc:       hc,
 		breakers: make(map[string]*client.Breaker),
 	}
 	for _, p := range ring.Peers() {
 		if p != cfg.Self {
-			c.breakers[p] = client.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)
+			c.breakers[p] = client.NewBreaker(0, 0, nil)
 		}
 	}
 	return c, nil
@@ -146,8 +147,8 @@ func (s *Server) proxyIfRemote(w http.ResponseWriter, r *http.Request, key expst
 	if h := r.Header.Get(hopHeader); h != "" {
 		hops, _ = strconv.Atoi(h)
 	}
-	if hops >= c.maxHops {
-		s.cfg.Logf("spurd: hop budget (%d) spent for %.12s; serving locally", c.maxHops, key)
+	if hops >= maxHops {
+		s.cfg.Logf("spurd: hop budget (%d) spent for %.12s; serving locally", maxHops, key)
 		w.Header().Set(nodeHeader, c.self)
 		return false
 	}
@@ -467,7 +468,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Self:        c.self,
 		Version:     s.cfg.Version,
 		Replication: c.rep,
-		VNodes:      c.ring.VNodes(),
 	}
 	for _, peer := range c.ring.Peers() {
 		ph := cluster.PeerHealth{URL: peer, Status: "ok"}

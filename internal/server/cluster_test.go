@@ -109,7 +109,7 @@ func startCluster(t *testing.T, n, replication int) *testCluster {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
-	ring, err := cluster.NewRing(urls, 0)
+	ring, err := cluster.NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,6 @@ type Config struct {
 	// Replication is how many nodes hold each result (owner + M−1
 	// replicas; default 2, clamped to the peer count).
 	Replication int
-	// VNodes is the virtual-node count per peer on the placement ring
-	// (default cluster.DefaultVNodes).
-	VNodes int
-	// MaxHops bounds proxy forwarding so inconsistent peer lists degrade
-	// into local computes instead of forwarding loops (default 2).
-	MaxHops int
 	// Outbox journals replication debts durably ("" = in-memory outbox:
 	// pushes pending at a crash are healed later by scrub repair).
 	Outbox string
@@ -92,13 +86,6 @@ type Config struct {
 	// Proxied requests are bounded by the requester's context instead —
 	// a forwarded compute legitimately takes as long as a local one.
 	PeerTimeout time.Duration
-	// BreakerThreshold consecutive failures open a peer's outgoing
-	// circuit breaker (default 3); BreakerCooldown is how long the open
-	// breaker skips that peer before admitting a half-open probe
-	// (default 5s). Breakers gate proxying, replication pushes, and
-	// repair fetches — never health probes.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// NetFaults, when non-nil, is the deterministic network fault plane:
 	// incoming requests pass through its Middleware, and every outgoing
@@ -133,17 +120,8 @@ func (c Config) fill() Config {
 		if c.Replication > len(c.Peers) {
 			c.Replication = len(c.Peers)
 		}
-		if c.MaxHops <= 0 {
-			c.MaxHops = 2
-		}
 		if c.PeerTimeout <= 0 {
 			c.PeerTimeout = 5 * time.Second
-		}
-		if c.BreakerThreshold <= 0 {
-			c.BreakerThreshold = 3
-		}
-		if c.BreakerCooldown <= 0 {
-			c.BreakerCooldown = 5 * time.Second
 		}
 	}
 	if c.Logf == nil {
@@ -794,11 +772,7 @@ func (s *Server) shedHeavy(w http.ResponseWriter, op string) bool {
 		return false
 	}
 	s.q.rejected.Add(1)
-	after := int(s.cfg.BreakerCooldown.Seconds())
-	if after < 1 {
-		after = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(after))
+	w.Header().Set("Retry-After", strconv.Itoa(int(client.DefaultBreakerCooldown.Seconds())))
 	httpError(w, http.StatusTooManyRequests, "fleet degraded (peer breaker open) and queue backed up: shedding %s", op)
 	return true
 }

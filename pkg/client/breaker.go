@@ -46,14 +46,18 @@ type Breaker struct {
 	probing  bool         // guarded by mu: a half-open probe is in flight
 }
 
+// DefaultBreakerCooldown is the cooldown of a breaker built with a zero
+// cooldown.
+const DefaultBreakerCooldown = 5 * time.Second
+
 // NewBreaker builds a breaker. threshold <= 0 defaults to 3 consecutive
-// failures, cooldown <= 0 to 5 s, a nil now to time.Now.
+// failures, cooldown <= 0 to DefaultBreakerCooldown, a nil now to time.Now.
 func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
 	if threshold <= 0 {
 		threshold = 3
 	}
 	if cooldown <= 0 {
-		cooldown = 5 * time.Second
+		cooldown = DefaultBreakerCooldown
 	}
 	if now == nil {
 		now = time.Now

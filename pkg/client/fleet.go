@@ -54,11 +54,9 @@ type Fleet struct {
 // FleetOptions tunes NewFleet.
 type FleetOptions struct {
 	// Replication must match the fleet's -replicas setting (default 2,
-	// clamped to the peer count); VNodes its -vnodes (default
-	// cluster.DefaultVNodes). A mismatch is not fatal — the daemons proxy
-	// misrouted requests — it just costs a hop.
+	// clamped to the peer count). A mismatch is not fatal — the daemons
+	// proxy misrouted requests — it just costs a hop.
 	Replication int
-	VNodes      int
 	// Version overrides the code version hashed into store keys (default
 	// spur.Version, which is correct when client and daemons are built
 	// from the same tree).
@@ -88,7 +86,7 @@ type FleetOptions struct {
 
 // NewFleet builds a fleet client over the peer base URLs.
 func NewFleet(peers []string, opts FleetOptions) (*Fleet, error) {
-	ring, err := cluster.NewRing(peers, opts.VNodes)
+	ring, err := cluster.NewRing(peers)
 	if err != nil {
 		return nil, err
 	}

@@ -16,11 +16,15 @@
 #   scripts/ab_bench.sh -n 10 -o BENCH_pr16.json HEAD~1 HEAD table41-exact
 #
 # The record holds the host (CPU model, nproc, Go version), both revisions,
-# the pair count, the seed, each pair's values, output digests and order,
-# whether every pair's two digests were equal, and per metric the median and
-# quartiles of each side, the median of head/base ratios, and in how many
-# pairs head was better (the direction BENCHMARK.json gives). A run that
-# reports correct=false or failed>0 stops the script with status 1.
+# the pair count, the seed, each pair's values, output digests and order.
+# scripts/ab_judge.jq then adds, per workload, whether every pair's two
+# digests were equal, and per end-to-end metric the median and quartiles of
+# each side, the median of head/base ratios, in how many pairs head was
+# better and worse (the direction BENCHMARK.json gives), and a verdict:
+# regressed, unresolved, missing or pass (see that file for the rule).
+# Every verdict other than pass is printed to stderr. The script exits 1
+# after writing the record when any metric regressed, and stops with status
+# 1 at once when a run reports correct=false or failed>0.
 set -euo pipefail
 
 pairs=5 seconds= seed=1 out=
@@ -35,7 +39,7 @@ while getopts n:s:e:o: opt; do
 done
 shift $((OPTIND - 1))
 if [ $# -lt 3 ]; then
-	sed -n '2,23p' "$0" >&2
+	sed -n '2,27p' "$0" >&2
 	exit 2
 fi
 base_rev=$1 head_rev=$2
@@ -89,29 +93,22 @@ done
 host=$(jq -n --arg cpu "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
 	--argjson nproc "$(nproc)" --arg go "$(go env GOVERSION)" '{cpu: $cpu, nproc: $nproc, go: $go}')
 
-result=$(jq -s --slurpfile bench "$bench" --argjson host "$host" \
-	--arg base "$base_sha" --arg head "$head_sha" --argjson pairs "$pairs" \
-	--argjson seconds "$seconds" --argjson seed "$seed" '
-	def q($p): sort | .[((length - 1) * $p | floor)] as $lo | .[((length - 1) * $p | ceil)] as $hi | ($lo + $hi) / 2;
-	($bench[0].end_to_end | map({key: .name, value: .better}) | from_entries) as $better
-	| {host: $host, base: $base, head: $head, pairs: $pairs, seconds: $seconds, seed: $seed,
-	   workloads: (group_by(.workload) | map({
-	     workload: .[0].workload,
-	     pairs: map({pair, first, base, head}),
-	     same_output: all(.base.digest == .head.digest),
-	     summary: (. as $ps | [$ps[0].base | keys[] | select($better[.] != null)] | map(. as $m | {
-	       key: $m,
-	       value: {
-	         better: $better[$m],
-	         base: ($ps | map(.base[$m]) | {median: q(0.5), q1: q(0.25), q3: q(0.75)}),
-	         head: ($ps | map(.head[$m]) | {median: q(0.5), q1: q(0.25), q3: q(0.75)}),
-	         ratio_median: ($ps | map(if .base[$m] == 0 then 1 else .head[$m] / .base[$m] end) | q(0.5)),
-	         head_better: ($ps | map(select(if $better[$m] == "lower" then .head[$m] < .base[$m] else .head[$m] > .base[$m] end)) | length)
-	       }}) | from_entries)
-	   }))}' "$records")
+result=$(jq -s --argjson host "$host" --arg base "$base_sha" --arg head "$head_sha" \
+	--argjson pairs "$pairs" --argjson seconds "$seconds" --argjson seed "$seed" '
+	{host: $host, base: $base, head: $head, pairs: $pairs, seconds: $seconds, seed: $seed,
+	 workloads: (group_by(.workload) | map({workload: .[0].workload, pairs: map({pair, first, base, head})}))}' "$records" |
+	jq --slurpfile bench "$bench" -f "$(dirname "$0")/ab_judge.jq")
 
 if [ -n "$out" ]; then
 	printf '%s\n' "$result" >"$out"
 else
 	printf '%s\n' "$result"
+fi
+jq -r '.workloads[] | (.pairs | length) as $n | .workload as $w | .summary | to_entries[]
+	| select(.value.verdict != "pass") | .key as $m | .value
+	| if .verdict == "missing" then "ab_bench: missing: \($w) \($m) on \(.missing_on | join(" and ")), not judged"
+	  else "ab_bench: \(.verdict): \($w) \($m): head worse in \(.head_worse) of \($n) pairs, median head/base \(.ratio_median * 1000 | round / 1000)"
+	  end' <<<"$result" >&2
+if [ "$(jq '.regressions | length' <<<"$result")" -gt 0 ]; then
+	exit 1
 fi

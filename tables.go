@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -81,21 +82,21 @@ func Table33(opts Table33Options) []Table33Row {
 	opts.fill()
 	type wl struct {
 		name core.WorkloadName
-		spec Spec
+		spec func() Spec
 	}
-	var rows []Table33Row
-	for _, w := range []wl{{core.SLC, SLC()}, {core.Workload1, Workload1()}} {
-		for _, mb := range opts.SizesMB {
-			cfg := DefaultConfig()
-			cfg.MemoryBytes = core.MiB(mb)
-			cfg.TotalRefs = opts.Refs
-			cfg.Seed = opts.Seed
-			cfg.Dirty = DirtySPUR
-			cfg.Ref = RefMISS
-			res := Run(cfg, w.spec)
-			rows = append(rows, Table33Row{Workload: w.name, MemMB: mb, Events: res.Events})
-		}
-	}
+	wls := []wl{{core.SLC, SLC}, {core.Workload1, Workload1}}
+	n := len(opts.SizesMB)
+	// Map fails only on a cancelled Context, and none is passed.
+	rows, _ := parallel.Map(len(wls)*n, parallel.Options{}, func(i int) Table33Row {
+		w, mb := wls[i/n], opts.SizesMB[i%n]
+		cfg := DefaultConfig()
+		cfg.MemoryBytes = core.MiB(mb)
+		cfg.TotalRefs = opts.Refs
+		cfg.Seed = opts.Seed
+		cfg.Dirty = DirtySPUR
+		cfg.Ref = RefMISS
+		return Table33Row{Workload: w.name, MemMB: mb, Events: Run(cfg, w.spec()).Events}
+	})
 	return rows
 }
 
@@ -192,8 +193,10 @@ func Table35Scaled(seed uint64, refScale float64) []Table35Row {
 	if refScale <= 0 {
 		refScale = 1
 	}
-	var rows []Table35Row
-	for _, h := range workload.SpriteHosts() {
+	hosts := workload.SpriteHosts()
+	// Map fails only on a cancelled Context, and none is passed.
+	rows, _ := parallel.Map(len(hosts), parallel.Options{}, func(i int) Table35Row {
+		h := hosts[i]
 		cfg := DefaultConfig()
 		cfg.MemoryBytes = core.MiB(h.MemMB)
 		cfg.TotalRefs = int64(float64(h.Refs) * refScale)
@@ -207,8 +210,8 @@ func Table35Scaled(seed uint64, refScale float64) []Table35Row {
 		if row.PageIns+row.PotMod > 0 {
 			row.PctExtraIO = 100 * float64(row.NotMod) / float64(row.PageIns+row.PotMod)
 		}
-		rows = append(rows, row)
-	}
+		return row
+	})
 	return rows
 }
 
