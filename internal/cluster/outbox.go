@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,31 +116,11 @@ func openOutboxWith(path, version string, send func(peer, key string) error, log
 // locally rather than writing Outbox fields: the caller merges the result
 // in before the outbox is published to any other goroutine.
 func openOutboxJournal(path, version string, logf func(string, ...any)) (*journal.Writer, map[string]map[string]bool, error) {
-	hdr := journal.Header{Kind: outboxJournalKind, Version: version}
 	pending := map[string]map[string]bool{}
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		w, err := journal.Create(path, hdr)
-		return w, pending, err
-	}
-	rep, err := journal.Replay(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: outbox %s: %w", path, err)
-	}
-	if rep.Header.Kind != outboxJournalKind {
-		return nil, nil, fmt.Errorf("cluster: %s is a %q journal, not an outbox", path, rep.Header.Kind)
-	}
-	if rep.Header.Version != version {
-		logf("cluster: outbox %s was written by version %q (this is %q); setting it aside", path, rep.Header.Version, version)
-		if err := os.Rename(path, path+".stale"); err != nil {
-			return nil, nil, err
-		}
-		w, err := journal.Create(path, hdr)
-		return w, pending, err
-	}
-	for i, b := range rep.Entries {
+	w, err := journal.Open(path, journal.Header{Kind: outboxJournalKind, Version: version}, logf, func(b []byte) error {
 		var r outboxRecord
 		if err := json.Unmarshal(b, &r); err != nil {
-			return nil, nil, fmt.Errorf("cluster: outbox %s record %d: %w", path, i, err)
+			return err
 		}
 		switch r.Op {
 		case "enq":
@@ -161,11 +140,14 @@ func openOutboxJournal(path, version string, logf func(string, ...any)) (*journa
 				}
 			}
 		default:
-			return nil, nil, fmt.Errorf("cluster: outbox %s record %d: unknown op %q", path, i, r.Op)
+			return fmt.Errorf("unknown op %q", r.Op)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: outbox: %w", err)
 	}
-	w, _, err := journal.Open(path)
-	return w, pending, err
+	return w, pending, nil
 }
 
 // Enqueue records that key's blob is owed to peers and wakes the sender.

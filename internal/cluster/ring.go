@@ -9,7 +9,7 @@
 // configuration, like the paper's fixed SPUR board count, not a gossip
 // protocol. What is dynamic is *health* — peers die and come back — and
 // the design burden sits entirely on the read/repair path: any node can
-// answer any request (by proxying, by serving a replica, or in the worst
+// answer any request (from its store, by fetching a replica, or in the worst
 // case by recomputing, since every result is a pure function of its spec),
 // and a node that lost blobs repairs them from its replica set before
 // falling back to the simulator.

@@ -107,33 +107,56 @@ func (w *Writer) createFail(err error) error {
 	return fmt.Errorf("journal: create %s: %w", w.path, err)
 }
 
-// Open replays the journal at path, truncates any torn tail, and returns a
-// Writer positioned to append after the last intact record plus everything
-// the replay recovered.
-func Open(path string) (*Writer, *Replayed, error) {
+// Open opens the journal at path for appending, creating it with header h
+// when absent. The file is read once: each intact record goes to record, in
+// append order, before the Writer opens, and an error from record fails
+// the open. A torn tail is truncated, so appends continue from the last
+// intact record. A journal of another kind than h.Kind is an error. One
+// written by another code version than h.Version is renamed to
+// path+".stale" and replaced by an empty journal, since its records address
+// that version's results; logf hears about the set-aside.
+func Open(path string, h Header, logf func(string, ...any), record func([]byte) error) (*Writer, error) {
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		return Create(path, h)
+	}
 	rep, err := Replay(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if rep.Header.Kind != h.Kind {
+		return nil, fmt.Errorf("journal: %s is a %q journal, not %q", path, rep.Header.Kind, h.Kind)
+	}
+	if rep.Header.Version != h.Version {
+		logf("journal: %s journal %s was written by version %q (this is %q); setting it aside", h.Kind, path, rep.Header.Version, h.Version)
+		if err := os.Rename(path, path+".stale"); err != nil {
+			return nil, err
+		}
+		return Create(path, h)
+	}
+	for i, b := range rep.Entries {
+		if err := record(b); err != nil {
+			return nil, fmt.Errorf("journal: %s record %d: %w", path, i, err)
+		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
+		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
 	if rep.Torn {
 		if err := f.Truncate(rep.Valid); err != nil {
 			_ = f.Close() // already failing; best-effort cleanup
-			return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
+			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
 		}
 		if err := f.Sync(); err != nil {
 			_ = f.Close() // already failing; best-effort cleanup
-			return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
+			return nil, fmt.Errorf("journal: open %s: %w", path, err)
 		}
 	}
 	if _, err := f.Seek(rep.Valid, 0); err != nil {
 		_ = f.Close() // already failing; best-effort cleanup
-		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
+		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	return &Writer{f: f, path: path}, rep, nil
+	return &Writer{f: f, path: path}, nil
 }
 
 // Append writes one record frame and syncs the file. When Append returns

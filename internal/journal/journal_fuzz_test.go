@@ -12,11 +12,11 @@ import (
 // would, and checks recovery. A cut inside the magic or the header frame
 // leaves no provenance, so Replay and Open must fail. Any later cut must
 // replay to the records whose frames lie wholly before it, in order, with
-// Torn set unless the cut falls on a frame boundary; Open must then truncate
-// to that prefix and accept appends after it. The fuzzer picks the record
-// contents (seed), the record count and sizes (sizes16) and the cut as a
-// fraction of the file (cut16); a record count of zero is a header-only
-// journal.
+// Torn set unless the cut falls on a frame boundary; Open must pass the same
+// records, then truncate to that prefix and accept appends after it. The
+// fuzzer picks the record contents (seed), the record count and sizes
+// (sizes16) and the cut as a fraction of the file (cut16); a record count
+// of zero is a header-only journal.
 func FuzzJournalTornTail(f *testing.F) {
 	f.Add(uint64(1), uint16(10_000), uint16(65_535))
 	f.Add(uint64(2), uint16(33_333), uint16(17))
@@ -73,7 +73,8 @@ func FuzzJournalTornTail(f *testing.F) {
 			if _, err := Replay(path); err == nil {
 				t.Fatalf("cut %d inside the %d-byte header: Replay succeeded", cut, bounds[0])
 			}
-			if _, _, err := Open(path); err == nil {
+			if w, err := Open(path, testHeader, nil, func([]byte) error { return nil }); err == nil {
+				_ = w.Close()
 				t.Fatalf("cut %d inside the %d-byte header: Open succeeded", cut, bounds[0])
 			}
 			return
@@ -107,11 +108,22 @@ func FuzzJournalTornTail(f *testing.F) {
 		}
 		check(rep, recs[:k], cut != bounds[k], bounds[k])
 
-		w, rep, err := Open(path)
+		var opened []string
+		w, err := Open(path, testHeader, nil, func(b []byte) error {
+			opened = append(opened, string(b))
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("cut %d/%d past the header: Open: %v", cut, len(data), err)
 		}
-		check(rep, recs[:k], cut != bounds[k], bounds[k])
+		if len(opened) != k {
+			t.Fatalf("cut %d/%d: Open passed %d records, want %d", cut, len(data), len(opened), k)
+		}
+		for i, r := range opened {
+			if r != recs[i] {
+				t.Fatalf("cut %d/%d: Open passed record %d wrong", cut, len(data), i)
+			}
+		}
 		if err := w.Append([]byte("after")); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}

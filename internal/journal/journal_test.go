@@ -124,12 +124,16 @@ func TestJournalOpenResumesAfterTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, rep, err := Open(path)
+	if rep, err := Replay(path); err != nil || !rep.Torn {
+		t.Fatalf("torn tail not detected (err %v)", err)
+	}
+	n := 0
+	w, err := Open(path, testHeader, nil, func([]byte) error { n++; return nil })
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if !rep.Torn || len(rep.Entries) != 1 {
-		t.Fatalf("torn=%v entries=%d, want torn with one entry", rep.Torn, len(rep.Entries))
+	if n != 1 {
+		t.Fatalf("Open replayed %d records, want 1", n)
 	}
 	if err := w.Append([]byte("gamma")); err != nil {
 		t.Fatalf("Append after resume: %v", err)
@@ -138,7 +142,7 @@ func TestJournalOpenResumesAfterTornTail(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	rep, err = Replay(path)
+	rep, err := Replay(path)
 	if err != nil {
 		t.Fatalf("Replay after resume: %v", err)
 	}
@@ -266,5 +270,70 @@ func TestJournalAppendCrashPoint(t *testing.T) {
 	}
 	if exits != 1 {
 		t.Fatalf("crash point hit %d times after second append, want 1", exits)
+	}
+}
+
+// TestJournalOpenKindAndVersion: a journal of another kind is refused and
+// left untouched; one of this kind from another version is set aside as
+// path+".stale" and replaced by an empty journal of this version.
+func TestJournalOpenKindAndVersion(t *testing.T) {
+	logf := func(string, ...any) {}
+	var got []string
+	record := func(b []byte) error {
+		got = append(got, string(b))
+		return nil
+	}
+	path := filepath.Join(t.TempDir(), "j")
+	writeRecords(t, path, "alpha", "beta")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	foreign := Header{Kind: "other", Version: testHeader.Version}
+	if w, err := Open(path, foreign, logf, record); err == nil {
+		_ = w.Close()
+		t.Fatal("Open accepted a journal of another kind")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused journal changed on disk (err %v)", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("a journal of another kind replayed %q", got)
+	}
+
+	w, err := Open(path, testHeader, logf, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[alpha beta]" {
+		t.Fatalf("records = %q, want [alpha beta]", got)
+	}
+
+	got = nil
+	next := testHeader
+	next.Version = "5"
+	w, err = Open(path, next, logf, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("stale-version journal replayed %q", got)
+	}
+	if stale, err := os.ReadFile(path + ".stale"); err != nil || !bytes.Equal(stale, before) {
+		t.Fatalf("stale journal not set aside intact (err %v)", err)
+	}
+	rep, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Header != next || len(rep.Entries) != 0 {
+		t.Fatalf("replacement journal header %+v with %d records, want %+v and none", rep.Header, len(rep.Entries), next)
 	}
 }

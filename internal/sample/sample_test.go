@@ -259,13 +259,13 @@ func TestMeasureRejectsFaultPlans(t *testing.T) {
 	}
 }
 
-// TestMeasureResumeTornJournal checks the encoding a stored sampled sweep
+// TestEstimatesRoundTripJSON checks the encoding a stored sampled sweep
 // keeps for each group: its estimates must come back from JSON unchanged,
 // or a rerun over the store would print other numbers than the run that
 // filled it. The root package's stored-sweep tests check the same end to
 // end; this one fails in the package that defines Estimate, when a field is
 // added that JSON cannot carry.
-func TestMeasureResumeTornJournal(t *testing.T) {
+func TestEstimatesRoundTripJSON(t *testing.T) {
 	spec, seed, plan, variants, opts := sampledFixture()
 	ms, err := Measure(spec, seed, plan, variants, opts)
 	if err != nil {
@@ -355,13 +355,13 @@ func TestMeasureMergedMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestMeasureMergedResumeTornJournal checks the state a merged member
+// TestMeasureMergedSplitsWithSoloState checks the state a merged member
 // splits off with. Driving mergeVariants' machines through one fanout over
 // the whole stream, every member that splits off its leader must at that
 // moment hold exactly the state of a machine that simulated it alone, and
 // at the end every variant's state — projected from its leader for the
 // members that never split — must be its solo machine's.
-func TestMeasureMergedResumeTornJournal(t *testing.T) {
+func TestMeasureMergedSplitsWithSoloState(t *testing.T) {
 	spec, seed, plan, _, _ := sampledFixture()
 	variants := mergeVariants(plan.TotalRefs)
 	nv := len(variants)
@@ -415,13 +415,13 @@ func TestMeasureMergedResumeTornJournal(t *testing.T) {
 	}
 }
 
-// TestMeasureResumeRejectsForeignJournal: a stored sweep that resumes
+// TestMeasureGroupDependsOnlyOnItsInputs: a stored sweep that resumes
 // measures only the groups its store lacks, in whatever order they come,
 // so a group's measurements must depend on its own inputs alone. Measuring
 // a foreign group — another stream seed, warmup or variant set — in between
 // leaves a group's measurements unchanged, and each foreign group measures
 // differently, so a store must never serve one for the other.
-func TestMeasureResumeRejectsForeignJournal(t *testing.T) {
+func TestMeasureGroupDependsOnlyOnItsInputs(t *testing.T) {
 	spec, seed, plan, variants, opts := sampledFixture()
 	want, err := Measure(spec, seed, plan, variants, opts)
 	if err != nil {

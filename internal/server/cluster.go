@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -18,28 +17,16 @@ import (
 
 // This file makes a spurd node fleet-aware. Placement comes from
 // internal/cluster's consistent-hash ring: every result key has an owner
-// and M−1 replicas. A node that receives a request it is not a replica for
-// proxies it to the owner (bounded hop count, failing over through the
-// replica list); a node that computes a result replicates it to the other
-// replicas through the durable outbox; and a node that is missing a blob
-// it should hold — a miss, a quarantined corruption, a disk lost to a
-// crash — first repairs it from a replica (re-verifying the sealed
-// envelope) before burning simulator cycles on a recompute.
+// and M−1 replicas, and client.Fleet sends each request to the key's owner.
+// A node serves whatever reaches it the same way: from its store, else from
+// one of the key's replicas (re-verifying the sealed envelope, so the fetch
+// also repairs a miss, a quarantined corruption or a disk lost to a crash),
+// else by computing it, after which the durable outbox pushes the result to
+// every replica but itself.
 
-const (
-	// hopHeader counts proxy forwards so a misconfigured fleet degrades
-	// into local computes instead of a forwarding loop.
-	hopHeader = "X-Spur-Hops"
-	// maxHops is the proxy hop budget: a request that has been forwarded
-	// this many times is served where it lands.
-	maxHops = 2
-	// nodeHeader names the node that actually produced the response, so
-	// drills can assert where a request landed.
-	nodeHeader = "X-Spur-Node"
-	// maxBlobBytes bounds a replicated blob (matches the journal's frame
-	// bound; the biggest sweep payloads are far below it).
-	maxBlobBytes = 64 << 20
-)
+// maxBlobBytes bounds a peer response body (matches the journal's frame
+// bound; the biggest sweep payloads are far below it).
+const maxBlobBytes = 64 << 20
 
 // clusterNode is the server's view of the fleet.
 type clusterNode struct {
@@ -48,6 +35,8 @@ type clusterNode struct {
 	rep    int
 	outbox *cluster.Outbox
 	hc     *http.Client
+	// timeout bounds every peer call on top of its caller's context.
+	timeout time.Duration
 	// breakers holds one outgoing circuit breaker per other peer. The map
 	// is static after newClusterNode; each Breaker locks itself. Health
 	// probes bypass it — an operator must see a down peer as down, not as
@@ -84,6 +73,7 @@ func newClusterNode(cfg Config) (*clusterNode, error) {
 		ring:     ring,
 		rep:      cfg.Replication,
 		hc:       hc,
+		timeout:  cfg.PeerTimeout,
 		breakers: make(map[string]*client.Breaker),
 	}
 	for _, p := range ring.Peers() {
@@ -125,107 +115,6 @@ func (c *clusterNode) isReplica(key expstore.Key) bool {
 	return c.ring.Owns(c.self, string(key), c.rep)
 }
 
-// --- request routing ---------------------------------------------------------
-
-// proxyIfRemote routes a request whose key this node does not replicate:
-// it forwards to the owner, failing over through the replica list, and
-// streams the first usable response back. It returns true when the
-// response has been written. A false return means the caller should serve
-// locally — either this node is a replica, the hop budget is spent, or
-// every replica is unreachable (any node can compute any result, so
-// availability wins).
-func (s *Server) proxyIfRemote(w http.ResponseWriter, r *http.Request, key expstore.Key, body any) bool {
-	c := s.cluster
-	if c == nil {
-		return false
-	}
-	if c.isReplica(key) {
-		w.Header().Set(nodeHeader, c.self)
-		return false
-	}
-	hops := 0
-	if h := r.Header.Get(hopHeader); h != "" {
-		hops, _ = strconv.Atoi(h)
-	}
-	if hops >= maxHops {
-		s.cfg.Logf("spurd: hop budget (%d) spent for %.12s; serving locally", maxHops, key)
-		w.Header().Set(nodeHeader, c.self)
-		return false
-	}
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			w.Header().Set(nodeHeader, c.self)
-			return false
-		}
-	}
-	for _, peer := range c.replicas(key) {
-		br := c.breakers[peer]
-		if !br.Allow() {
-			s.cfg.Logf("spurd: proxying %.12s: skipping %s (breaker open)", key, peer)
-			continue
-		}
-		resp, err := c.forward(r, peer, payload, hops+1)
-		if err != nil {
-			br.Record(false)
-			s.cfg.Logf("spurd: proxying %.12s to %s: %v", key, peer, err)
-			continue
-		}
-		if resp.StatusCode/100 == 5 {
-			br.Record(false)
-			_ = resp.Body.Close() // failing over; the body is dead weight
-			s.cfg.Logf("spurd: proxying %.12s to %s: status %d", key, peer, resp.StatusCode)
-			continue
-		}
-		br.Record(true)
-		copyResponse(w, resp)
-		_ = resp.Body.Close() // drained by copyResponse; close is bookkeeping
-		return true
-	}
-	s.cfg.Logf("spurd: no replica of %.12s reachable; computing locally", key)
-	w.Header().Set(nodeHeader, c.self)
-	return false
-}
-
-// forward re-issues r against peer with the hop counter bumped. The
-// caller's context bounds the wait: proxied computes can take as long as
-// local ones, so there is no per-peer timeout here — a dead peer fails
-// fast at connect time.
-func (c *clusterNode) forward(r *http.Request, peer string, payload []byte, hops int) (*http.Response, error) {
-	url := peer + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(hopHeader, strconv.Itoa(hops))
-	return c.hc.Do(req)
-}
-
-// copyResponse streams an upstream response through, preserving the
-// headers the service's clients read.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	for _, h := range []string{"Content-Type", "X-Spur-Key", "X-Spur-Cached", nodeHeader, "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	// A copy error means our client hung up; the upstream result is safe
-	// in the owner's store regardless.
-	_, _ = io.Copy(w, resp.Body)
-}
-
 // --- replication -------------------------------------------------------------
 
 // replicate queues key's blob for delivery to every other replica. Called
@@ -248,54 +137,67 @@ func (s *Server) replicate(key expstore.Key) {
 
 // sendBlob is the outbox's delivery callback: push one sealed blob to one
 // replica. A blob that has vanished locally settles the intent (nothing
-// left to push; anti-entropy will heal the replica from another copy).
+// left to push; anti-entropy will heal the replica from another copy). A
+// peer behind an open breaker keeps the debt, which the outbox retries on
+// its backoff schedule.
 func (s *Server) sendBlob(peer, key string) error {
 	sealed, ok := s.store.GetSealed(expstore.Key(key))
 	if !ok {
 		s.cfg.Logf("spurd: replication of %.12s to %s dropped: blob no longer held locally", key, peer)
 		return nil
 	}
-	br := s.cluster.breakers[peer]
-	if !br.Allow() {
-		// The outbox keeps the debt and retries on its backoff schedule;
-		// skipping here just avoids hammering a peer everyone agrees is down.
-		return fmt.Errorf("peer %s: %w", peer, errPeerBreakerOpen)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/cluster/blob/"+key, bytes.NewReader(sealed))
-	if err != nil {
-		br.Record(false)
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.cluster.hc.Do(req)
-	if err != nil {
-		br.Record(false)
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		// The peer answered, so it is alive; a 4xx (rejected envelope) is
-		// an authoritative answer, not an availability failure.
-		br.Record(peerAnswered(resp.StatusCode))
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("peer %s: status %d: %s", peer, resp.StatusCode, bytes.TrimSpace(b))
-	}
-	br.Record(true)
-	return nil
+	return s.cluster.call(context.Background(), http.MethodPut, peer, "/v1/cluster/blob/"+key, sealed, nil)
 }
 
 // errPeerBreakerOpen marks a peer call skipped by its open breaker.
 var errPeerBreakerOpen = errors.New("circuit breaker open")
 
-// peerAnswered reports whether a non-2xx status still counts as a healthy
-// peer for breaker accounting: any 4xx except 429. A 429 is the peer
-// shedding load, and must count against it like an availability failure
-// (mirroring the client's authoritative()), or the breaker never opens and
-// backoff pressure on an overloaded peer is never reduced.
-func peerAnswered(code int) bool {
-	return code/100 == 4 && code != http.StatusTooManyRequests
+// call is roundTrip behind peer's breaker: it asks the breaker first and
+// records whether the outcome showed a healthy peer.
+func (c *clusterNode) call(ctx context.Context, method, peer, path string, body []byte, read func(io.Reader) error) error {
+	br := c.breakers[peer]
+	if !br.Allow() {
+		return fmt.Errorf("peer %s: %w", peer, errPeerBreakerOpen)
+	}
+	healthy, err := c.roundTrip(ctx, method, peer+path, body, read)
+	br.Record(healthy)
+	return err
+}
+
+// roundTrip makes every peer call: one request, bounded by ctx and the
+// node's peer timeout, whose 2xx body goes to read (when non-nil). It
+// reports whether the outcome shows a healthy peer: a failed request build,
+// transport, body read or decode does not, a non-2xx status by
+// client.Answered, and anything else does.
+func (c *clusterNode) roundTrip(ctx context.Context, method, url string, body []byte, read func(io.Reader) error) (healthy bool, err error) {
+	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return false, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return false, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return client.Answered(resp.StatusCode), fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	if read != nil {
+		if err := read(io.LimitReader(resp.Body, maxBlobBytes)); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // --- repair ------------------------------------------------------------------
@@ -313,7 +215,7 @@ func (s *Server) fetchFromReplicas(ctx context.Context, key expstore.Key) ([]byt
 		if peer == c.self {
 			continue
 		}
-		sealed, err := c.getBlob(ctx, peer, string(key), s.cfg.PeerTimeout)
+		sealed, err := c.getBlob(ctx, peer, string(key))
 		if err != nil {
 			continue
 		}
@@ -358,7 +260,7 @@ func (s *Server) RepairFromPeers(ctx context.Context) RepairReport {
 		if peer == c.self {
 			continue
 		}
-		keys, err := c.getKeys(ctx, peer, s.cfg.PeerTimeout)
+		keys, err := c.getKeys(ctx, peer)
 		if err != nil {
 			rep.PeerErrors++
 			s.cfg.Logf("spurd: repair: inventory from %s: %v", peer, err)
@@ -374,7 +276,7 @@ func (s *Server) RepairFromPeers(ctx context.Context) RepairReport {
 			if s.store.Has(key) {
 				continue
 			}
-			sealed, err := c.getBlob(ctx, peer, k, s.cfg.PeerTimeout)
+			sealed, err := c.getBlob(ctx, peer, k)
 			if err != nil {
 				rep.Errors++
 				continue
@@ -396,66 +298,24 @@ func (s *Server) RepairFromPeers(ctx context.Context) RepairReport {
 
 // getBlob fetches one sealed blob from a peer. Verification happens at
 // PutSealed; this only moves bytes.
-func (c *clusterNode) getBlob(ctx context.Context, peer, key string, timeout time.Duration) ([]byte, error) {
-	br := c.breakers[peer]
-	if !br.Allow() {
-		return nil, fmt.Errorf("peer %s: %w", peer, errPeerBreakerOpen)
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cluster/blob/"+key, nil)
-	if err != nil {
-		br.Record(false)
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		br.Record(false)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// A 404 — the peer does not hold the blob — is a healthy answer.
-		br.Record(peerAnswered(resp.StatusCode))
-		return nil, fmt.Errorf("peer %s: status %d", peer, resp.StatusCode)
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes))
-	br.Record(err == nil)
-	return b, err
+func (c *clusterNode) getBlob(ctx context.Context, peer, key string) ([]byte, error) {
+	var sealed []byte
+	err := c.call(ctx, http.MethodGet, peer, "/v1/cluster/blob/"+key, nil, func(r io.Reader) (err error) {
+		sealed, err = io.ReadAll(r)
+		return err
+	})
+	return sealed, err
 }
 
 // getKeys fetches a peer's store inventory.
-func (c *clusterNode) getKeys(ctx context.Context, peer string, timeout time.Duration) ([]string, error) {
-	br := c.breakers[peer]
-	if !br.Allow() {
-		return nil, fmt.Errorf("peer %s: %w", peer, errPeerBreakerOpen)
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cluster/keys", nil)
-	if err != nil {
-		br.Record(false)
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		br.Record(false)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		br.Record(peerAnswered(resp.StatusCode))
-		return nil, fmt.Errorf("peer %s: status %d", peer, resp.StatusCode)
-	}
+func (c *clusterNode) getKeys(ctx context.Context, peer string) ([]string, error) {
 	var out struct {
 		Keys []string `json:"keys"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBlobBytes)).Decode(&out); err != nil {
-		br.Record(false)
-		return nil, err
-	}
-	br.Record(true)
-	return out.Keys, nil
+	err := c.call(ctx, http.MethodGet, peer, "/v1/cluster/keys", nil, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&out)
+	})
+	return out.Keys, err
 }
 
 // --- cluster endpoints -------------------------------------------------------
@@ -473,7 +333,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		ph := cluster.PeerHealth{URL: peer, Status: "ok"}
 		if peer == c.self {
 			ph.Status = "self"
-		} else if err := c.probe(r.Context(), peer, s.cfg.PeerTimeout); err != nil {
+		} else if err := c.probe(r.Context(), peer); err != nil {
 			ph.Status = "down"
 			ph.Err = err.Error()
 		}
@@ -482,25 +342,12 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, info)
 }
 
-// probe checks one peer's /healthz. It deliberately bypasses the peer's
-// breaker: probes are how an operator (and GET /v1/cluster) sees a down
-// peer as down, and their outcome must not depend on breaker state.
-func (c *clusterNode) probe(ctx context.Context, peer string, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
+// probe checks one peer's /healthz. It bypasses the peer's breaker:
+// probes are how an operator (and GET /v1/cluster) sees a down peer as
+// down, and their outcome must not depend on breaker state.
+func (c *clusterNode) probe(ctx context.Context, peer string) error {
+	_, err := c.roundTrip(ctx, http.MethodGet, peer+"/healthz", nil, nil)
+	return err
 }
 
 // handleClusterKeys answers GET /v1/cluster/keys: the store inventory

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net"
 	"net/http"
 	"os"
@@ -212,22 +212,14 @@ func testSweepReq(seed uint64) client.SweepRequest {
 }
 
 // rawSweep posts a sweep straight at one node (no client retries) and
-// returns body + the node that served it.
-func rawSweep(t *testing.T, url string, req client.SweepRequest, hops int) (body []byte, servedBy string, status int) {
+// returns body, whether the node served it from a store, and the status.
+func rawSweep(t *testing.T, url string, req client.SweepRequest) (body []byte, cached bool, status int) {
 	t.Helper()
 	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/sweep", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if hops >= 0 {
-		hreq.Header.Set("X-Spur-Hops", fmt.Sprint(hops))
-	}
-	resp, err := drillClient.Do(hreq)
+	resp, err := drillClient.Post(url+"/v1/sweep", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatalf("POST %s/v1/sweep: %v", url, err)
 	}
@@ -236,7 +228,7 @@ func rawSweep(t *testing.T, url string, req client.SweepRequest, hops int) (body
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), resp.Header.Get("X-Spur-Node"), resp.StatusCode
+	return buf.Bytes(), resp.Header.Get("X-Spur-Cached") == "true", resp.StatusCode
 }
 
 // waitReplicated polls until every replica of key holds the blob (the
@@ -260,29 +252,10 @@ func (tc *testCluster) waitReplicated(t *testing.T, key expstore.Key) {
 	t.Fatalf("blob %.12s not on all replicas %v within deadline", key, replicas)
 }
 
-// TestPeerAnswered pins breaker accounting for peer statuses:
-// a plain 4xx is a healthy authoritative answer, but 429 is the peer
-// shedding load and must count as a failure so the breaker can open.
-func TestPeerAnswered(t *testing.T) {
-	cases := []struct {
-		code int
-		want bool
-	}{
-		{http.StatusNotFound, true},
-		{http.StatusBadRequest, true},
-		{http.StatusTooManyRequests, false},
-		{http.StatusInternalServerError, false},
-		{http.StatusBadGateway, false},
-		{http.StatusOK, false}, // never asked for 2xx; callers Record(true) directly
-	}
-	for _, c := range cases {
-		if got := peerAnswered(c.code); got != c.want {
-			t.Errorf("peerAnswered(%d) = %v, want %v", c.code, got, c.want)
-		}
-	}
-}
-
-func TestClusterProxyRoutesToReplica(t *testing.T) {
+// TestClusterOutsiderServesReplicaCopy: a node outside a key's replica set
+// serves a key the fleet already holds from one replica fetch — the same
+// bytes, marked cached, counted as a repair, with no simulator work.
+func TestClusterOutsiderServesReplicaCopy(t *testing.T) {
 	tc := startCluster(t, 3, 2)
 	req := testSweepReq(11)
 	key := sweepKey(t, req)
@@ -290,40 +263,56 @@ func TestClusterProxyRoutesToReplica(t *testing.T) {
 	if outsider == "" {
 		t.Fatal("replication 2 of 3 must leave one non-replica")
 	}
-
-	body, servedBy, status := rawSweep(t, outsider, req, -1)
+	want, _, status := rawSweep(t, replicas[0], req)
 	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
-	}
-	if servedBy != replicas[0] {
-		t.Errorf("served by %s, want owner %s (via proxy from %s)", servedBy, replicas[0], outsider)
-	}
-	if tc.node(outsider).computes.Load() != 0 {
-		t.Error("non-replica computed instead of proxying")
+		t.Fatalf("status %d from owner: %s", status, want)
 	}
 	tc.waitReplicated(t, key)
-	if tc.node(outsider).srv.Store().Has(key) {
-		t.Error("non-replica ended up holding the blob")
+
+	out := tc.node(outsider)
+	repairedBefore := out.srv.Store().Stats().Repaired
+	got, cached, status := rawSweep(t, outsider, req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d from non-replica: %s", status, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("non-replica served different bytes than the owner's compute")
+	}
+	if !cached {
+		t.Error("non-replica's reply not marked cached")
+	}
+	if n := out.computes.Load(); n != 0 {
+		t.Errorf("non-replica computed %d times, want 0", n)
+	}
+	if got := out.srv.Store().Stats().Repaired - repairedBefore; got != 1 {
+		t.Errorf("non-replica's store.repaired rose by %d, want 1", got)
 	}
 }
 
-func TestClusterHopBudgetServesLocally(t *testing.T) {
+// TestClusterOutsiderComputesAndReplicates: a key nobody holds, asked of a
+// node outside its replica set, is computed there once, and the outbox then
+// lands it on both replicas.
+func TestClusterOutsiderComputesAndReplicates(t *testing.T) {
 	tc := startCluster(t, 3, 2)
 	req := testSweepReq(12)
 	key := sweepKey(t, req)
-	_, outsider := tc.placement(key)
+	replicas, outsider := tc.placement(key)
 
-	// A request arriving with the hop budget already spent must not be
-	// forwarded again — the node computes locally and says so.
-	body, servedBy, status := rawSweep(t, outsider, req, 2)
+	body, cached, status := rawSweep(t, outsider, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	if servedBy != outsider {
-		t.Errorf("served by %s, want local serve on %s after hop budget", servedBy, outsider)
+	if cached {
+		t.Error("a key nobody held came back cached")
 	}
-	if tc.node(outsider).computes.Load() == 0 {
-		t.Error("hop-exhausted node did not compute locally")
+	if n := tc.node(outsider).computes.Load(); n != 1 {
+		t.Errorf("non-replica computed %d times, want 1", n)
+	}
+	tc.waitReplicated(t, key)
+	for _, u := range replicas {
+		if n := tc.node(u).computes.Load(); n != 0 {
+			t.Errorf("replica %s computed %d times, want 0", u, n)
+		}
 	}
 }
 
@@ -336,12 +325,69 @@ func TestClusterAllReplicasDownComputesLocally(t *testing.T) {
 		tc.node(u).kill()
 	}
 
-	body, servedBy, status := rawSweep(t, outsider, req, -1)
+	body, _, status := rawSweep(t, outsider, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d with replicas down: %s", status, body)
 	}
-	if servedBy != outsider {
-		t.Errorf("served by %s, want availability-first local compute on %s", servedBy, outsider)
+	if n := tc.node(outsider).computes.Load(); n != 1 {
+		t.Errorf("non-replica computed %d times with every replica down, want 1 (availability first)", n)
+	}
+}
+
+// TestClusterRestartPushesOwedBlob restarts a node whose store holds one
+// blob and whose outbox journal still owes it to a dead peer. The outbox's
+// sender pushes replayed debts as soon as it starts, while New is still
+// assembling the server; under -race this checks that the push sees the
+// finished cluster node.
+func TestClusterRestartPushesOwedBlob(t *testing.T) {
+	dir := t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	self := "http://127.0.0.1:1" // never served: only the outbox runs
+	store, err := expstore.Open(dir, expstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sweepKey(t, testSweepReq(51))
+	if err := store.Put(key, []byte("[]")); err != nil {
+		t.Fatal(err)
+	}
+	journal := dir + "/outbox.journal"
+	ob, err := cluster.OpenOutbox(journal, spur.Version, func(string, string) error { return errors.New("peer down") }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Enqueue(string(key), []string{dead}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Config{
+		Store:       store,
+		Self:        self,
+		Peers:       []string{self, dead},
+		Replication: 2,
+		Outbox:      journal,
+		PeerTimeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.cluster.outbox.Stats().Failed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted outbox never tried its owed push: %+v", srv.cluster.outbox.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -396,7 +442,7 @@ func TestClusterRepairWithoutRecompute(t *testing.T) {
 	replicas, _ := tc.placement(key)
 	owner := tc.node(replicas[0])
 
-	want, _, status := rawSweep(t, owner.url, req, -1)
+	want, _, status := rawSweep(t, owner.url, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -439,7 +485,7 @@ func TestClusterRepairWithoutRecompute(t *testing.T) {
 	}
 
 	// And the repaired bytes answer requests byte-identically.
-	got, _, status := rawSweep(t, victim.url, req, -1)
+	got, _, status := rawSweep(t, victim.url, req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d after repair", status)
 	}

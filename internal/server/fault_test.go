@@ -24,7 +24,7 @@ func TestHealthzReportsBreakersAndOutboxAge(t *testing.T) {
 
 	// A compute on the survivor owes its result to the dead replica.
 	req := testSweepReq(41)
-	if _, _, status := rawSweep(t, survivor.url, req, -1); status != http.StatusOK {
+	if _, _, status := rawSweep(t, survivor.url, req); status != http.StatusOK {
 		t.Fatalf("sweep on survivor: status %d", status)
 	}
 	time.Sleep(50 * time.Millisecond) // let the owed intent age measurably
@@ -117,7 +117,7 @@ func TestShedsHeavyOpsWhenDegraded(t *testing.T) {
 	srv, err := New(Config{
 		Self:        urls[0],
 		Peers:       urls,
-		Replication: 1, // this node owns what it computes; no proxying
+		Replication: 1,
 		MaxRun:      1,
 		MaxQueue:    2,
 	})
@@ -214,7 +214,7 @@ func TestOutboxBreakerRecovers(t *testing.T) {
 	victim.kill()
 
 	req := testSweepReq(47)
-	if _, _, status := rawSweep(t, survivor.url, req, -1); status != http.StatusOK {
+	if _, _, status := rawSweep(t, survivor.url, req); status != http.StatusOK {
 		t.Fatalf("sweep on survivor: status %d", status)
 	}
 	key := sweepKey(t, req)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,42 +63,15 @@ type jobLog struct {
 // different code version is set aside (renamed to path+".stale") rather
 // than replayed: its keys would never match this version's store addresses.
 func openJobLog(path, version string, logf func(string, ...any)) (*jobLog, error) {
-	hdr := journal.Header{Kind: jobJournalKind, Version: version}
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		w, err := journal.Create(path, hdr)
-		if err != nil {
-			return nil, err
-		}
-		return &jobLog{w: w, pending: map[string]bool{}}, nil
-	}
-	rep, err := journal.Replay(path)
-	if err != nil {
-		return nil, fmt.Errorf("server: job journal %s: %w", path, err)
-	}
-	if rep.Header.Kind != jobJournalKind {
-		return nil, fmt.Errorf("server: %s is a %q journal, not a job journal", path, rep.Header.Kind)
-	}
-	if rep.Header.Version != version {
-		logf("spurd: job journal %s was written by version %q (this is %q); setting it aside", path, rep.Header.Version, version)
-		if err := os.Rename(path, path+".stale"); err != nil {
-			return nil, err
-		}
-		w, err := journal.Create(path, hdr)
-		if err != nil {
-			return nil, err
-		}
-		return &jobLog{w: w, pending: map[string]bool{}}, nil
-	}
-
 	// Replay: a done record settles every prior accept of its key, so a
 	// job that was accepted, crashed, re-accepted on recovery and finished
 	// stays settled. Order is preserved for the survivors.
 	byKey := map[string]jobRecord{}
 	var order []string
-	for i, b := range rep.Entries {
+	w, err := journal.Open(path, journal.Header{Kind: jobJournalKind, Version: version}, logf, func(b []byte) error {
 		var r jobRecord
 		if err := json.Unmarshal(b, &r); err != nil {
-			return nil, fmt.Errorf("server: job journal %s record %d: %w", path, i, err)
+			return err
 		}
 		switch r.Op {
 		case "accept":
@@ -110,12 +82,12 @@ func openJobLog(path, version string, logf func(string, ...any)) (*jobLog, error
 		case "done":
 			delete(byKey, r.Key)
 		default:
-			return nil, fmt.Errorf("server: job journal %s record %d: unknown op %q", path, i, r.Op)
+			return fmt.Errorf("unknown op %q", r.Op)
 		}
-	}
-	w, _, err := journal.Open(path)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: job journal: %w", err)
 	}
 	l := &jobLog{w: w, pending: map[string]bool{}}
 	for _, k := range order {

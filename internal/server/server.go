@@ -82,14 +82,13 @@ type Config struct {
 	// Outbox journals replication debts durably ("" = in-memory outbox:
 	// pushes pending at a crash are healed later by scrub repair).
 	Outbox string
-	// PeerTimeout bounds peer probes and blob transfers (default 5s).
-	// Proxied requests are bounded by the requester's context instead —
-	// a forwarded compute legitimately takes as long as a local one.
+	// PeerTimeout bounds every peer call — blob pushes and fetches, key
+	// inventories and health probes (default 5s).
 	PeerTimeout time.Duration
 
 	// NetFaults, when non-nil, is the deterministic network fault plane:
 	// incoming requests pass through its Middleware, and every outgoing
-	// peer call (proxy, blob push, repair fetch, health probe) through
+	// peer call (blob push and fetch, key inventory, health probe) through
 	// its Transport. The injector is shared, not copied, so a torture
 	// driver can re-arm rules per round with SetRules.
 	NetFaults *faultinject.NetInjector
@@ -179,12 +178,12 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		outbox, err := cluster.OpenOutbox(cfg.Outbox, cfg.Version, s.sendBlob, cfg.Logf)
-		if err != nil {
+		// The outbox's sender starts at once and may push replayed debts
+		// through s.sendBlob, which reads s.cluster: publish the node first.
+		s.cluster = node
+		if node.outbox, err = cluster.OpenOutbox(cfg.Outbox, cfg.Version, s.sendBlob, cfg.Logf); err != nil {
 			return nil, err
 		}
-		node.outbox = outbox
-		s.cluster = node
 		s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 		s.mux.HandleFunc("GET /v1/cluster/keys", s.handleClusterKeys)
 		s.mux.HandleFunc("GET /v1/cluster/blob/{key}", s.handleBlobGet)
@@ -352,9 +351,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.proxyIfRemote(w, r, key, req) {
-		return
-	}
 	data, cached, err := s.memoize(r.Context(), key, "run", req, s.runJob(key, req))
 	if err != nil {
 		writeComputeError(w, err)
@@ -450,11 +446,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	key, err := expstore.KeyOf(s.cfg.Version, kind, keyReq)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The proxied body keeps Format: the key ignores presentation, the
-	// serving node must not.
-	if s.proxyIfRemote(w, r, key, req) {
 		return
 	}
 	// Only a sweep that would actually compute is sheddable; a cache hit
@@ -621,9 +612,6 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	key, err := expstore.KeyOf(s.cfg.Version, "tables/"+id, q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.proxyIfRemote(w, r, key, nil) {
 		return
 	}
 	if !s.store.Has(key) && s.shedHeavy(w, "tables/"+id) {

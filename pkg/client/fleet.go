@@ -54,8 +54,10 @@ type Fleet struct {
 // FleetOptions tunes NewFleet.
 type FleetOptions struct {
 	// Replication must match the fleet's -replicas setting (default 2,
-	// clamped to the peer count). A mismatch is not fatal — the daemons
-	// proxy misrouted requests — it just costs a hop.
+	// clamped to the peer count). A mismatch is not fatal — a daemon serves
+	// any request that reaches it, from its store, the key's replicas or a
+	// compute — but a request sent outside the key's replica set leaves an
+	// extra copy where it lands and can compute a key its owner computes too.
 	Replication int
 	// Version overrides the code version hashed into store keys (default
 	// spur.Version, which is correct when client and daemons are built
@@ -149,15 +151,20 @@ func (f *Fleet) peerClient(peer string) *Client {
 	return &c
 }
 
-// authoritative reports whether err is a real answer (a 4xx other than
-// 429: bad request, unknown table, ...) rather than an availability
-// failure worth failing over.
+// Answered reports whether a non-2xx status from a peer is an answer
+// rather than an outage: any 4xx except 429 (bad request, unknown table,
+// no such blob). A 429 is the peer shedding load and counts against it like
+// a 5xx or a dead connection, so its breaker can open and back pressure
+// reaches it. Fleet failover and spurd's peer breakers both judge by it.
+func Answered(code int) bool {
+	return code/100 == 4 && code != http.StatusTooManyRequests
+}
+
+// authoritative reports whether err is a peer's answer by Answered rather
+// than an availability failure worth failing over.
 func authoritative(err error) bool {
 	var se *StatusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.Code/100 == 4 && se.Code != http.StatusTooManyRequests
+	return errors.As(err, &se) && Answered(se.Code)
 }
 
 // errBreakerOpen marks a peer skipped because its circuit breaker is open.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -82,6 +83,35 @@ func peerByURL(t *testing.T, peers []*fakePeer, url string) *fakePeer {
 	}
 	t.Fatalf("no fake peer at %s", url)
 	return nil
+}
+
+// TestPeerAnswered pins the one rule Fleet failover and spurd's peer
+// breakers share: a plain 4xx is a healthy authoritative answer, but 429 is
+// the peer shedding load and must count as a failure so the breaker can open.
+func TestPeerAnswered(t *testing.T) {
+	cases := []struct {
+		code int
+		want bool
+	}{
+		{http.StatusNotFound, true},
+		{http.StatusBadRequest, true},
+		{http.StatusTooManyRequests, false},
+		{http.StatusInternalServerError, false},
+		{http.StatusBadGateway, false},
+		{http.StatusOK, false}, // never asked for 2xx; callers count a 2xx as healthy directly
+	}
+	for _, c := range cases {
+		if got := Answered(c.code); got != c.want {
+			t.Errorf("Answered(%d) = %v, want %v", c.code, got, c.want)
+		}
+		err := fmt.Errorf("peer: %w", &StatusError{Code: c.code})
+		if got := authoritative(err); got != c.want {
+			t.Errorf("authoritative(status %d) = %v, want %v", c.code, got, c.want)
+		}
+	}
+	if authoritative(errors.New("connection refused")) {
+		t.Error("a transport error counted as an answer")
+	}
 }
 
 func TestFleetRoutesToOwner(t *testing.T) {

@@ -81,11 +81,11 @@ func TestMemorySweepSampledRejectsConfigure(t *testing.T) {
 	}
 }
 
-// TestMemorySweepSampledSharedJournalDir: two sampled specs share one
+// TestMemorySweepSampledSharedStoreDir: two sampled specs share one
 // store. Each group is keyed by its own content address, so every run
 // prints its fresh CSV, the store ends up holding both specs' groups, and
 // rerunning the first spec is served entirely from the store.
-func TestMemorySweepSampledSharedJournalDir(t *testing.T) {
+func TestMemorySweepSampledSharedStoreDir(t *testing.T) {
 	dir := t.TempDir()
 	for i, seed := range []uint64{3, 4, 3} {
 		o, so := sampledSweepOpts(2)

@@ -78,8 +78,37 @@ for s in 1 2 3; do
     keys+=("$key")
 done
 
+# The async outbox must land every baseline blob on each of its replicas:
+# node 1 computed them all and owes each to every replica but itself.
+outbox_drained() { curl -fsS "$u1/healthz" | grep -A4 '"outbox"' | grep -q '"pending": 0'; }
+for _ in $(seq 1 100); do
+    outbox_drained && break
+    sleep 0.1
+done
+outbox_drained || { echo "node 1's outbox never drained:"; curl -fsS "$u1/healthz"; exit 1; }
+blob_copies() { ls "$workdir"/store{1,2,3}/"${1:0:2}/$1.json" 2>/dev/null | wc -l; }
+for key in "${keys[@]}"; do
+    [ "$(blob_copies "$key")" -ge 2 ] \
+        || { echo "blob $key never reached 2 replicas"; ls -R "$workdir"/store*; exit 1; }
+done
+echo "replication delivered 2 copies of every baseline blob"
+
+# Pick the victim: node 3 or 2, whichever holds the first baseline blob, so
+# the post-restart drill must repair that exact key. Only node 1's computes
+# and its pushes to replicas have written blobs so far, so the victim
+# replicates it; once every node has served the baseline below, every
+# node holds a copy.
+key=${keys[0]}
+victim=""
+for n in 3 2; do
+    if [ -f "$workdir/store$n/${key:0:2}/$key.json" ]; then victim=$n; break; fi
+done
+[ -n "$victim" ] || { echo "neither node 2 nor node 3 replicates $key?"; exit 1; }
+eval "victim_pid=\$pid$victim"
+eval "victim_url=\$u$victim"
+
 # Every node answers every baseline sweep byte-identically, wherever the
-# blob lives (replica serve or proxy).
+# blob lives (its own store, or a fetch from a replica).
 for s in 1 2 3; do
     for u in "$u1" "$u2" "$u3"; do
         curl -fsS -X POST -H 'Content-Type: application/json' \
@@ -89,29 +118,6 @@ for s in 1 2 3; do
     done
 done
 echo "baseline sweeps byte-identical across all 3 nodes"
-
-# The async outbox must land 2 copies of every baseline blob.
-blob_copies() { ls "$workdir"/store{1,2,3}/"${1:0:2}/$1.json" 2>/dev/null | wc -l; }
-for key in "${keys[@]}"; do
-    for _ in $(seq 1 100); do
-        [ "$(blob_copies "$key")" -ge 2 ] && break
-        sleep 0.1
-    done
-    [ "$(blob_copies "$key")" -ge 2 ] \
-        || { echo "blob $key never reached 2 replicas"; ls -R "$workdir"/store*; exit 1; }
-done
-echo "replication delivered 2 copies of every baseline blob"
-
-# Pick the victim: a node whose store replicates the first baseline blob,
-# so the post-restart drill must repair that exact key.
-key=${keys[0]}
-victim=""
-for n in 3 2 1; do
-    if [ -f "$workdir/store$n/${key:0:2}/$key.json" ]; then victim=$n; break; fi
-done
-[ -n "$victim" ] || { echo "no store holds $key?"; exit 1; }
-eval "victim_pid=\$pid$victim"
-eval "victim_url=\$u$victim"
 
 echo "kill drill: SIGKILL node $victim mid-load..."
 "$workdir/spurload" -peers "$peers" -n 120 -c 6 -mix run=6,sweep=3,tables=1 \
