@@ -28,24 +28,6 @@ import (
 	"repro/internal/workload"
 )
 
-func parseDirty(s string) (core.DirtyPolicy, error) {
-	for _, p := range spur.AllDirtyPolicies {
-		if strings.EqualFold(p.String(), s) {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown dirty policy %q (MIN, FAULT, FLUSH, SPUR, WRITE, PROT)", s)
-}
-
-func parseRef(s string) (core.RefPolicy, error) {
-	for _, p := range spur.RefPolicies {
-		if strings.EqualFold(p.String(), s) {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown ref policy %q (MISS, REF, NOREF)", s)
-}
-
 func main() {
 	wl := flag.String("w", "workload1", "workload: workload1, slc, window, or sprite:<host-index 0-5>")
 	specFile := flag.String("spec", "", "run a JSON workload spec instead of a named workload")
@@ -75,10 +57,10 @@ func main() {
 	cfg.TotalRefs = *refs
 	cfg.Seed = *seed
 	var err error
-	if cfg.Dirty, err = parseDirty(*dirty); err != nil {
+	if cfg.Dirty, err = core.ParseDirtyPolicy(*dirty); err != nil {
 		die(err)
 	}
-	if cfg.Ref, err = parseRef(*refp); err != nil {
+	if cfg.Ref, err = core.ParseRefPolicy(*refp); err != nil {
 		die(err)
 	}
 	if *chaos != "" {

@@ -8,7 +8,8 @@
 // Invariants verified each round:
 //
 //   - every workload request succeeds within its deadline budget, faults
-//     or not (the client's breakers, hedging and failover absorb them);
+//     or not (the client's failover, breakers and retry budget absorb
+//     them);
 //   - every response is byte-identical to the clean-fleet baseline;
 //   - once the round's faults are disarmed, every node converges: outbox
 //     drained, journaled jobs settled, /healthz answering;
@@ -417,7 +418,6 @@ func (h *harness) newFleet() *client.Fleet {
 		Replication:    replication,
 		AttemptTimeout: 2 * time.Second,
 		RetryBudget:    8,
-		HedgeDelay:     100 * time.Millisecond,
 	})
 	if err != nil {
 		// The peer list is the harness's own; this cannot fail after build.

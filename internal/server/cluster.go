@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	spur "repro"
 	"repro/internal/cluster"
 	"repro/internal/expstore"
 	"repro/pkg/client"
@@ -78,7 +79,7 @@ func newClusterNode(cfg Config) (*clusterNode, error) {
 	}
 	for _, p := range ring.Peers() {
 		if p != cfg.Self {
-			c.breakers[p] = client.NewBreaker(0, 0, nil)
+			c.breakers[p] = client.NewBreaker()
 		}
 	}
 	return c, nil
@@ -326,7 +327,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	info := cluster.Info{
 		Self:        c.self,
-		Version:     s.cfg.Version,
+		Version:     spur.Version,
 		Replication: c.rep,
 	}
 	for _, peer := range c.ring.Peers() {

@@ -202,7 +202,7 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // TestOutboxBreakerRecovers checks the full heal cycle end to end: a dead
-// replica trips the survivor's breaker, the outbox holds the debt, and
+// replica trips the survivor's breaker while the outbox holds the debt, and
 // once the replica is back a half-open probe closes the breaker and the
 // blob is delivered.
 func TestOutboxBreakerRecovers(t *testing.T) {
@@ -222,20 +222,28 @@ func TestOutboxBreakerRecovers(t *testing.T) {
 		t.Fatal("survivor did not store its compute")
 	}
 
-	victim.start(nil)
-	// The outbox retries on capped backoff and the breaker admits a probe
-	// after its cooldown (5 s default); within the deadline the revived
-	// replica must hold the blob.
-	deadline := time.Now().Add(25 * time.Second)
-	for !victim.srv.Store().Has(key) {
+	// Keep the victim down until the outbox's failed pushes (on capped
+	// backoff: 0, 0.25, 0.75 s, ...) have opened the survivor's breaker.
+	breaker := func() string { return survivor.srv.cluster.breakerStates()[victim.url] }
+	deadline := time.Now().Add(10 * time.Second)
+	for breaker() != "open" {
 		if time.Now().After(deadline) {
-			st := survivor.srv.cluster.outbox.Stats()
-			t.Fatalf("revived replica never got %.12s (outbox %+v, breakers %v)",
-				key, st, survivor.srv.cluster.breakerStates())
+			t.Fatalf("breaker on the dead replica = %q, never opened (outbox %+v)",
+				breaker(), survivor.srv.cluster.outbox.Stats())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	victim.start(nil)
+	// Only a half-open probe, admitted after the breaker's 5 s cooldown,
+	// can reach the revived replica and close the breaker again; within the
+	// deadline the replica must hold the blob and the breaker read closed.
+	deadline = time.Now().Add(25 * time.Second)
+	for !victim.srv.Store().Has(key) || breaker() != "closed" {
+		if time.Now().After(deadline) {
+			t.Fatalf("revived replica has %.12s: %v; breaker %q (outbox %+v)",
+				key, victim.srv.Store().Has(key), breaker(), survivor.srv.cluster.outbox.Stats())
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-	if got := survivor.srv.cluster.breakerStates()[victim.url]; got != "closed" {
-		t.Fatalf("breaker after recovery = %q, want closed", got)
 	}
 }

@@ -56,9 +56,6 @@ type Config struct {
 	// Parallel is the per-sweep worker bound handed to the experiment
 	// engine (default MaxRun). Results are identical at any setting.
 	Parallel int
-	// Version is the code-version component of every store key
-	// (default spur.Version).
-	Version string
 	// JobJournal, when set, makes accepted jobs durable: every admitted
 	// job is journaled (fsynced) before it computes, and RecoverJobs
 	// recomputes whatever an earlier process accepted but never finished.
@@ -108,9 +105,6 @@ func (c Config) fill() Config {
 	}
 	if c.Parallel <= 0 {
 		c.Parallel = c.MaxRun
-	}
-	if c.Version == "" {
-		c.Version = spur.Version
 	}
 	if len(c.Peers) > 0 {
 		if c.Replication <= 0 {
@@ -167,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		start: time.Now(),
 	}
 	if cfg.JobJournal != "" {
-		jobs, err := openJobLog(cfg.JobJournal, cfg.Version, cfg.Logf)
+		jobs, err := openJobLog(cfg.JobJournal, spur.Version, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +175,7 @@ func New(cfg Config) (*Server, error) {
 		// The outbox's sender starts at once and may push replayed debts
 		// through s.sendBlob, which reads s.cluster: publish the node first.
 		s.cluster = node
-		if node.outbox, err = cluster.OpenOutbox(cfg.Outbox, cfg.Version, s.sendBlob, cfg.Logf); err != nil {
+		if node.outbox, err = cluster.OpenOutbox(cfg.Outbox, spur.Version, s.sendBlob, cfg.Logf); err != nil {
 			return nil, err
 		}
 		s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
@@ -346,7 +340,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := expstore.KeyOf(s.cfg.Version, "run", req)
+	key, err := expstore.KeyOf(spur.Version, "run", req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -443,7 +437,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	keyReq := req
 	keyReq.Format = ""
-	key, err := expstore.KeyOf(s.cfg.Version, kind, keyReq)
+	key, err := expstore.KeyOf(spur.Version, kind, keyReq)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -609,7 +603,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := expstore.KeyOf(s.cfg.Version, "tables/"+id, q)
+	key, err := expstore.KeyOf(spur.Version, "tables/"+id, q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -725,7 +719,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	h := client.Health{
 		Status:  status,
-		Version: s.cfg.Version,
+		Version: spur.Version,
 		Store:   s.store.Stats(),
 		Queue:   s.q.stats(s.fl.deduped.Load()),
 		Uptime:  client.Duration(time.Since(s.start)),
@@ -760,7 +754,7 @@ func (s *Server) shedHeavy(w http.ResponseWriter, op string) bool {
 		return false
 	}
 	s.q.rejected.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int(client.DefaultBreakerCooldown.Seconds())))
+	w.Header().Set("Retry-After", strconv.Itoa(int(client.BreakerCooldown.Seconds())))
 	httpError(w, http.StatusTooManyRequests, "fleet degraded (peer breaker open) and queue backed up: shedding %s", op)
 	return true
 }

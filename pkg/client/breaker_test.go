@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	spur "repro"
-	"repro/internal/expstore"
 	"repro/internal/faultinject"
 )
 
@@ -24,7 +22,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t.Add(int64(d)) }
 
 func TestBreakerStateMachine(t *testing.T) {
 	clk := &fakeClock{}
-	b := NewBreaker(3, time.Second, clk.now)
+	b := newBreaker(3, time.Second, clk.now)
 
 	if b.State() != BreakerClosed {
 		t.Fatal("new breaker should be closed")
@@ -83,34 +81,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestBreakerCancelProbe pins the alternate match for an admitted Allow:
-// cancelling a half-open probe releases the admission without judging the
-// peer, so the next request can probe instead of being rejected forever.
-func TestBreakerCancelProbe(t *testing.T) {
-	clk := &fakeClock{}
-	b := NewBreaker(1, time.Second, clk.now)
-	b.Allow()
-	b.Record(false) // threshold 1: open
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("cooled-down breaker must admit a probe")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe must be rejected")
-	}
-	b.cancelProbe()
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after cancelled probe = %v, want half-open", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("cancelled probe must free the slot for the next request")
-	}
-	b.Record(true)
-	if b.State() != BreakerClosed {
-		t.Fatal("successful replacement probe should close")
-	}
-}
-
 func TestNilBreakerIsTransparent(t *testing.T) {
 	var b *Breaker
 	if !b.Allow() {
@@ -132,14 +102,13 @@ func TestFleetBreakerSkipsDeadPeer(t *testing.T) {
 	for i, p := range peers {
 		urls[i] = p.ts.URL
 	}
-	clk := &fakeClock{}
-	f, err := NewFleet(urls, FleetOptions{
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		Clock:            clk.now,
-	})
+	f, err := NewFleet(urls, FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	clk := &fakeClock{}
+	for p := range f.breakers {
+		f.breakers[p] = newBreaker(2, time.Minute, clk.now)
 	}
 	f.Template.Backoff = time.Millisecond
 	f.Template.MaxBackoff = 2 * time.Millisecond
@@ -220,261 +189,42 @@ func TestFleetRetryBudget(t *testing.T) {
 // eat the caller's whole deadline: the attempt times out and the replica
 // answers well inside the request budget.
 func TestFleetAttemptTimeoutBoundsBlackhole(t *testing.T) {
-	peers := startPeers(t, 3)
-	urls := make([]string, len(peers))
-	for i, p := range peers {
-		urls[i] = p.ts.URL
-	}
-	f, err := NewFleet(urls, FleetOptions{AttemptTimeout: 80 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Template.Retries = -1
-
-	req := RunRequest{Refs: 1000}
-	order := runOrder(t, f, req)
-
-	// Black-hole the owner via a client-side net fault rule.
-	inj := faultinject.NewNet(faultinject.NetRule{
-		Fault: faultinject.NetBlackhole,
-		Peer:  strings.TrimPrefix(order[0], "http://"),
-		Every: 1,
-	})
-	f.Template.HTTPClient = &http.Client{Transport: inj.Transport(nil)}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	start := time.Now()
-	resp, err := f.Run(ctx, req)
-	if err != nil {
-		t.Fatalf("run should fail over past the black hole: %v", err)
-	}
-	if resp.Key != order[1] {
-		t.Fatalf("served by %s, want first replica %s", resp.Key, order[1])
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("failover past black hole took %v", d)
-	}
-}
-
-// tablesPeer serves /v1/tables/ with a configurable delay, so hedging
-// tests can make the owner slow and the replica fast.
-type tablesPeer struct {
-	ts    *httptest.Server
-	calls atomic.Int64
-	delay atomic.Int64 // nanoseconds
-}
-
-func startTablesPeers(t *testing.T, n int) []*tablesPeer {
-	t.Helper()
-	peers := make([]*tablesPeer, n)
-	for i := range peers {
-		p := &tablesPeer{}
-		p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			p.calls.Add(1)
-			if d := time.Duration(p.delay.Load()); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-r.Context().Done():
-					return
-				}
+	for _, op := range fleetOps(1000) {
+		t.Run(op.name, func(t *testing.T) {
+			peers := startPeers(t, 3)
+			urls := make([]string, len(peers))
+			for i, p := range peers {
+				urls[i] = p.ts.URL
 			}
-			_ = json.NewEncoder(w).Encode(TablesResponse{Key: p.ts.URL})
-		}))
-		t.Cleanup(p.ts.Close)
-		peers[i] = p
-	}
-	return peers
-}
+			f, err := NewFleet(urls, FleetOptions{AttemptTimeout: 80 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Template.Retries = -1
+			order := op.order(t, f)
 
-func TestHedgedTablesFirstResponseWins(t *testing.T) {
-	peers := startTablesPeers(t, 3)
-	urls := make([]string, len(peers))
-	for i, p := range peers {
-		urls[i] = p.ts.URL
-	}
-	f, err := NewFleet(urls, FleetOptions{HedgeDelay: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Black-hole the owner via a client-side net fault rule.
+			inj := faultinject.NewNet(faultinject.NetRule{
+				Fault: faultinject.NetBlackhole,
+				Peer:  strings.TrimPrefix(order[0], "http://"),
+				Every: 1,
+			})
+			f.Template.HTTPClient = &http.Client{Transport: inj.Transport(nil)}
 
-	q := TablesQuery{}
-	if err := q.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	key, err := expstore.KeyOf(spur.Version, "tables/3.1", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := f.Replicas(string(key))
-	slow := 0
-	for i, p := range peers {
-		if p.ts.URL == order[0] {
-			slow = i
-		}
-	}
-	peers[slow].delay.Store(int64(500 * time.Millisecond))
-
-	start := time.Now()
-	resp, terr := f.Tables(context.Background(), "3.1", TablesQuery{})
-	if terr != nil {
-		t.Fatal(terr)
-	}
-	if resp.Key != order[1] {
-		t.Fatalf("winner = %s, want hedged replica %s", resp.Key, order[1])
-	}
-	if d := time.Since(start); d > 400*time.Millisecond {
-		t.Fatalf("hedged read waited for the slow owner: %v", d)
-	}
-	// Both the owner and the hedge were contacted.
-	if peers[slow].calls.Load() != 1 {
-		t.Fatalf("owner saw %d calls, want 1", peers[slow].calls.Load())
-	}
-}
-
-// TestHedgeLoserReleasesHalfOpenProbe is the recovered-peer blacklist
-// regression: a peer whose breaker is half-open after its cooldown joins a
-// hedged read as the probe, loses the race, and is cancelled. Its admission
-// must be released (not left probing forever), or the peer would be
-// excluded from every future fleet operation until process restart.
-func TestHedgeLoserReleasesHalfOpenProbe(t *testing.T) {
-	peers := startTablesPeers(t, 3)
-	urls := make([]string, len(peers))
-	for i, p := range peers {
-		urls[i] = p.ts.URL
-	}
-	clk := &fakeClock{}
-	f, err := NewFleet(urls, FleetOptions{
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		Clock:            clk.now,
-		HedgeDelay:       20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := TablesQuery{}
-	if err := q.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	key, err := expstore.KeyOf(spur.Version, "tables/3.1", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := f.Replicas(string(key))
-
-	// Open the owner's breaker, then let the cooldown elapse: the next
-	// contact is admitted as the single half-open probe.
-	ob := f.breakers[order[0]]
-	ob.Record(false)
-	ob.Record(false)
-	if ob.State() != BreakerOpen {
-		t.Fatalf("owner breaker = %v, want open", ob.State())
-	}
-	clk.advance(time.Minute)
-
-	// The recovered owner is slow, so its probe loses the hedged race to
-	// the fast replica and is cancelled.
-	for i, p := range peers {
-		if p.ts.URL == order[0] {
-			peers[i].delay.Store(int64(300 * time.Millisecond))
-		}
-	}
-	resp, terr := f.Tables(context.Background(), "3.1", TablesQuery{})
-	if terr != nil {
-		t.Fatal(terr)
-	}
-	if resp.Key != order[1] {
-		t.Fatalf("winner = %s, want hedged replica %s", resp.Key, order[1])
-	}
-
-	// The losing probe settles in the background; the breaker must end up
-	// willing to admit another request, not stuck probing.
-	deadline := time.Now().Add(2 * time.Second)
-	for !ob.Allow() {
-		if time.Now().After(deadline) {
-			t.Fatal("hedge loser left the half-open breaker probing forever")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ob.cancelProbe() // release the admission the successful Allow took
-}
-
-// TestZeroHedgeDelayEngagesFromFailoverLatencies pins the documented
-// "zero derives the delay from the observed p99" behavior: plain failover
-// successes must feed the latency window, or the estimate never trusts
-// itself and zero-delay hedging is dead code.
-func TestZeroHedgeDelayEngagesFromFailoverLatencies(t *testing.T) {
-	peers := startTablesPeers(t, 3)
-	urls := make([]string, len(peers))
-	for i, p := range peers {
-		urls[i] = p.ts.URL
-	}
-	f, err := NewFleet(urls, FleetOptions{}) // HedgeDelay 0: p99-derived
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < latMinSamples; i++ {
-		if _, err := f.Tables(context.Background(), "3.1", TablesQuery{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := f.lat.p99(); !ok {
-		t.Fatal("latency window untrusted after enough failover successes; zero HedgeDelay could never engage")
-	}
-
-	// With a trusted (sub-millisecond, local test servers) p99, a slow
-	// owner is now hedged around instead of waited for.
-	q := TablesQuery{}
-	if err := q.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	key, err := expstore.KeyOf(spur.Version, "tables/3.1", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := f.Replicas(string(key))
-	for i, p := range peers {
-		if p.ts.URL == order[0] {
-			peers[i].delay.Store(int64(500 * time.Millisecond))
-		}
-	}
-	start := time.Now()
-	resp, terr := f.Tables(context.Background(), "3.1", TablesQuery{})
-	if terr != nil {
-		t.Fatal(terr)
-	}
-	if resp.Key != order[1] {
-		t.Fatalf("winner = %s, want hedged replica %s", resp.Key, order[1])
-	}
-	if d := time.Since(start); d > 400*time.Millisecond {
-		t.Fatalf("zero-delay hedge waited for the slow owner: %v", d)
-	}
-}
-
-func TestHedgeDisabledFallsBackToFailover(t *testing.T) {
-	peers := startTablesPeers(t, 3)
-	urls := make([]string, len(peers))
-	for i, p := range peers {
-		urls[i] = p.ts.URL
-	}
-	f, err := NewFleet(urls, FleetOptions{HedgeDelay: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, terr := f.Tables(context.Background(), "3.1", TablesQuery{})
-	if terr != nil {
-		t.Fatal(terr)
-	}
-	total := int64(0)
-	for _, p := range peers {
-		total += p.calls.Load()
-	}
-	if total != 1 {
-		t.Fatalf("disabled hedging made %d calls, want 1", total)
-	}
-	if resp == nil || resp.Key == "" {
-		t.Fatal("empty response")
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			start := time.Now()
+			served, err := op.call(ctx, f)
+			if err != nil {
+				t.Fatalf("%s should fail over past the black hole: %v", op.name, err)
+			}
+			if served != order[1] {
+				t.Fatalf("served by %s, want first replica %s", served, order[1])
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("failover past black hole took %v", d)
+			}
+		})
 	}
 }
 

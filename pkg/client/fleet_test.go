@@ -74,6 +74,54 @@ func runOrder(t *testing.T, f *Fleet, req RunRequest) []string {
 	return f.Replicas(string(key))
 }
 
+// fleetOp is one Fleet call on the failover path: order returns the peers
+// it tries, owner first, and call returns the URL of the peer that answered
+// (every fake peer's response carries its URL as the key).
+type fleetOp struct {
+	name  string
+	order func(t *testing.T, f *Fleet) []string
+	call  func(ctx context.Context, f *Fleet) (string, error)
+}
+
+// fleetOps returns Fleet.Run and Fleet.Tables over requests of refs
+// references.
+func fleetOps(refs int64) []fleetOp {
+	req := RunRequest{Refs: refs}
+	q := TablesQuery{Refs: refs}
+	return []fleetOp{{
+		name:  "Run",
+		order: func(t *testing.T, f *Fleet) []string { return runOrder(t, f, req) },
+		call: func(ctx context.Context, f *Fleet) (string, error) {
+			r, err := f.Run(ctx, req)
+			if err != nil {
+				return "", err
+			}
+			return r.Key, nil
+		},
+	}, {
+		name: "Tables",
+		order: func(t *testing.T, f *Fleet) []string {
+			t.Helper()
+			q := q
+			if err := q.Normalize(); err != nil {
+				t.Fatalf("Normalize: %v", err)
+			}
+			key, err := expstore.KeyOf(spur.Version, "tables/3.1", q)
+			if err != nil {
+				t.Fatalf("KeyOf: %v", err)
+			}
+			return f.Replicas(string(key))
+		},
+		call: func(ctx context.Context, f *Fleet) (string, error) {
+			r, err := f.Tables(ctx, "3.1", q)
+			if err != nil {
+				return "", err
+			}
+			return r.Key, nil
+		},
+	}}
+}
+
 func peerByURL(t *testing.T, peers []*fakePeer, url string) *fakePeer {
 	t.Helper()
 	for _, p := range peers {
@@ -139,22 +187,25 @@ func TestFleetRoutesToOwner(t *testing.T) {
 }
 
 func TestFleetOwnerDownFailsOverToReplica(t *testing.T) {
-	peers := startPeers(t, 3)
-	f := testFleet(t, peers)
-	req := RunRequest{Refs: 2000}
-	order := runOrder(t, f, req)
-	if len(order) != 2 {
-		t.Fatalf("replica set %v, want 2 peers", order)
-	}
+	for _, op := range fleetOps(2000) {
+		t.Run(op.name, func(t *testing.T) {
+			peers := startPeers(t, 3)
+			f := testFleet(t, peers)
+			order := op.order(t, f)
+			if len(order) != 2 {
+				t.Fatalf("replica set %v, want 2 peers", order)
+			}
 
-	peerByURL(t, peers, order[0]).ts.Close() // kill the owner
+			peerByURL(t, peers, order[0]).ts.Close() // kill the owner
 
-	resp, err := f.Run(context.Background(), req)
-	if err != nil {
-		t.Fatalf("Run with owner down: %v", err)
-	}
-	if resp.Key != order[1] {
-		t.Errorf("served by %s, want replica %s", resp.Key, order[1])
+			served, err := op.call(context.Background(), f)
+			if err != nil {
+				t.Fatalf("%s with owner down: %v", op.name, err)
+			}
+			if served != order[1] {
+				t.Errorf("served by %s, want replica %s", served, order[1])
+			}
+		})
 	}
 }
 

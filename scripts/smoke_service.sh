@@ -58,18 +58,20 @@ curl -fsS "$base/healthz" | grep -Eq '"(mem|disk)_hits": [1-9]' \
 ls "$workdir/store/${key1:0:2}/$key1.json" >/dev/null
 
 echo "kill-and-resume: SIGKILL mid-sweep, restart, the journaled job completes..."
-sweep_req='{"workloads":["SLC"],"sizes_mb":[4,5],"refs":1500000,"seed":3}'
+# 10M references keep the sweep computing for about 2 s on 2 vCPUs, far
+# longer than the poll below takes to see it journaled.
+sweep_req='{"workloads":["SLC"],"sizes_mb":[4,5],"refs":10000000,"seed":3}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$sweep_req" "$base/v1/sweep" \
     -o "$workdir/unused.csv" &
 curl_pid=$!
-# Wait for the job to be accepted (journaled and running), then pull the plug.
+# "pending": 1 means the job's accept record is fsynced in the journal and
+# its done record is not: the sweep is computing. Pull the plug then.
 for _ in $(seq 1 100); do
-    curl -fsS "$base/healthz" | grep -Eq '"running": [1-9]' && break
+    curl -fsS "$base/healthz" | grep -q '"pending": 1' && break
     sleep 0.1
 done
-curl -fsS "$base/healthz" | grep -Eq '"running": [1-9]' \
-    || { echo "sweep never started running:"; curl -fsS "$base/healthz"; exit 1; }
-sleep 0.3 # let the accept record reach the journal
+curl -fsS "$base/healthz" | grep -q '"pending": 1' \
+    || { echo "sweep was never journaled as pending:"; curl -fsS "$base/healthz"; exit 1; }
 kill -9 "$pid"
 wait "$curl_pid" 2>/dev/null && { echo "in-flight sweep request survived SIGKILL?"; exit 1; }
 [ -s "$workdir/store/jobs.journal" ] || { echo "no job journal survived the kill"; exit 1; }
@@ -93,7 +95,7 @@ curl -fsSD "$workdir/sweep.hdr" -X POST -H 'Content-Type: application/json' \
     -d "$sweep_req" "$base/v1/sweep" -o "$workdir/sweep.csv"
 grep -qi 'X-Spur-Cached: true' "$workdir/sweep.hdr" \
     || { echo "recovered sweep was not served from the store"; cat "$workdir/sweep.hdr"; exit 1; }
-"$workdir/sweep" -w slc -sizes 4,5 -refs 1500000 -seed 3 -csv >"$workdir/local.csv" 2>/dev/null
+"$workdir/sweep" -w slc -sizes 4,5 -refs 10000000 -seed 3 -csv >"$workdir/local.csv" 2>/dev/null
 diff "$workdir/sweep.csv" "$workdir/local.csv" \
     || { echo "recovered sweep differs from local run"; exit 1; }
 
