@@ -482,7 +482,7 @@ func suite() []workItem {
 			if err != nil {
 				return nil, err
 			}
-			resp.Cached = false // first round computes, later rounds hit the store
+			resp.Cached = false // where the answer came from is not part of it
 			return json.Marshal(resp)
 		}},
 	}

@@ -245,7 +245,8 @@ func remoteDocs(base, which string, refs int64, reps int, seed uint64, paper boo
 		}
 		from := "computed"
 		if resp.Cached {
-			from = "served from the result store"
+			// A store hit, or a fixed artifact that is never stored.
+			from = "served without simulating"
 		}
 		fmt.Fprintf(os.Stderr, "tables: %s %s (key %.12s...)\n", id, from, resp.Key)
 		for _, d := range resp.Docs {

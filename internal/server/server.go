@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -350,12 +351,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeComputeError(w, err)
 		return
 	}
-	var p runPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		httpError(w, http.StatusInternalServerError, "corrupt stored run: %v", err)
+	// The payload is a runPayload object; its members follow the reply's
+	// own, as in client.RunResponse.
+	if len(data) == 0 || data[0] != '{' {
+		httpError(w, http.StatusInternalServerError, "corrupt stored run: not a JSON object")
 		return
 	}
-	writeJSON(w, client.RunResponse{Key: string(key), Cached: cached, Result: p.Result, Failure: p.Failure})
+	head := `{"key":"` + string(key) + `","cached":` + strconv.FormatBool(cached) + `,`
+	writeSpliced(w, "run", head, data[1:], "")
 }
 
 // runJob is the compute closure behind /v1/run, shared with job recovery.
@@ -442,9 +445,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Only a sweep that would actually compute is sheddable; a cache hit
-	// costs nothing and is served even mid-drill.
-	if !s.store.Has(key) && s.shedHeavy(w, kind) {
+	if s.shedHeavy(w, key, kind) {
 		return
 	}
 	job := s.sweepJob(key, req)
@@ -608,7 +609,11 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.store.Has(key) && s.shedHeavy(w, "tables/"+id) {
+	if render, ok := fixedTables[id]; ok {
+		writeTables(w, id, key, true, render())
+		return
+	}
+	if s.shedHeavy(w, key, "tables/"+id) {
 		return
 	}
 	data, cached, err := s.memoize(r.Context(), key, "tables/"+id, q, s.tablesJob(key, id, q))
@@ -616,14 +621,41 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		writeComputeError(w, err)
 		return
 	}
-	// report.Doc and client.Doc share one JSON shape — the single
-	// serialization path `cmd/tables -json` also uses.
-	var docs []client.Doc
-	if err := json.Unmarshal(data, &docs); err != nil {
-		httpError(w, http.StatusInternalServerError, "corrupt stored tables: %v", err)
+	writeTables(w, id, key, cached, data)
+}
+
+// fixedTables holds the artifacts whose bytes depend on no query field.
+// Each is rendered once per process, on its first request, and answered
+// from those bytes with cached set: no queue slot, job record, store
+// lookup or put, replica fetch or replication.
+var fixedTables = map[string]func() []byte{
+	"2.1":  fixedDocs(func() report.Doc { return spur.Table21().Doc() }),
+	"3.1":  fixedDocs(func() report.Doc { return spur.Table31().Doc() }),
+	"3.2":  fixedDocs(func() report.Doc { return spur.Table32().Doc() }),
+	"f3.1": fixedDocs(func() report.Doc { return report.TextDoc("Figure 3.1", spur.Figure31()) }),
+	"f3.2": fixedDocs(func() report.Doc { return report.TextDoc("Figure 3.2", spur.Figure32()) }),
+}
+
+// fixedDocs renders one artifact's docs payload, as tablesJob would store
+// it, on the first call and returns those bytes from then on.
+func fixedDocs(doc func() report.Doc) func() []byte {
+	return sync.OnceValue(func() []byte {
+		// A Doc holds only strings, which always marshal.
+		b, _ := json.Marshal([]report.Doc{doc()})
+		return b
+	})
+}
+
+// writeTables answers /v1/tables/{id} with a docs payload, the JSON array
+// of report.Docs that `cmd/tables -json` also prints.
+func writeTables(w http.ResponseWriter, id string, key expstore.Key, cached bool, docs []byte) {
+	if len(docs) == 0 || docs[0] != '[' {
+		httpError(w, http.StatusInternalServerError, "corrupt stored tables: not a JSON array")
 		return
 	}
-	writeJSON(w, client.TablesResponse{ID: id, Key: string(key), Cached: cached, Docs: docs})
+	// Table ids and keys are plain ASCII that JSON quotes verbatim.
+	head := `{"id":"` + id + `","key":"` + string(key) + `","cached":` + strconv.FormatBool(cached) + `,"docs":`
+	writeSpliced(w, "tables", head, docs, "}")
 }
 
 func parseTablesQuery(r *http.Request) (client.TablesQuery, error) {
@@ -654,7 +686,7 @@ func parseTablesQuery(r *http.Request) (client.TablesQuery, error) {
 }
 
 // tablesJob is the compute closure behind /v1/tables/{id}, shared with job
-// recovery.
+// recovery, for every id but the fixedTables.
 func (s *Server) tablesJob(key expstore.Key, id string, q client.TablesQuery) jobFn {
 	return func(ctx context.Context) ([]byte, bool, error) {
 		t0 := time.Now()
@@ -672,16 +704,6 @@ func (s *Server) computeTables(ctx context.Context, id string, q client.TablesQu
 	var docs []report.Doc
 	add := func(d report.Doc) { docs = append(docs, d) }
 	switch id {
-	case "2.1":
-		add(spur.Table21().Doc())
-	case "3.1":
-		add(spur.Table31().Doc())
-	case "3.2":
-		add(spur.Table32().Doc())
-	case "f3.1":
-		add(report.TextDoc("Figure 3.1", spur.Figure31()))
-	case "f3.2":
-		add(report.TextDoc("Figure 3.2", spur.Figure32()))
 	case "3.3":
 		rows := spur.Table33(spur.Table33Options{Refs: q.Refs, Seed: q.Seed})
 		add(spur.RenderTable33(rows, q.Paper).Doc())
@@ -745,12 +767,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // waiting room is already more than half full. Interactive runs, cache
 // hits, health probes, and blob transfers are never shed this way; they
 // are how the fleet keeps serving and heals.
-func (s *Server) shedHeavy(w http.ResponseWriter, op string) bool {
+func (s *Server) shedHeavy(w http.ResponseWriter, key expstore.Key, op string) bool {
 	c := s.cluster
 	if c == nil || !c.anyBreakerOpen() {
 		return false
 	}
 	if s.q.waitingCount()*2 <= s.cfg.MaxQueue {
+		return false
+	}
+	// Only a request that would compute is sheddable; a cache hit costs
+	// nothing and is served even mid-drill. The store is asked last: on a
+	// healthy fleet memoize's lookup is the only one.
+	if s.store.Has(key) {
 		return false
 	}
 	s.q.rejected.Add(1)
@@ -772,6 +800,26 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		return false
 	}
 	return true
+}
+
+// writeSpliced answers with a stored payload spliced between the compact
+// head and tail of its reply, indented in one pass. The bytes equal
+// writeJSON of the decoded reply: json.Marshal wrote the payload with the
+// encoder's escaping, and Indent only lays it out. Indent also checks that
+// the splice is one JSON value; a payload that breaks it answers 500.
+func writeSpliced(w http.ResponseWriter, what, head string, payload []byte, tail string) {
+	src := make([]byte, 0, len(head)+len(payload)+len(tail))
+	src = append(append(append(src, head...), payload...), tail...)
+	var out bytes.Buffer
+	if err := json.Indent(&out, src, "", "  "); err != nil {
+		httpError(w, http.StatusInternalServerError, "corrupt stored %s: %v", what, err)
+		return
+	}
+	out.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	// Write errors mean the client hung up mid-response; the status line
+	// is already sent, so there is nothing useful left to report.
+	_, _ = w.Write(out.Bytes())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -151,8 +151,8 @@ func (r *RunRequest) Normalize() error {
 type RunResponse struct {
 	// Key is the result's content address in the daemon's store.
 	Key string `json:"key"`
-	// Cached reports whether the result was served from the store
-	// without burning simulator cycles.
+	// Cached reports that the reply ran no simulation: a store hit or a
+	// fixed artifact.
 	Cached bool `json:"cached"`
 	// Result is the run summary (spur.Result).
 	Result machine.Result `json:"result"`
@@ -334,9 +334,12 @@ func (q *TablesQuery) Normalize() error {
 // TablesResponse is the service's answer to /v1/tables/{id}: the artifact
 // in the shared report.Doc serialization (see cmd/tables -json).
 type TablesResponse struct {
-	ID     string `json:"id"`
-	Key    string `json:"key"`
-	Cached bool   `json:"cached"`
+	ID  string `json:"id"`
+	Key string `json:"key"`
+	// Cached reports that the reply ran no simulation: a store hit or a
+	// fixed artifact (tables 2.1, 3.1, 3.2 and figures 3.1, 3.2, which
+	// spurd renders once and never stores).
+	Cached bool `json:"cached"`
 	// Docs holds the rendered artifacts: tables cell-by-cell, figures as
 	// pre-rendered text.
 	Docs []Doc `json:"docs"`
