@@ -5,10 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/counters"
-	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 // Claim is one of the paper's results, checked on the rows of the table it
@@ -424,20 +421,32 @@ type DirtySweepRow struct {
 // DirtySweep runs WORKLOAD1 at 6 MB on one stream under every dirty-bit
 // policy, rows indexed by policy (AllDirtyPolicies order), so simulated
 // cycles can be set against the Section 3.2 models evaluated on the SPUR
-// run's events. refs 0 runs 8M references.
-func DirtySweep(refs int64, seed uint64) []DirtySweepRow {
+// run's events. refs 0 runs 8M references. A quarantined run makes it
+// panic with the run's reason.
+func DirtySweep(refs int64, seed uint64) []DirtySweepRow { return alone(dirtySweepCells(refs, seed)) }
+
+// dirtySweepCells returns DirtySweep's cells and its rows from their runs.
+func dirtySweepCells(refs int64, seed uint64) ([]cell, func([]cellRun) []DirtySweepRow) {
 	if refs == 0 {
 		refs = 8_000_000
 	}
-	// Map fails only on a cancelled Context, and none is passed.
-	rows, _ := parallel.Map(len(AllDirtyPolicies), parallel.Options{}, func(i int) DirtySweepRow {
+	cells := make([]cell, len(AllDirtyPolicies))
+	for i, p := range AllDirtyPolicies {
 		cfg := DefaultConfig()
 		cfg.MemoryBytes = MiB(6)
+		cfg.TotalRefs = refs
 		cfg.Seed = seed
-		cfg.Dirty = AllDirtyPolicies[i]
-		m := NewMachine(cfg)
-		res := m.Run(workload.NewScript(m, seed, Workload1()), refs)
-		return DirtySweepRow{cfg.Dirty, res, m.Ctr.Snapshot()[counters.EvBusWrite], m.Cache.Stats.WriteBacks}
-	})
-	return rows
+		cfg.Dirty = p
+		cells[i] = cell{spec: Workload1(), cfg: cfg, bus: true}
+	}
+	return cells, func(runs []cellRun) []DirtySweepRow {
+		rows := make([]DirtySweepRow, len(cells))
+		for i, r := range runs {
+			rows[i] = DirtySweepRow{Policy: cells[i].cfg.Dirty, Result: r.Result}
+			if b := r.Bus; b != nil {
+				rows[i].BusWrites, rows[i].WriteBacks = b.Writes, b.WriteBacks
+			}
+		}
+		return rows
+	}
 }

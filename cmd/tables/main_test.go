@@ -80,13 +80,16 @@ func killAndRerun(t *testing.T, point faultinject.CrashPoint, n int, args ...str
 	return stored
 }
 
-// TestKillAndResume kills Table 4.1 inside its third result-store write,
-// before the rename, and reruns it on the same store.
+// TestKillAndResume kills Table 4.1, Table 3.3 and the claims (every
+// table's runs in one store) inside a result-store write, before the
+// rename, and reruns each on the same store.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash drill")
 	}
 	killAndRerun(t, faultinject.CrashPreRename, 3, "-t", "4.1", "-refs", "60000", "-reps", "2", "-par", "2")
+	killAndRerun(t, faultinject.CrashPreRename, 3, "-t", "3.3", "-refs", "60000", "-par", "2")
+	killAndRerun(t, faultinject.CrashPreRename, 10, "-t", "claims", "-refs", "60000", "-reps", "2", "-par", "2")
 }
 
 // TestKillAndResumeSampled kills the sampled Table 4.1, four (workload,
@@ -109,8 +112,6 @@ func TestKillAndResumeSampled(t *testing.T) {
 func TestFlagValidation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	cases := [][]string{
-		{"-store", dir},
-		{"-t", "3.3", "-store", dir},
 		{"-t", "4.1", "-store", dir, "-remote", "http://127.0.0.1:1"},
 		{"-sample"},
 		{"-t", "4.1", "-journal", dir},

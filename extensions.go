@@ -2,9 +2,9 @@ package spur
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/report"
 )
 
@@ -42,8 +42,12 @@ type CacheSweepOptions struct {
 // capacity: once a block is brought into the cache it never leaves...
 // the MISS policy never sets the reference bit once the entire page is
 // resident." The sweep runs SLC under MISS, REF and NOREF across cache
-// sizes and reports how the miss-bit approximation degrades.
-func CacheSweep(opts CacheSweepOptions) []CacheSweepRow {
+// sizes and reports how the miss-bit approximation degrades. A quarantined
+// run makes it panic with the run's reason.
+func CacheSweep(opts CacheSweepOptions) []CacheSweepRow { return alone(cacheSweepCells(opts)) }
+
+// cacheSweepCells returns the cache sweep's cells and its rows from their runs.
+func cacheSweepCells(opts CacheSweepOptions) ([]cell, func([]cellRun) []CacheSweepRow) {
 	if len(opts.CacheSizes) == 0 {
 		opts.CacheSizes = []int{32 << 10, 128 << 10, MiB(1), MiB(8)}
 	}
@@ -56,40 +60,37 @@ func CacheSweep(opts CacheSweepOptions) []CacheSweepRow {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	np := len(RefPolicies)
-	// Map fails only on a cancelled Context, and none is passed.
-	runs, _ := parallel.Map(len(opts.CacheSizes)*np, parallel.Options{}, func(i int) Result {
-		cfg := DefaultConfig()
-		cfg.CacheBytes = opts.CacheSizes[i/np]
-		cfg.MemoryBytes = core.MiB(opts.MemMB)
-		cfg.TotalRefs = opts.Refs
-		cfg.Seed = opts.Seed
-		cfg.Ref = RefPolicies[i%np]
-		return Run(cfg, SLC())
-	})
-	var rows []CacheSweepRow
-	for ci, cb := range opts.CacheSizes {
-		base := map[RefPolicy]Result{}
-		for pi, pol := range RefPolicies {
-			base[pol] = runs[ci*np+pi]
-		}
-		refIns := base[RefTRUE].Events.PageIns
+	var cells []cell
+	for _, cb := range opts.CacheSizes {
 		for _, pol := range RefPolicies {
-			r := base[pol]
-			row := CacheSweepRow{
-				CacheBytes: cb,
-				Policy:     pol,
+			cfg := DefaultConfig()
+			cfg.CacheBytes = cb
+			cfg.MemoryBytes = core.MiB(opts.MemMB)
+			cfg.TotalRefs = opts.Refs
+			cfg.Seed = opts.Seed
+			cfg.Ref = pol
+			cells = append(cells, cell{spec: SLC(), cfg: cfg})
+		}
+	}
+	return cells, func(runs []cellRun) []CacheSweepRow {
+		rows := make([]CacheSweepRow, len(cells))
+		for i, c := range cells {
+			r := runs[i].Result
+			rows[i] = CacheSweepRow{
+				CacheBytes: c.cfg.CacheBytes,
+				Policy:     c.cfg.Ref,
 				PageIns:    r.Events.PageIns,
 				RefFaults:  r.Events.RefFaults,
 				Elapsed:    r.ElapsedSeconds,
 			}
-			if refIns > 0 {
-				row.RelPageIns = float64(r.Events.PageIns) / float64(refIns)
+			// REF's run at the same cache size.
+			ref := runs[i-i%len(RefPolicies)+slices.Index(RefPolicies, RefTRUE)].Result
+			if refIns := ref.Events.PageIns; refIns > 0 {
+				rows[i].RelPageIns = float64(r.Events.PageIns) / float64(refIns)
 			}
-			rows = append(rows, row)
 		}
+		return rows
 	}
-	return rows
 }
 
 // RenderCacheSweep renders the sweep.

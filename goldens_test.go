@@ -164,15 +164,17 @@ func splitLines(s string) []string {
 // redirected, rewrites it.
 const defaultGolden = "testdata/goldens/tables-default.golden"
 
+// claimsPanel is the committed output of scripts/claims_panel.sh: every
+// claim's value and verdict at seeds 1-10.
+const claimsPanel = "testdata/claims-panel.txt"
+
 // TestExperimentsQuoteDefaultGolden holds EXPERIMENTS.md's measured blocks
-// to the default-scale golden: each block between "<!-- golden -->" and
-// "<!-- end golden -->" must be a run of the golden's lines (trailing
-// blanks aside), so no measured number there is typed by hand.
+// to the committed outputs they quote: each block between "<!-- golden -->"
+// and "<!-- end golden -->" must be a run of the default-scale golden's
+// lines, and each between "<!-- claims-panel -->" and
+// "<!-- end claims-panel -->" a run of the claims panel's (trailing blanks
+// aside), so no measured number there is typed by hand.
 func TestExperimentsQuoteDefaultGolden(t *testing.T) {
-	golden, err := os.ReadFile(defaultGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
 	doc, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
@@ -186,19 +188,25 @@ func TestExperimentsQuoteDefaultGolden(t *testing.T) {
 		}
 		return out
 	}
-	want := strings.Join(lines(string(golden)), "\n") + "\n"
-	blocks := strings.Split(string(doc), "<!-- golden -->")[1:]
-	for i, b := range blocks {
-		body, _, ok := strings.Cut(b, "<!-- end golden -->")
-		if !ok {
-			t.Fatalf("EXPERIMENTS.md block %d has no end marker", i+1)
+	for _, q := range []struct{ marker, file string }{{"golden", defaultGolden}, {"claims-panel", claimsPanel}} {
+		golden, err := os.ReadFile(q.file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		quoted := strings.Join(lines(body), "\n")
-		if quoted == "" || !strings.Contains("\n"+want, "\n"+quoted+"\n") {
-			t.Errorf("EXPERIMENTS.md block %d is not a run of %s's lines:\n%s", i+1, defaultGolden, quoted)
+		want := strings.Join(lines(string(golden)), "\n") + "\n"
+		blocks := strings.Split(string(doc), "<!-- "+q.marker+" -->")[1:]
+		for i, b := range blocks {
+			body, _, ok := strings.Cut(b, "<!-- end "+q.marker+" -->")
+			if !ok {
+				t.Fatalf("EXPERIMENTS.md %s block %d has no end marker", q.marker, i+1)
+			}
+			quoted := strings.Join(lines(body), "\n")
+			if quoted == "" || !strings.Contains("\n"+want, "\n"+quoted+"\n") {
+				t.Errorf("EXPERIMENTS.md %s block %d is not a run of %s's lines:\n%s", q.marker, i+1, q.file, quoted)
+			}
 		}
-	}
-	if len(blocks) == 0 {
-		t.Error("EXPERIMENTS.md quotes no block of the default-scale golden")
+		if len(blocks) == 0 {
+			t.Errorf("EXPERIMENTS.md quotes no block of %s", q.file)
+		}
 	}
 }

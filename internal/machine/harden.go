@@ -268,10 +268,10 @@ func (m *Machine) issued() uint64 {
 
 // RunSpecHardened assembles a fresh machine for cfg, instantiates the
 // workload spec on it, and runs the configured reference budget under the
-// hardened runner. Machine and workload construction are guarded too: a
-// panicking constructor yields a RunFailure instead of killing the caller.
-func RunSpecHardened(cfg Config, spec workload.Spec, opts RunOptions) (res Result, fail *RunFailure) {
-	var m *Machine
+// hardened runner, and returns the machine for counters beyond the Result.
+// Machine and workload construction are guarded too: a panicking
+// constructor yields a RunFailure and no machine instead of killing the caller.
+func RunSpecHardened(cfg Config, spec workload.Spec, opts RunOptions) (m *Machine, res Result, fail *RunFailure) {
 	var script *workload.Script
 	func() {
 		defer func() {
@@ -286,7 +286,8 @@ func RunSpecHardened(cfg Config, spec workload.Spec, opts RunOptions) (res Resul
 		script = workload.NewScript(m, cfg.Seed, spec)
 	}()
 	if fail != nil {
-		return Result{}, fail
+		return nil, Result{}, fail
 	}
-	return m.RunHardened(script, cfg.TotalRefs, opts)
+	res, fail = m.RunHardened(script, cfg.TotalRefs, opts)
+	return m, res, fail
 }

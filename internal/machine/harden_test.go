@@ -30,7 +30,7 @@ func hardenCfg() Config {
 func TestRunHardenedCleanMatchesPlainRun(t *testing.T) {
 	cfg := hardenCfg()
 	plain := RunSpec(cfg, workload.SLCSpec())
-	hard, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{AuditEvery: 50_000})
+	_, hard, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{AuditEvery: 50_000})
 	if fail != nil {
 		t.Fatalf("clean hardened run failed: %v", fail)
 	}
@@ -47,7 +47,7 @@ func TestRunHardenedRecoversIOExhaustion(t *testing.T) {
 	dir := t.TempDir()
 	cfg := hardenCfg()
 	cfg.Faults = []faultinject.Plan{{Kind: faultinject.PageInIO, Every: 1}}
-	res, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
+	_, res, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
 		ArtifactDir: dir, TraceTail: 16,
 	})
 	if fail == nil {
@@ -92,7 +92,7 @@ func TestRunHardenedRecoversIOExhaustion(t *testing.T) {
 // counted, and the backoff shows up in elapsed time.
 func TestTransientIOFaultsRetryAndComplete(t *testing.T) {
 	cfg := hardenCfg()
-	clean, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{})
+	_, clean, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{})
 	if fail != nil {
 		t.Fatal(fail)
 	}
@@ -129,7 +129,7 @@ func TestContinuousAuditCatchesInjectedCorruption(t *testing.T) {
 	dir := t.TempDir()
 	cfg := hardenCfg()
 	cfg.Faults = []faultinject.Plan{{Kind: faultinject.LineCorrupt, Every: 2000}}
-	_, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
+	_, _, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
 		AuditEvery: 500, ArtifactDir: dir,
 	})
 	if fail == nil {
@@ -183,7 +183,7 @@ func TestHardenedRunReproducibleBitForBit(t *testing.T) {
 // software shadow — while the hardware view visibly diverges.
 func TestCounterWrapInvisibleToMeasurements(t *testing.T) {
 	cfg := hardenCfg()
-	clean, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{})
+	_, clean, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{})
 	if fail != nil {
 		t.Fatal(fail)
 	}
@@ -228,7 +228,7 @@ func TestDocumentedChaosDrill(t *testing.T) {
 	cfg.MemoryBytes = 5 << 20
 	cfg.TotalRefs = 500_000
 	cfg.Faults = []faultinject.Plan{{Kind: faultinject.LineCorrupt, Every: 2000}}
-	_, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{AuditEvery: 500})
+	_, _, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{AuditEvery: 500})
 	if fail == nil || fail.Kind != FailAudit {
 		t.Fatalf("fail = %v, want an audit failure", fail)
 	}
@@ -333,7 +333,7 @@ func TestTraceTailClamped(t *testing.T) {
 func TestRunHardenedDeadline(t *testing.T) {
 	cfg := hardenCfg()
 	cfg.TotalRefs = 50_000_000 // far more than a nanosecond of work
-	res, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
+	_, res, fail := RunSpecHardened(cfg, workload.SLCSpec(), RunOptions{
 		Deadline: time.Nanosecond,
 	})
 	if fail == nil || fail.Kind != FailDeadline {

@@ -313,7 +313,7 @@ func TestTable41WorkloadOneStreamRuns(t *testing.T) {
 	cfg.Ref = core.RefNONE
 	cfg.Seed = parallel.DeriveSeed(1, 11, 0)
 	cfg.TotalRefs = 14_500_000
-	res, fail := RunSpecHardened(cfg, workload.Workload1Spec(), RunOptions{})
+	_, res, fail := RunSpecHardened(cfg, workload.Workload1Spec(), RunOptions{})
 	if fail != nil {
 		t.Fatalf("run failed after %d refs: %s", fail.Refs, fail.Reason)
 	}

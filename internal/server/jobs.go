@@ -198,33 +198,26 @@ func (s *Server) WaitJobs(ctx context.Context) error {
 }
 
 // recoverJob replays one journaled accept record through the same memoize
-// path a live request takes: if the crashed process managed to persist the
-// result, this is a store hit; otherwise it recomputes and persists it.
+// path a live request takes. memoize settles a job it recomputes; one it
+// answers cached (already stored here or on a replica) is settled here.
 func (s *Server) recoverJob(rec jobRecord) error {
 	key := expstore.Key(rec.Key)
 	ctx := context.Background()
+	var cached bool
+	var err error
 	switch {
 	case rec.Kind == "run":
 		var req client.RunRequest
 		if err := json.Unmarshal(rec.Spec, &req); err != nil {
 			return err
 		}
-		_, _, err := s.memoize(ctx, key, rec.Kind, req, s.runJob(key, req))
-		return err
-	case rec.Kind == "sweep":
+		_, cached, err = s.memoize(ctx, key, rec.Kind, req, s.runJob(key, req))
+	case rec.Kind == "sweep", rec.Kind == "sweep-sampled":
 		var req client.SweepRequest
 		if err := json.Unmarshal(rec.Spec, &req); err != nil {
 			return err
 		}
-		_, _, err := s.memoize(ctx, key, rec.Kind, req, s.sweepJob(key, req))
-		return err
-	case rec.Kind == "sweep-sampled":
-		var req client.SweepRequest
-		if err := json.Unmarshal(rec.Spec, &req); err != nil {
-			return err
-		}
-		_, _, err := s.memoize(ctx, key, rec.Kind, req, s.sampledSweepJob(key, req))
-		return err
+		_, cached, err = s.memoize(ctx, key, rec.Kind, req, s.sweepJob(key, req))
 	case strings.HasPrefix(rec.Kind, "tables/"):
 		id := strings.TrimPrefix(rec.Kind, "tables/")
 		if !client.ValidTableID(id) {
@@ -233,16 +226,19 @@ func (s *Server) recoverJob(rec jobRecord) error {
 		// A journal written before fixed artifacts bypassed the job path
 		// may hold their accepts. Nothing computes or stores them now, so
 		// the record is only settled.
-		if _, ok := fixedTables[id]; ok {
-			return s.jobs.done(key)
+		if _, cached = fixedTables[id]; cached {
+			break
 		}
 		var q client.TablesQuery
 		if err := json.Unmarshal(rec.Spec, &q); err != nil {
 			return err
 		}
-		_, _, err := s.memoize(ctx, key, rec.Kind, q, s.tablesJob(key, id, q))
-		return err
+		_, cached, err = s.memoize(ctx, key, rec.Kind, q, s.tablesJob(key, id, q))
 	default:
 		return fmt.Errorf("unknown job kind %q", rec.Kind)
 	}
+	if err == nil && cached {
+		err = s.jobs.done(key)
+	}
+	return err
 }

@@ -243,3 +243,71 @@ func TestDrainPersistsJobs(t *testing.T) {
 		t.Fatalf("recovered sweep differs from local run:\n%s\nvs\n%s", body, want)
 	}
 }
+
+// TestRecoverySettlesStoredJob: a process that stored a sweep's result but
+// died before journaling its done record left the job owed. The first
+// restart finds the result in the store and settles the job, so it ends
+// with nothing pending and the second restart owes nothing.
+func TestRecoverySettlesStoredJob(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "jobs.journal")
+	storeDir := filepath.Join(dir, "store")
+	req := client.SweepRequest{Workloads: []string{"SLC"}, SizesMB: []int{5}, Refs: testRefs, Seed: 9}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	keyReq := req
+	keyReq.Format = ""
+	key, err := expstore.KeyOf(spur.Version, "sweep", keyReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The crashed process: the sweep's result is in the store and its
+	// accept in the journal, with no done record.
+	s0, err := New(Config{StoreDir: storeDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := s0.sweepJob(key, keyReq)(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Store().Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l := testJobLog(t, jpath)
+	if err := l.accept("sweep", key, keyReq); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for restart, owed := range []int{1, 0} {
+		s, err := New(Config{StoreDir: storeDir, JobJournal: jpath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := s.RecoverJobs(); n != owed {
+			t.Errorf("restart %d: RecoverJobs = %d, want %d", restart+1, n, owed)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		if err := s.WaitJobs(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if js := s.jobs.stats(); js.Pending != 0 || js.Recovered != uint64(owed) {
+			t.Errorf("restart %d: jobs %+v, want %d recovered and 0 pending", restart+1, js, owed)
+		}
+		if st := s.Store().Stats(); st.Puts != 0 {
+			t.Errorf("restart %d: store puts = %d, want 0", restart+1, st.Puts)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -36,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/expstore"
 	"repro/internal/faultinject"
-	"repro/internal/report"
 	"repro/pkg/client"
 )
 
@@ -448,11 +447,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.shedHeavy(w, key, kind) {
 		return
 	}
-	job := s.sweepJob(key, req)
-	if req.Sample {
-		job = s.sampledSweepJob(key, req)
-	}
-	data, cached, err := s.memoize(r.Context(), key, kind, keyReq, job)
+	data, cached, err := s.memoize(r.Context(), key, kind, keyReq, s.sweepJob(key, req))
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -497,94 +492,55 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepJob is the compute closure behind /v1/sweep, shared with job
-// recovery.
+// sweepJob is the compute closure behind /v1/sweep, exact or sampled,
+// shared with job recovery.
 func (s *Server) sweepJob(key expstore.Key, req client.SweepRequest) jobFn {
 	return func(ctx context.Context) ([]byte, bool, error) {
 		t0 := time.Now()
-		rows, err := s.computeSweep(ctx, req)
+		opts := spur.MemorySweepOptions{
+			SizesMB:    req.SizesMB,
+			Refs:       req.Refs,
+			Seed:       req.Seed,
+			Reps:       req.Reps,
+			AuditEvery: req.AuditEvery,
+			Parallel:   s.cfg.Parallel,
+			Context:    ctx,
+		}
+		for _, name := range req.Workloads {
+			opts.Workloads = append(opts.Workloads, core.WorkloadName(name))
+		}
+		for _, name := range req.Policies {
+			p, err := core.ParseRefPolicy(name)
+			if err != nil {
+				return nil, false, err
+			}
+			opts.Policies = append(opts.Policies, p)
+		}
+		what, n := "sweep", 0
+		var rows any
+		var err error
+		if req.Sample {
+			var sampled []spur.SampledRow
+			sampled, err = spur.MemorySweepSampled(opts, spur.SampleOptions{
+				Intervals:   req.Intervals,
+				IntervalLen: req.IntervalLen,
+				Warmup:      req.Warmup,
+			})
+			what, n, rows = "sampled sweep", len(sampled), sampled
+		} else {
+			exact := spur.MemorySweep(opts)
+			n, rows = len(exact), exact
+		}
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err != nil {
 			return nil, false, err
 		}
-		s.cfg.Logf("spurd: sweep %s (%d rows) computed in %s", key[:12], len(rows), time.Since(t0).Round(time.Millisecond))
+		s.cfg.Logf("spurd: %s %s (%d rows) computed in %s", what, key[:12], n, time.Since(t0).Round(time.Millisecond))
 		data, err := json.Marshal(rows)
 		return data, err == nil, err
 	}
-}
-
-// sampledSweepJob is the compute closure behind /v1/sweep with
-// sample=true, shared with job recovery.
-func (s *Server) sampledSweepJob(key expstore.Key, req client.SweepRequest) jobFn {
-	return func(ctx context.Context) ([]byte, bool, error) {
-		t0 := time.Now()
-		rows, err := s.computeSampledSweep(ctx, req)
-		if err != nil {
-			return nil, false, err
-		}
-		s.cfg.Logf("spurd: sampled sweep %s (%d rows) computed in %s", key[:12], len(rows), time.Since(t0).Round(time.Millisecond))
-		data, err := json.Marshal(rows)
-		return data, err == nil, err
-	}
-}
-
-func (s *Server) computeSampledSweep(ctx context.Context, req client.SweepRequest) ([]spur.SampledRow, error) {
-	opts := spur.MemorySweepOptions{
-		SizesMB:  req.SizesMB,
-		Refs:     req.Refs,
-		Seed:     req.Seed,
-		Reps:     req.Reps,
-		Parallel: s.cfg.Parallel,
-	}
-	for _, name := range req.Workloads {
-		opts.Workloads = append(opts.Workloads, core.WorkloadName(name))
-	}
-	for _, name := range req.Policies {
-		p, err := core.ParseRefPolicy(name)
-		if err != nil {
-			return nil, err
-		}
-		opts.Policies = append(opts.Policies, p)
-	}
-	so := spur.SampleOptions{
-		Intervals:   req.Intervals,
-		IntervalLen: req.IntervalLen,
-		Warmup:      req.Warmup,
-	}
-	rows, err := spur.MemorySweepSampled(opts, so)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func (s *Server) computeSweep(ctx context.Context, req client.SweepRequest) ([]spur.MemorySweepRow, error) {
-	opts := spur.MemorySweepOptions{
-		SizesMB:    req.SizesMB,
-		Refs:       req.Refs,
-		Seed:       req.Seed,
-		Reps:       req.Reps,
-		AuditEvery: req.AuditEvery,
-		Parallel:   s.cfg.Parallel,
-		Context:    ctx,
-	}
-	for _, name := range req.Workloads {
-		opts.Workloads = append(opts.Workloads, core.WorkloadName(name))
-	}
-	for _, name := range req.Policies {
-		p, err := core.ParseRefPolicy(name)
-		if err != nil {
-			return nil, err
-		}
-		opts.Policies = append(opts.Policies, p)
-	}
-	rows := spur.MemorySweep(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // --- /v1/tables/{id} ---------------------------------------------------------
@@ -629,19 +585,21 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 // from those bytes with cached set: no queue slot, job record, store
 // lookup or put, replica fetch or replication.
 var fixedTables = map[string]func() []byte{
-	"2.1":  fixedDocs(func() report.Doc { return spur.Table21().Doc() }),
-	"3.1":  fixedDocs(func() report.Doc { return spur.Table31().Doc() }),
-	"3.2":  fixedDocs(func() report.Doc { return spur.Table32().Doc() }),
-	"f3.1": fixedDocs(func() report.Doc { return report.TextDoc("Figure 3.1", spur.Figure31()) }),
-	"f3.2": fixedDocs(func() report.Doc { return report.TextDoc("Figure 3.2", spur.Figure32()) }),
+	"2.1":  fixedDocs("2.1"),
+	"3.1":  fixedDocs("3.1"),
+	"3.2":  fixedDocs("3.2"),
+	"f3.1": fixedDocs("f3.1"),
+	"f3.2": fixedDocs("f3.2"),
 }
 
 // fixedDocs renders one artifact's docs payload, as tablesJob would store
 // it, on the first call and returns those bytes from then on.
-func fixedDocs(doc func() report.Doc) func() []byte {
+func fixedDocs(id string) func() []byte {
 	return sync.OnceValue(func() []byte {
-		// A Doc holds only strings, which always marshal.
-		b, _ := json.Marshal([]report.Doc{doc()})
+		// A fixed artifact runs no cell, so it cannot fail, and a Doc
+		// holds only strings, which always marshal.
+		docs, _ := spur.TableDocs(id, spur.Table41Options{}, true, "")
+		b, _ := json.Marshal(docs)
 		return b
 	})
 }
@@ -686,11 +644,15 @@ func parseTablesQuery(r *http.Request) (client.TablesQuery, error) {
 }
 
 // tablesJob is the compute closure behind /v1/tables/{id}, shared with job
-// recovery, for every id but the fixedTables.
+// recovery, for every id but the fixedTables. It memoizes the reply, not
+// its runs: spurd passes no store to spur.TableDocs.
 func (s *Server) tablesJob(key expstore.Key, id string, q client.TablesQuery) jobFn {
 	return func(ctx context.Context) ([]byte, bool, error) {
 		t0 := time.Now()
-		docs, err := s.computeTables(ctx, id, q)
+		docs, err := spur.TableDocs(id, spur.Table41Options{
+			Refs: q.Refs, Reps: q.Reps, Seed: q.Seed,
+			Parallel: s.cfg.Parallel, Context: ctx,
+		}, q.Paper, "")
 		if err != nil {
 			return nil, false, err
 		}
@@ -698,38 +660,6 @@ func (s *Server) tablesJob(key expstore.Key, id string, q client.TablesQuery) jo
 		data, err := json.Marshal(docs)
 		return data, err == nil, err
 	}
-}
-
-func (s *Server) computeTables(ctx context.Context, id string, q client.TablesQuery) ([]report.Doc, error) {
-	var docs []report.Doc
-	add := func(d report.Doc) { docs = append(docs, d) }
-	switch id {
-	case "3.3":
-		rows := spur.Table33(spur.Table33Options{Refs: q.Refs, Seed: q.Seed})
-		add(spur.RenderTable33(rows, q.Paper).Doc())
-	case "3.4":
-		rows := spur.Table33(spur.Table33Options{Refs: q.Refs, Seed: q.Seed})
-		add(spur.Table34(rows).Doc())
-		if q.Paper {
-			add(spur.PaperTable34().Doc())
-		}
-	case "3.5":
-		add(spur.RenderTable35(spur.Table35(q.Seed), q.Paper).Doc())
-	case "4.1":
-		rows := spur.Table41(spur.Table41Options{
-			Refs: q.Refs, Reps: q.Reps, Seed: q.Seed,
-			Parallel: s.cfg.Parallel, Context: ctx,
-		})
-		add(spur.RenderTable41(rows, q.Paper).Doc())
-	case "ext":
-		add(spur.RenderCacheSweep(spur.CacheSweep(spur.CacheSweepOptions{Refs: q.Refs, Seed: q.Seed})).Doc())
-		rows := spur.Table33(spur.Table33Options{Refs: q.Refs, Seed: q.Seed, SizesMB: []int{5}})
-		add(spur.RenderFaultHandlerSweep(spur.FaultHandlerSweep(rows[0].Events)).Doc())
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return docs, nil
 }
 
 // --- /healthz ----------------------------------------------------------------

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/counters"
 	"repro/internal/expstore"
+	"repro/internal/machine"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -93,7 +95,7 @@ type MemorySweepOptions struct {
 
 	// Configure, when set, can adjust each cell's config before it runs
 	// (e.g. schedule fault injection for specific cells in chaos drills).
-	// It runs concurrently across cells and must not mutate shared state.
+	// It is called once per (cell, repetition), before any run starts.
 	Configure func(cfg *Config, wl core.WorkloadName, memMB int, pol RefPolicy)
 }
 
@@ -116,27 +118,6 @@ func (o *MemorySweepOptions) fill() {
 	if o.Reps <= 0 {
 		o.Reps = 1
 	}
-}
-
-// sweepCell is one (workload, memory size, policy) coordinate of a sweep,
-// in canonical cell-index order.
-type sweepCell struct {
-	wl  core.WorkloadName
-	mb  int
-	pol RefPolicy
-}
-
-// sweepCells enumerates a MemorySweep's cells in canonical order.
-func sweepCells(o MemorySweepOptions) []sweepCell {
-	var cells []sweepCell
-	for _, wl := range o.Workloads {
-		for _, mb := range o.SizesMB {
-			for _, pol := range o.Policies {
-				cells = append(cells, sweepCell{wl, mb, pol})
-			}
-		}
-	}
-	return cells
 }
 
 // sweepRunKind is the store kind of one hardened sweep run, the unit a
@@ -204,19 +185,25 @@ func MemorySweepStored(opts MemorySweepOptions, dir string) ([]MemorySweepRow, e
 // memorySweep is MemorySweep, memoizing every run in st when st is
 // non-nil, and returning the first store error.
 func memorySweep(opts MemorySweepOptions, st *expstore.Store) ([]MemorySweepRow, error) {
-	opts.fill()
-	runOpts := RunOptions{
-		AuditEvery:  opts.AuditEvery,
-		Deadline:    opts.Deadline,
-		ArtifactDir: opts.ArtifactDir,
-	}
+	cells, rows := memorySweepCells(opts)
+	runs, err := driver{
+		st:   st,
+		par:  parallel.Options{Workers: opts.Parallel, Context: opts.Context, Progress: opts.Progress},
+		hard: RunOptions{AuditEvery: opts.AuditEvery, Deadline: opts.Deadline, ArtifactDir: opts.ArtifactDir},
+	}.run(cells)
+	return rows(runs), err
+}
 
-	cells := sweepCells(opts)
-	rows := make([]MemorySweepRow, len(cells))
-	for i, c := range cells {
-		rows[i] = MemorySweepRow{
-			Workload: c.wl, MemMB: c.mb, Policy: c.pol,
-			Reps: make([]SweepRep, opts.Reps),
+// memorySweepCells returns the sweep's (cell, repetition) runs as cells,
+// and its rows from their runs.
+func memorySweepCells(opts MemorySweepOptions) ([]cell, func([]cellRun) []MemorySweepRow) {
+	opts.fill()
+	var rows []MemorySweepRow
+	for _, wl := range opts.Workloads {
+		for _, mb := range opts.SizesMB {
+			for _, pol := range opts.Policies {
+				rows = append(rows, MemorySweepRow{Workload: wl, MemMB: mb, Policy: pol, Reps: make([]SweepRep, opts.Reps)})
+			}
 		}
 	}
 
@@ -227,73 +214,144 @@ func memorySweep(opts MemorySweepOptions, st *expstore.Store) ([]MemorySweepRow,
 	// design randomizes against. cmd/spurbench's traced Table 4.1 rebuild
 	// copies this order.
 	type job struct{ cell, rep int }
-	jobs := make([]job, 0, len(cells)*opts.Reps)
-	for ci := range cells {
+	jobs := make([]job, 0, len(rows)*opts.Reps)
+	for ci := range rows {
 		for rep := 0; rep < opts.Reps; rep++ {
 			jobs = append(jobs, job{ci, rep})
 		}
 	}
 	stats.Shuffle(jobs, opts.Seed*0x9e3779b9+7)
 
-	popts := parallel.Options{
-		Workers:  opts.Parallel,
-		Context:  opts.Context,
-		Progress: opts.Progress,
-	}
-	errs := make([]error, len(jobs))
-	// A cancelled context leaves the unvisited cells zero-valued; callers
-	// that pass a context observe it themselves, so the error adds nothing.
-	_ = parallel.ForEach(len(jobs), popts, func(i int) {
-		j := jobs[i]
-		c := cells[j.cell]
+	cells := make([]cell, len(jobs))
+	for i, j := range jobs {
+		r := rows[j.cell]
 		cfg := DefaultConfig()
-		cfg.MemoryBytes = core.MiB(c.mb)
+		cfg.MemoryBytes = core.MiB(r.MemMB)
 		cfg.TotalRefs = opts.Refs
 		cfg.Seed = parallel.DeriveSeed(opts.Seed, uint64(j.cell), uint64(j.rep))
-		cfg.Ref = c.pol
+		cfg.Ref = r.Policy
 		if opts.Configure != nil {
-			opts.Configure(&cfg, c.wl, c.mb, c.pol)
+			opts.Configure(&cfg, r.Workload, r.MemMB, r.Policy)
 		}
 		spec := SLC()
-		if c.wl == core.Workload1 {
+		if r.Workload == core.Workload1 {
 			spec = Workload1()
 		}
-		run := func() (SweepRep, error) {
-			res, fail := RunHardened(cfg, spec, runOpts)
-			return SweepRep{Seed: cfg.Seed, Result: res, Failure: fail}, nil
-		}
-		// Each job owns its (cell, rep) slot; no two jobs share memory.
-		rows[j.cell].Reps[j.rep], errs[i] = memo(st, func() (expstore.Key, error) {
-			return sweepRunKey(cfg, spec, opts.AuditEvery)
-		}, run)
-	})
-
-	for i := range rows {
-		r := &rows[i]
-		r.Result = r.Reps[0].Result
-		r.Failure = r.Reps[0].Failure
-		var pageIns, elapsed, refFaults, flushes []float64
-		for _, rep := range r.Reps {
-			if rep.Failure != nil {
-				continue
-			}
-			ev := rep.Result.Events
-			pageIns = append(pageIns, float64(ev.PageIns))
-			elapsed = append(elapsed, rep.Result.ElapsedSeconds)
-			refFaults = append(refFaults, float64(ev.RefFaults))
-			flushes = append(flushes, float64(ev.PageFlushes))
-		}
-		r.PageIns = stats.Summarize(pageIns)
-		r.Elapsed = stats.Summarize(elapsed)
-		r.RefFaults = stats.Summarize(refFaults)
-		r.Flushes = stats.Summarize(flushes)
+		cells[i] = cell{spec: spec, cfg: cfg}
 	}
+	return cells, func(runs []cellRun) []MemorySweepRow {
+		for i, j := range jobs {
+			rows[j.cell].Reps[j.rep] = runs[i].SweepRep
+		}
+		for i := range rows {
+			r := &rows[i]
+			r.Result = r.Reps[0].Result
+			r.Failure = r.Reps[0].Failure
+			var pageIns, elapsed, refFaults, flushes []float64
+			for _, rep := range r.Reps {
+				if rep.Failure != nil {
+					continue
+				}
+				ev := rep.Result.Events
+				pageIns = append(pageIns, float64(ev.PageIns))
+				elapsed = append(elapsed, rep.Result.ElapsedSeconds)
+				refFaults = append(refFaults, float64(ev.RefFaults))
+				flushes = append(flushes, float64(ev.PageFlushes))
+			}
+			r.PageIns = stats.Summarize(pageIns)
+			r.Elapsed = stats.Summarize(elapsed)
+			r.RefFaults = stats.Summarize(refFaults)
+			r.Flushes = stats.Summarize(flushes)
+		}
+		return rows
+	}
+}
+
+// cell is one run behind a table: a workload under a Config, whose Seed
+// and TotalRefs name the run's stream and length. bus marks a cell whose
+// table reads the bus counters, so a run stored without them is rerun.
+type cell struct {
+	spec Spec
+	cfg  Config
+	bus  bool
+}
+
+// cellRun is one cell's outcome, and the value a store keeps for it: a
+// sweep repetition, plus the run's bus writes and its cache's victim
+// write-backs (DirtySweep reads them; runs stored before lack them).
+type cellRun struct {
+	SweepRep
+	Bus *busCounts `json:",omitempty"`
+}
+
+type busCounts struct{ Writes, WriteBacks uint64 }
+
+// driver is the one exact-run loop behind every table and sweep: it runs
+// cells hardened, par.Workers at a time in list order, memoized in st
+// under their sweepRunKey when st is set. Hardening changes no number.
+type driver struct {
+	st   *expstore.Store
+	par  parallel.Options
+	hard RunOptions
+}
+
+// run returns the cells' runs in list order and the first store error. A
+// cancelled context leaves the cells not yet started zero-valued; callers
+// that pass one observe it themselves. No machine outlives its run.
+func (d driver) run(cells []cell) ([]cellRun, error) {
+	runs := make([]cellRun, len(cells))
+	errs := make([]error, len(cells))
+	_ = parallel.ForEach(len(cells), d.par, func(i int) {
+		c := cells[i]
+		run := func() (cellRun, error) {
+			m, res, fail := machine.RunSpecHardened(c.cfg, c.spec, d.hard)
+			r := cellRun{SweepRep: SweepRep{Seed: c.cfg.Seed, Result: res, Failure: fail}}
+			if m != nil {
+				r.Bus = &busCounts{m.Ctr.Count(counters.EvBusWrite), m.Cache.Stats.WriteBacks}
+			}
+			return r, nil
+		}
+		runs[i], errs[i] = memo(d.st, func() (expstore.Key, error) {
+			return sweepRunKey(c.cfg, c.spec, d.hard.AuditEvery)
+		}, run)
+		if c.bus && runs[i].Bus == nil && errs[i] == nil {
+			runs[i], _ = run()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
-			return rows, err
+			return runs, err
 		}
 	}
-	return rows, nil
+	return runs, nil
+}
+
+// table runs a table's cells, and stops the table at its first quarantined
+// cell with that cell's reason once every sibling has finished and stored,
+// or with the context's error when it skipped cells.
+func (d driver) table(cells []cell) ([]cellRun, error) {
+	runs, err := d.run(cells)
+	if ctx := d.par.Context; err == nil && ctx != nil {
+		err = ctx.Err()
+	}
+	for i := 0; err == nil && i < len(runs); i++ {
+		if f := runs[i].Failure; f != nil {
+			c := cells[i].cfg
+			err = fmt.Errorf("spur: %s at %d MB, %d KB cache, %s dirty bits, %s reference bits, seed %d: %w",
+				cells[i].spec.Name, c.MemoryBytes>>20, c.CacheBytes>>10, c.Dirty, c.Ref, c.Seed, f)
+		}
+	}
+	return runs, err
+}
+
+// alone runs one table's cells without a store and returns its rows; a
+// quarantined run makes it panic with the run's reason.
+func alone[R any](cells []cell, rows func([]cellRun) R) R {
+	runs, err := driver{}.table(cells)
+	if err != nil {
+		panic(err.Error())
+	}
+	return rows(runs)
 }
 
 // memo serves a value from st under key, or computes it with run and

@@ -98,14 +98,6 @@ func Table41(opts Table41Options) []Table41Row {
 	return table41Rows(MemorySweep(opts.sweep()))
 }
 
-// Table41Stored is Table41 memoized through MemorySweepStored: it stores
-// the runs of the memory sweep over Table 4.1's grid, so that sweep and
-// Table 4.1 serve each other's runs.
-func Table41Stored(opts Table41Options, dir string) ([]Table41Row, error) {
-	rows, err := MemorySweepStored(opts.sweep(), dir)
-	return table41Rows(rows), err
-}
-
 // table41Rows views sweep rows as Table 4.1 rows: the sweep's summaries,
 // with page-ins and elapsed time relative to the MISS row at the same
 // workload and memory size. It panics on a quarantined repetition, which

@@ -168,5 +168,6 @@ const (
 // per-run deadlines, and repro-bundle capture. A non-nil RunFailure reports
 // why the run stopped early; the Result is whatever completed.
 func RunHardened(cfg Config, spec Spec, opts RunOptions) (Result, *RunFailure) {
-	return machine.RunSpecHardened(cfg, spec, opts)
+	_, res, fail := machine.RunSpecHardened(cfg, spec, opts)
+	return res, fail
 }

@@ -2,12 +2,15 @@ package spur
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expstore"
+	"repro/internal/report"
 )
 
 func storeSweepOpts() MemorySweepOptions {
@@ -120,6 +123,137 @@ func TestMemorySweepStoredOtherSpecMisses(t *testing.T) {
 	}
 }
 
+// TestSweepRunKeyPinned: a stored sweep keeps each run under the address
+// it has had since runs were first stored, so a store written by an
+// earlier build still serves: this is SLC at 5 MB under MISS, repetition
+// 0 of storeSweepOpts.
+func TestSweepRunKeyPinned(t *testing.T) {
+	const want = expstore.Key("e2e5fb5ee43da4b099241548401dd43f86cfa059642a00c063f316f20028c106")
+	dir := t.TempDir()
+	if _, err := MemorySweepStored(storeSweepOpts(), dir); err != nil {
+		t.Fatal(err)
+	}
+	if !openStore(t, dir).Has(want) {
+		t.Fatalf("the stored sweep has no run under %s", want)
+	}
+}
+
+// TestTableDocsCompleteStoreComputesNothing: every table's runs share one
+// store. Once "all" has filled it, each artifact that simulates is printed
+// again from the store alone: no miss, no put, the same docs.
+func TestTableDocsCompleteStoreComputesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Table 3.5 and the dirty-policy runs at their full length")
+	}
+	o := Table41Options{Refs: 60_000, Reps: 2, Seed: 3}
+	dir := t.TempDir()
+	all, err := TableDocs("all", o, true, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[string]report.Doc{}
+	for _, d := range all {
+		first[d.Title] = d
+	}
+	// The docs are those of each table's own driver.
+	t33 := Table33(Table33Options{Refs: o.Refs, Seed: o.Seed})
+	for _, want := range []report.Doc{
+		RenderTable33(t33, true).Doc(),
+		Table34(t33).Doc(),
+		RenderTable41(Table41(o), true).Doc(),
+		RenderCacheSweep(CacheSweep(CacheSweepOptions{Refs: o.Refs, Seed: o.Seed})).Doc(),
+		RenderFaultHandlerSweep(FaultHandlerSweep(t33[0].Events)).Doc(),
+	} {
+		if !reflect.DeepEqual(first[want.Title], want) {
+			t.Errorf("TableDocs' %q differs from its table's own driver", want.Title)
+		}
+	}
+	for _, id := range []string{"3.3", "3.5", "ext", "4.1", "all", "claims"} {
+		st := openStore(t, dir)
+		docs, err := driver{st: st}.docs(id, o, true)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, d := range docs {
+			if !reflect.DeepEqual(d, first[d.Title]) {
+				t.Errorf("%s: %q over a complete store differs from the run that filled it", id, d.Title)
+			}
+		}
+		if s := st.Stats(); s.Hits() == 0 || s.Misses != 0 || s.Puts != 0 {
+			t.Errorf("%s over a complete store: %d hits, %d misses, %d puts; want 0 misses and puts", id, s.Hits(), s.Misses, s.Puts)
+		}
+	}
+}
+
+// TestTableStopsAtQuarantinedCell: a Table 3.3 cell armed to fail (every
+// backing-store read fails, so page-in retries run out) stops its table
+// with its reason, once its siblings have finished and been stored.
+func TestTableStopsAtQuarantinedCell(t *testing.T) {
+	cells, rows := table33Cells(Table33Options{Refs: 120_000, Seed: 3})
+	cells[2].cfg.Faults = []FaultPlan{{Kind: FaultPageInIO, Every: 1}}
+	st := openStore(t, t.TempDir())
+	_, err := driver{st: st}.table(cells)
+	if err == nil {
+		t.Fatal("a table with a quarantined cell did not stop")
+	}
+	for i, c := range cells {
+		key, _ := sweepRunKey(c.cfg, c.spec, 0)
+		b, ok := st.Get(key)
+		var r cellRun
+		if !ok || json.Unmarshal(b, &r) != nil {
+			t.Fatalf("cell %d is not in the store", i)
+		}
+		switch {
+		case i == 2 && r.Failure == nil:
+			t.Fatal("the armed cell was not quarantined")
+		case i == 2 && !strings.Contains(err.Error(), r.Failure.Reason):
+			t.Errorf("the table stopped with %q, not the cell's reason %q", err, r.Failure.Reason)
+		case i != 2 && (r.Failure != nil || r.Result.Refs != 120_000):
+			t.Errorf("sibling cell %d did not finish: %d refs, failure %v", i, r.Result.Refs, r.Failure)
+		}
+	}
+	defer func() {
+		if msg, _ := recover().(string); msg != err.Error() {
+			t.Errorf("Table33's run of the same cells panicked with %q, want %q", msg, err)
+		}
+	}()
+	alone(cells, rows)
+}
+
+// TestStoredRunWithoutCountersIsRerun: a run stored before the bus
+// counters were kept (a bare sweep repetition) still serves the tables
+// that read only its Result, but DirtySweep, which reads the counters, is
+// never served it: its cell is rerun.
+func TestStoredRunWithoutCountersIsRerun(t *testing.T) {
+	cells, rows := dirtySweepCells(100_000, 2)
+	want := alone(cells, rows)
+	st := openStore(t, t.TempDir())
+	for _, c := range cells {
+		res, fail := RunHardened(c.cfg, c.spec, RunOptions{})
+		b, err := json.Marshal(SweepRep{Seed: c.cfg.Seed, Result: res, Failure: fail})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := sweepRunKey(c.cfg, c.spec, 0)
+		if err := st.Put(key, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs, err := driver{st: st}.table(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(runs); !reflect.DeepEqual(got, want) || got[0].BusWrites == 0 {
+		t.Fatalf("DirtySweep over runs stored without counters:\n%+v\nwant\n%+v", got, want)
+	}
+	for i := range cells {
+		cells[i].bus = false
+	}
+	if runs, err = (driver{st: st}).table(cells); err != nil || runs[0].Bus != nil || runs[0].Result != want[0].Result {
+		t.Fatalf("a table that reads no counters was not served the stored run (err %v)", err)
+	}
+}
+
 func TestMemorySweepStoredRejectsUnhashableKnobs(t *testing.T) {
 	dir := t.TempDir()
 	opts := storeSweepOpts()
@@ -148,21 +282,17 @@ func TestTable41JournaledResume(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := Table41Stored(opts, dir); err != nil {
-		t.Fatalf("interrupted table 4.1: %v", err)
+	if _, err := TableDocs("4.1", opts, true, dir); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted table 4.1: err %v, want context.Canceled", err)
 	}
 
-	rows, err := Table41Stored(base, dir)
+	// The resumed table (what cmd/tables prints) is the uninterrupted one.
+	docs, err := TableDocs("4.1", base, true, dir)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
-	if !reflect.DeepEqual(rows, baseline) {
-		t.Fatalf("resumed Table 4.1 differs from uninterrupted run:\n%+v\nvs\n%+v", rows, baseline)
-	}
-
-	// The rendered table (what cmd/tables prints) is identical too.
-	if got, want := RenderTable41(rows, true).String(), RenderTable41(baseline, true).String(); got != want {
-		t.Fatalf("rendered table differs:\n%s\nvs\n%s", got, want)
+	if want := []report.Doc{RenderTable41(baseline, true).Doc()}; !reflect.DeepEqual(docs, want) {
+		t.Fatalf("resumed Table 4.1 differs from uninterrupted run:\n%+v\nvs\n%+v", docs, want)
 	}
 
 	// A Table 4.1 run is the memory sweep's run of the same cell: the sweep

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/expstore"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -77,27 +78,32 @@ type Table33Row struct {
 
 // Table33 measures the event frequencies of Table 3.3: both workloads at
 // each memory size, under the prototype's configuration (SPUR dirty policy,
-// MISS reference policy) — the counts the Section 3.2 models consume.
-func Table33(opts Table33Options) []Table33Row {
+// MISS reference policy) — the counts the Section 3.2 models consume. A
+// quarantined run makes it panic with the run's reason.
+func Table33(opts Table33Options) []Table33Row { return alone(table33Cells(opts)) }
+
+// table33Cells returns Table 3.3's cells and its rows from their runs.
+func table33Cells(opts Table33Options) ([]cell, func([]cellRun) []Table33Row) {
 	opts.fill()
-	type wl struct {
-		name core.WorkloadName
-		spec func() Spec
+	var cells []cell
+	for _, spec := range []func() Spec{SLC, Workload1} {
+		for _, mb := range opts.SizesMB {
+			cfg := DefaultConfig()
+			cfg.MemoryBytes = core.MiB(mb)
+			cfg.TotalRefs = opts.Refs
+			cfg.Seed = opts.Seed
+			cfg.Dirty = DirtySPUR
+			cfg.Ref = RefMISS
+			cells = append(cells, cell{spec: spec(), cfg: cfg})
+		}
 	}
-	wls := []wl{{core.SLC, SLC}, {core.Workload1, Workload1}}
-	n := len(opts.SizesMB)
-	// Map fails only on a cancelled Context, and none is passed.
-	rows, _ := parallel.Map(len(wls)*n, parallel.Options{}, func(i int) Table33Row {
-		w, mb := wls[i/n], opts.SizesMB[i%n]
-		cfg := DefaultConfig()
-		cfg.MemoryBytes = core.MiB(mb)
-		cfg.TotalRefs = opts.Refs
-		cfg.Seed = opts.Seed
-		cfg.Dirty = DirtySPUR
-		cfg.Ref = RefMISS
-		return Table33Row{Workload: w.name, MemMB: mb, Events: Run(cfg, w.spec()).Events}
-	})
-	return rows
+	return cells, func(runs []cellRun) []Table33Row {
+		rows := make([]Table33Row, len(cells))
+		for i, c := range cells {
+			rows[i] = Table33Row{Workload: core.WorkloadName(c.spec.Name), MemMB: c.cfg.MemoryBytes >> 20, Events: runs[i].Result.Events}
+		}
+		return rows
+	}
 }
 
 // RenderTable33 renders measured rows in the paper's Table 3.3 layout; with
@@ -185,8 +191,14 @@ func Table35(seed uint64) []Table35Row { return Table35Scaled(seed, 1.0) }
 
 // Table35Scaled runs the hosts with their reference budgets scaled by
 // refScale, for quick looks and benchmarks (page-out statistics get noisy
-// below about half scale).
+// below about half scale). A quarantined run makes it panic with the run's
+// reason.
 func Table35Scaled(seed uint64, refScale float64) []Table35Row {
+	return alone(table35Cells(seed, refScale))
+}
+
+// table35Cells returns Table 3.5's cells and its rows from their runs.
+func table35Cells(seed uint64, refScale float64) ([]cell, func([]cellRun) []Table35Row) {
 	if seed == 0 {
 		seed = 1
 	}
@@ -194,25 +206,29 @@ func Table35Scaled(seed uint64, refScale float64) []Table35Row {
 		refScale = 1
 	}
 	hosts := workload.SpriteHosts()
-	// Map fails only on a cancelled Context, and none is passed.
-	rows, _ := parallel.Map(len(hosts), parallel.Options{}, func(i int) Table35Row {
-		h := hosts[i]
+	cells := make([]cell, len(hosts))
+	for i, h := range hosts {
 		cfg := DefaultConfig()
 		cfg.MemoryBytes = core.MiB(h.MemMB)
 		cfg.TotalRefs = int64(float64(h.Refs) * refScale)
 		cfg.Seed = seed
-		res := Run(cfg, h.Spec())
-		st := res.Pager
-		row := Table35Row{Host: h, PageIns: st.PageIns, PotMod: st.WritablePageOuts, NotMod: st.CleanWritablePageOuts}
-		if row.PotMod > 0 {
-			row.PctNotMod = 100 * float64(row.NotMod) / float64(row.PotMod)
+		cells[i] = cell{spec: h.Spec(), cfg: cfg}
+	}
+	return cells, func(runs []cellRun) []Table35Row {
+		rows := make([]Table35Row, len(hosts))
+		for i, h := range hosts {
+			st := runs[i].Result.Pager
+			row := Table35Row{Host: h, PageIns: st.PageIns, PotMod: st.WritablePageOuts, NotMod: st.CleanWritablePageOuts}
+			if row.PotMod > 0 {
+				row.PctNotMod = 100 * float64(row.NotMod) / float64(row.PotMod)
+			}
+			if row.PageIns+row.PotMod > 0 {
+				row.PctExtraIO = 100 * float64(row.NotMod) / float64(row.PageIns+row.PotMod)
+			}
+			rows[i] = row
 		}
-		if row.PageIns+row.PotMod > 0 {
-			row.PctExtraIO = 100 * float64(row.NotMod) / float64(row.PageIns+row.PotMod)
-		}
-		return row
-	})
-	return rows
+		return rows
+	}
 }
 
 // RenderTable35 renders measured rows in the paper's Table 3.5 layout.
@@ -233,4 +249,96 @@ func RenderTable35(rows []Table35Row, paper bool) *report.Table {
 		}
 	}
 	return t
+}
+
+// TableDocs computes artifact id as report.Docs: a table ("2.1" to "4.1"),
+// a figure ("f3.1", "f3.2"), the extension sweeps ("ext"), "all" of them
+// with the claims last, or the "claims" alone, which read every table.
+// Refs applies to Tables 3.3 and 4.1 and the cache sweep, Reps and SizesMB
+// to Table 4.1, and the rest of opts to every table; paper adds the
+// published values. With dir set, every run is memoized in the result
+// store there, so a rerun computes only the runs it lacks. A quarantined
+// run stops the computation with its reason once its siblings finish.
+func TableDocs(id string, opts Table41Options, paper bool, dir string) ([]report.Doc, error) {
+	d := driver{par: parallel.Options{Workers: opts.Parallel, Context: opts.Context, Progress: opts.Progress}}
+	if dir != "" {
+		var err error
+		if d.st, err = expstore.Open(dir, expstore.Options{}); err != nil {
+			return nil, err
+		}
+	}
+	return d.docs(id, opts, paper)
+}
+
+func (d driver) docs(id string, o Table41Options, paper bool) ([]report.Doc, error) {
+	need := func(name string) bool { return id == "all" || id == "claims" || id == name }
+	// The tables' cells run as one list; each builds its rows from its slice.
+	var cr ClaimRows
+	var cells []cell
+	var builds []func([]cellRun)
+	queue := func(cs []cell, build func([]cellRun)) {
+		lo, hi := len(cells), len(cells)+len(cs)
+		cells = append(cells, cs...)
+		builds = append(builds, func(runs []cellRun) { build(runs[lo:hi]) })
+	}
+	if need("3.3") || need("3.4") || need("ext") {
+		t33 := Table33Options{Refs: o.Refs, Seed: o.Seed}
+		if !need("3.3") && !need("3.4") {
+			t33.SizesMB = []int{5} // the fault-handler sweep reads only SLC at 5 MB
+		}
+		cs, rows := table33Cells(t33)
+		queue(cs, func(r []cellRun) { cr.T33 = rows(r) })
+	}
+	if need("3.5") {
+		cs, rows := table35Cells(o.Seed, 1)
+		queue(cs, func(r []cellRun) { cr.T35 = rows(r) })
+	}
+	if need("4.1") {
+		cs, rows := memorySweepCells(o.sweep())
+		queue(cs, func(r []cellRun) { cr.T41 = table41Rows(rows(r)) })
+	}
+	if need("ext") {
+		cs, rows := cacheSweepCells(CacheSweepOptions{Refs: o.Refs, Seed: o.Seed})
+		queue(cs, func(r []cellRun) { cr.Cache = rows(r) })
+	}
+	if need("claims") {
+		cs, rows := dirtySweepCells(0, o.Seed)
+		queue(cs, func(r []cellRun) { cr.Dirty = rows(r) })
+	}
+	runs, err := d.table(cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, build := range builds {
+		build(runs)
+	}
+	if need("ext") {
+		cr.Tds = FaultHandlerSweep(cr.T33[0].Events)
+	}
+
+	var docs []report.Doc
+	add := func(name string, doc func() report.Doc) {
+		if id == "all" || id == name {
+			docs = append(docs, doc())
+		}
+	}
+	add("2.1", func() report.Doc { return Table21().Doc() })
+	add("3.1", func() report.Doc { return Table31().Doc() })
+	add("3.2", func() report.Doc { return Table32().Doc() })
+	add("f3.1", func() report.Doc { return report.TextDoc("Figure 3.1", Figure31()) })
+	add("f3.2", func() report.Doc { return report.TextDoc("Figure 3.2", Figure32()) })
+	add("3.3", func() report.Doc { return RenderTable33(cr.T33, paper).Doc() })
+	add("3.4", func() report.Doc { return Table34(cr.T33).Doc() })
+	if paper {
+		add("3.4", func() report.Doc { return PaperTable34().Doc() })
+	}
+	add("3.5", func() report.Doc { return RenderTable35(cr.T35, paper).Doc() })
+	add("4.1", func() report.Doc { return RenderTable41(cr.T41, paper).Doc() })
+	add("ext", func() report.Doc { return RenderCacheSweep(cr.Cache).Doc() })
+	add("ext", func() report.Doc { return RenderFaultHandlerSweep(cr.Tds).Doc() })
+	add("claims", func() report.Doc { return RenderClaims(CheckClaims(cr)).Doc() })
+	if len(docs) == 0 {
+		return nil, fmt.Errorf("spur: unknown table %q", id)
+	}
+	return docs, nil
 }
