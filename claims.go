@@ -421,14 +421,17 @@ type DirtySweepRow struct {
 // DirtySweep runs WORKLOAD1 at 6 MB on one stream under every dirty-bit
 // policy, rows indexed by policy (AllDirtyPolicies order), so simulated
 // cycles can be set against the Section 3.2 models evaluated on the SPUR
-// run's events. refs 0 runs 8M references. A quarantined run makes it
-// panic with the run's reason.
+// run's events. refs 0 runs 8M references and seed 0 is seed 1. A
+// quarantined run makes it panic with the run's reason.
 func DirtySweep(refs int64, seed uint64) []DirtySweepRow { return alone(dirtySweepCells(refs, seed)) }
 
 // dirtySweepCells returns DirtySweep's cells and its rows from their runs.
 func dirtySweepCells(refs int64, seed uint64) ([]cell, func([]cellRun) []DirtySweepRow) {
 	if refs == 0 {
 		refs = 8_000_000
+	}
+	if seed == 0 {
+		seed = 1
 	}
 	cells := make([]cell, len(AllDirtyPolicies))
 	for i, p := range AllDirtyPolicies {

@@ -2,6 +2,7 @@ package spur
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -85,5 +86,15 @@ func TestClaimVerdicts(t *testing.T) {
 	c := Claim{Lo: 0.5, Hi: 2, of: obs(Obs{"a", 1.9, 0.2})}
 	if v := c.check(ClaimRows{}, c.Lo, c.Hi, false); v.Result != "pass" {
 		t.Errorf("point value inside the band: %q", v.Result)
+	}
+}
+
+// TestDirtySweepSeedZeroIsSeedOne: the dirty-policy runs read seed 0 as
+// seed 1, as every other table does.
+func TestDirtySweepSeedZeroIsSeedOne(t *testing.T) {
+	zero, _ := dirtySweepCells(0, 0)
+	one, _ := dirtySweepCells(0, 1)
+	if !reflect.DeepEqual(zero, one) {
+		t.Error("dirtySweepCells(0, 0) differs from dirtySweepCells(0, 1)")
 	}
 }

@@ -24,9 +24,9 @@
 // Fleet mode: give every node the same -peers list plus its own -self URL
 // and the daemons shard the result store over a consistent-hash ring with
 // -replicas copies of each blob. A node serves any request from its store,
-// then the key's replicas, then a compute; computed results replicate
-// through a durable outbox (-outbox), the scrubber repairs corrupt or
-// missing blobs from replicas before recomputing, and GET /v1/cluster
+// then the key's replicas, then a compute, so a blob lost to a crash or
+// quarantined by the scrubber comes back on its next request; computed
+// results replicate through a durable outbox (-outbox), and GET /v1/cluster
 // reports membership and health.
 //
 //	spurd -addr 127.0.0.1:7421 -self http://127.0.0.1:7421 \

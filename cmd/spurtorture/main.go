@@ -306,8 +306,8 @@ func (h *harness) round(num int, kind string) {
 }
 
 // plantRot flips one bit in a stored blob on the victim and triggers an
-// on-demand scrub: the blob must be quarantined and repaired from a
-// replica, never served rotten.
+// on-demand scrub, which quarantines it: the blob is never served rotten,
+// and its next request on the victim fetches it from a replica.
 func (h *harness) plantRot(num int, v node) {
 	blobs, err := filepath.Glob(filepath.Join(v.StoreDir(), "*", "*.json"))
 	if err == nil {
@@ -517,8 +517,8 @@ func nodeHealth(url string) (*client.Health, error) {
 	return c.Health(ctx)
 }
 
-// scrubNode triggers the on-demand integrity pass (local scrub + replica
-// repair) on one node.
+// scrubNode triggers the on-demand integrity pass on one node, which
+// quarantines every rotten blob.
 func scrubNode(url string) error {
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/cluster/scrub", nil)
 	if err != nil {

@@ -7,7 +7,8 @@
 //	tables -t 3.3                 # one table: 2.1, 3.1, 3.2, 3.3, 3.4, 3.5, 4.1
 //	tables -t f3.1                # a figure: f3.1, f3.2
 //	tables -t claims              # the paper's claims checked, tables not printed
-//	tables -refs 4000000 -reps 1  # quicker, coarser runs
+//	tables -refs 4000000 -reps 1  # quicker, coarser runs (Table 3.5's
+//	                              # hosts keep their own lengths)
 //	tables -json                  # machine-readable report.Doc JSON
 //	tables -remote http://127.0.0.1:7421 -t 3.3   # served (and memoized) by spurd
 //	tables -store runs                            # keep every run; a rerun resumes

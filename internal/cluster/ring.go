@@ -119,13 +119,3 @@ func (r *Ring) Replicas(key string, n int) []string {
 	}
 	return out
 }
-
-// Owns reports whether peer is among the n replicas of key.
-func (r *Ring) Owns(peer, key string, n int) bool {
-	for _, p := range r.Replicas(key, n) {
-		if p == peer {
-			return true
-		}
-	}
-	return false
-}

@@ -42,14 +42,6 @@ func TestRingReplicasAreDistinctAndClamped(t *testing.T) {
 		if len(all) != 3 {
 			t.Fatalf("clamped replicas of %s = %v, want all 3 peers", key, all)
 		}
-		if !r.Owns(reps[0], key, 2) || !r.Owns(reps[1], key, 2) {
-			t.Fatalf("Owns disagrees with Replicas for %s", key)
-		}
-		for _, p := range []string{"a", "b", "c"} {
-			if p != reps[0] && p != reps[1] && r.Owns(p, key, 2) {
-				t.Fatalf("Owns(%s) true but not a replica of %s", p, key)
-			}
-		}
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -395,8 +394,8 @@ func (s *Store) admit(k Key, data []byte) {
 
 // Has reports whether the store holds a verified copy of k — in the LRU
 // front, or on disk with a valid envelope. A corrupt disk blob is
-// quarantined on the spot and reported as absent, so cluster repair treats
-// rot and loss identically.
+// quarantined on the spot and reported as absent: rot and loss look the
+// same.
 func (s *Store) Has(k Key) bool {
 	if !k.valid() {
 		return false
@@ -419,40 +418,6 @@ func (s *Store) Has(k Key) bool {
 		return false
 	}
 	return true
-}
-
-// Keys lists every key the store holds, sorted: the on-disk inventory plus
-// (for memory-only stores) the LRU front. It walks the shard directories,
-// so it is an anti-entropy/diagnostic call, not a hot-path one. Corruption
-// is not checked here — a corrupt blob is discovered and quarantined when
-// it is read.
-func (s *Store) Keys() []Key {
-	set := map[Key]bool{}
-	if s.dir != "" {
-		// The walk callback never returns an error; unreadable entries are
-		// simply skipped — the scrubber reports them.
-		_ = filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-				return nil
-			}
-			if k := Key(strings.TrimSuffix(filepath.Base(path), ".json")); k.valid() {
-				set[k] = true
-			}
-			return nil
-		})
-	} else {
-		s.mu.Lock()
-		for k := range s.index {
-			set[k] = true
-		}
-		s.mu.Unlock()
-	}
-	keys := make([]Key, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // GetSealed returns k's blob in its sealed on-disk envelope form, for

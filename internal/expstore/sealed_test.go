@@ -106,12 +106,9 @@ func TestMemoryOnlySealing(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Errorf("sealed payload = %q, want %q", got, payload)
 	}
-	if keys := s.Keys(); len(keys) != 1 || keys[0] != k {
-		t.Errorf("Keys() = %v, want [%s]", keys, k)
-	}
 }
 
-func TestHasAndKeys(t *testing.T) {
+func TestHas(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "store"), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +125,6 @@ func TestHasAndKeys(t *testing.T) {
 	}
 	if !s.Has(k1) || !s.Has(k2) {
 		t.Fatal("Has missed stored keys")
-	}
-	keys := s.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("Keys() = %v, want 2 keys", keys)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("Keys() not sorted: %v", keys)
-		}
 	}
 
 	// A corrupted blob is treated as absent by Has — and quarantined, so

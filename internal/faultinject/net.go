@@ -79,7 +79,7 @@ type NetRule struct {
 	Peer string `json:"peer,omitempty"`
 	// Op, when non-empty, restricts the rule to one logical operation as
 	// classified by OpOf ("run", "sweep", "tables", "healthz", "blob-get",
-	// "blob-put", "keys", "scrub", "cluster", "other").
+	// "blob-put", "scrub", "cluster", "other").
 	Op string `json:"op,omitempty"`
 	// Every is the cadence: roughly one fault per Every matching calls.
 	// Zero disables the rule.
@@ -239,8 +239,6 @@ func OpOf(method, path string) string {
 			return "blob-put"
 		}
 		return "blob-get"
-	case path == "/v1/cluster/keys":
-		return "keys"
 	case path == "/v1/cluster/scrub":
 		return "scrub"
 	case path == "/v1/cluster":

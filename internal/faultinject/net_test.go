@@ -21,7 +21,6 @@ func TestOpOf(t *testing.T) {
 		{"GET", "/v1/tables/3.1", "tables"},
 		{"PUT", "/v1/cluster/blob/abc", "blob-put"},
 		{"GET", "/v1/cluster/blob/abc", "blob-get"},
-		{"GET", "/v1/cluster/keys", "keys"},
 		{"POST", "/v1/cluster/scrub", "scrub"},
 		{"GET", "/v1/cluster", "cluster"},
 		{"GET", "/nope", "other"},

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,7 +22,9 @@ import (
 // one of the key's replicas (re-verifying the sealed envelope, so the fetch
 // also repairs a miss, a quarantined corruption or a disk lost to a crash),
 // else by computing it, after which the durable outbox pushes the result to
-// every replica but itself.
+// every replica but itself. That request path is the only repair: a lost
+// blob comes back when it is next asked for, and one never asked for again
+// costs nothing.
 
 // maxBlobBytes bounds a peer response body (matches the journal's frame
 // bound; the biggest sweep payloads are far below it).
@@ -39,8 +40,10 @@ type clusterNode struct {
 	// timeout bounds every peer call on top of its caller's context.
 	timeout time.Duration
 	// breakers holds one outgoing circuit breaker per other peer. The map
-	// is static after newClusterNode; each Breaker locks itself. Health
-	// probes bypass it — an operator must see a down peer as down, not as
+	// is static after newClusterNode; each Breaker locks itself. They bound
+	// what a dead replica costs: once one opens, store misses skip that
+	// replica instead of each waiting out the peer timeout. Health probes
+	// bypass them — an operator must see a down peer as down, not as
 	// breaker-skipped.
 	breakers map[string]*client.Breaker
 }
@@ -95,25 +98,9 @@ func (c *clusterNode) breakerStates() map[string]string {
 	return out
 }
 
-// anyBreakerOpen reports whether some peer is currently being skipped —
-// the signal that this node is absorbing a degraded fleet's extra load.
-func (c *clusterNode) anyBreakerOpen() bool {
-	for _, b := range c.breakers {
-		if b.State() == client.BreakerOpen {
-			return true
-		}
-	}
-	return false
-}
-
 // replicas returns key's replica set, owner first.
 func (c *clusterNode) replicas(key expstore.Key) []string {
 	return c.ring.Replicas(string(key), c.rep)
-}
-
-// isReplica reports whether this node is in key's replica set.
-func (c *clusterNode) isReplica(key expstore.Key) bool {
-	return c.ring.Owns(c.self, string(key), c.rep)
 }
 
 // --- replication -------------------------------------------------------------
@@ -138,9 +125,9 @@ func (s *Server) replicate(key expstore.Key) {
 
 // sendBlob is the outbox's delivery callback: push one sealed blob to one
 // replica. A blob that has vanished locally settles the intent (nothing
-// left to push; anti-entropy will heal the replica from another copy). A
-// peer behind an open breaker keeps the debt, which the outbox retries on
-// its backoff schedule.
+// left to push; the replica fetches or recomputes the blob on its first
+// request for it). A peer behind an open breaker keeps the debt, which the
+// outbox retries on its backoff schedule.
 func (s *Server) sendBlob(peer, key string) error {
 	sealed, ok := s.store.GetSealed(expstore.Key(key))
 	if !ok {
@@ -232,71 +219,6 @@ func (s *Server) fetchFromReplicas(ctx context.Context, key expstore.Key) ([]byt
 	return nil, false
 }
 
-// RepairReport summarizes one anti-entropy pass over the fleet.
-type RepairReport struct {
-	// PeersChecked peers answered their key inventory; PeerErrors did not.
-	PeersChecked int `json:"peers_checked"`
-	PeerErrors   int `json:"peer_errors"`
-	// KeysChecked keys on those peers belong to this node's replica share;
-	// Repaired of them were missing (or quarantined) locally and were
-	// restored from the peer, hash-verified, without recompute. Errors are
-	// failed blob fetches or rejected envelopes.
-	KeysChecked int `json:"keys_checked"`
-	Repaired    int `json:"repaired"`
-	Errors      int `json:"errors"`
-}
-
-// RepairFromPeers is the cluster half of the scrubber: ask every peer for
-// its key inventory and pull in any key this node should replicate but
-// does not hold. Paired with the store's Scrub (which turns corruption
-// into absence), it restores a node after a crash or disk loss from its
-// replicas, recomputing nothing.
-func (s *Server) RepairFromPeers(ctx context.Context) RepairReport {
-	var rep RepairReport
-	c := s.cluster
-	if c == nil {
-		return rep
-	}
-	for _, peer := range c.ring.Peers() {
-		if peer == c.self {
-			continue
-		}
-		keys, err := c.getKeys(ctx, peer)
-		if err != nil {
-			rep.PeerErrors++
-			s.cfg.Logf("spurd: repair: inventory from %s: %v", peer, err)
-			continue
-		}
-		rep.PeersChecked++
-		for _, k := range keys {
-			key := expstore.Key(k)
-			if !c.isReplica(key) {
-				continue
-			}
-			rep.KeysChecked++
-			if s.store.Has(key) {
-				continue
-			}
-			sealed, err := c.getBlob(ctx, peer, k)
-			if err != nil {
-				rep.Errors++
-				continue
-			}
-			if err := s.store.PutSealed(key, sealed, true); err != nil {
-				rep.Errors++
-				s.cfg.Logf("spurd: repair: %.12s from %s: %v", k, peer, err)
-				continue
-			}
-			rep.Repaired++
-		}
-	}
-	if rep.Repaired > 0 {
-		s.cfg.Logf("spurd: repair: restored %d blobs from replicas (%d keys checked across %d peers)",
-			rep.Repaired, rep.KeysChecked, rep.PeersChecked)
-	}
-	return rep
-}
-
 // getBlob fetches one sealed blob from a peer. Verification happens at
 // PutSealed; this only moves bytes.
 func (c *clusterNode) getBlob(ctx context.Context, peer, key string) ([]byte, error) {
@@ -306,17 +228,6 @@ func (c *clusterNode) getBlob(ctx context.Context, peer, key string) ([]byte, er
 		return err
 	})
 	return sealed, err
-}
-
-// getKeys fetches a peer's store inventory.
-func (c *clusterNode) getKeys(ctx context.Context, peer string) ([]string, error) {
-	var out struct {
-		Keys []string `json:"keys"`
-	}
-	err := c.call(ctx, http.MethodGet, peer, "/v1/cluster/keys", nil, func(r io.Reader) error {
-		return json.NewDecoder(r).Decode(&out)
-	})
-	return out.Keys, err
 }
 
 // --- cluster endpoints -------------------------------------------------------
@@ -351,19 +262,6 @@ func (c *clusterNode) probe(ctx context.Context, peer string) error {
 	return err
 }
 
-// handleClusterKeys answers GET /v1/cluster/keys: the store inventory
-// anti-entropy repair walks.
-func (s *Server) handleClusterKeys(w http.ResponseWriter, r *http.Request) {
-	keys := s.store.Keys()
-	out := struct {
-		Keys []string `json:"keys"`
-	}{Keys: make([]string, len(keys))}
-	for i, k := range keys {
-		out.Keys[i] = string(k)
-	}
-	writeJSON(w, out)
-}
-
 // handleBlobGet serves one sealed blob for replica transfer.
 func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 	key := expstore.Key(r.PathValue("key"))
@@ -394,15 +292,12 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleClusterScrub answers POST /v1/cluster/scrub: an on-demand
-// integrity pass — local scrub (quarantine rot) then replica repair (refill
-// what is missing) — so drills do not have to wait for the background
-// cadence.
+// handleClusterScrub answers POST /v1/cluster/scrub: an on-demand store
+// integrity pass that quarantines rot, so drills need not wait for the
+// background cadence. A quarantined blob comes back on its next request,
+// from a replica or a recompute.
 func (s *Server) handleClusterScrub(w http.ResponseWriter, r *http.Request) {
-	scrub := s.store.Scrub()
-	repair := s.RepairFromPeers(r.Context())
 	writeJSON(w, struct {
-		Scrub  expstore.ScrubReport `json:"scrub"`
-		Repair RepairReport         `json:"repair"`
-	}{scrub, repair})
+		Scrub expstore.ScrubReport `json:"scrub"`
+	}{s.store.Scrub()})
 }

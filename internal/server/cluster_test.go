@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -186,19 +187,14 @@ func (tc *testCluster) placement(key expstore.Key) (replicas []string, outsider 
 	return replicas, ""
 }
 
-// sweepKey computes the store key for a sweep request exactly as the
-// server does (Format stripped).
+// sweepKey is the store key the server files a sweep request under.
 func sweepKey(t *testing.T, req client.SweepRequest) expstore.Key {
 	t.Helper()
-	if err := req.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	req.Format = ""
-	key, err := expstore.KeyOf(spur.Version, "sweep", req)
+	job, err := client.SweepJob(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return key
+	return job.Key
 }
 
 func testSweepReq(seed uint64) client.SweepRequest {
@@ -435,6 +431,9 @@ func TestClusterMembershipEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterRepairWithoutRecompute: a replica that lost its disk gets a
+// blob back on the blob's next request, from the other replica —
+// hash-verified, counted, byte-identical and with zero simulator work.
 func TestClusterRepairWithoutRecompute(t *testing.T) {
 	tc := startCluster(t, 3, 2)
 	req := testSweepReq(14)
@@ -457,50 +456,87 @@ func TestClusterRepairWithoutRecompute(t *testing.T) {
 		t.Fatal("wiped node still has the blob")
 	}
 
-	// One on-demand scrub+repair pass must refill it from the owner —
-	// hash-verified, counted, and with zero simulator work.
-	resp, err := drillClient.Post(victim.url+"/v1/cluster/scrub", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	got, cached, status := rawSweep(t, victim.url, req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d from the wiped replica: %s", status, got)
 	}
-	defer resp.Body.Close()
-	var rep struct {
-		Scrub  expstore.ScrubReport `json:"scrub"`
-		Repair RepairReport         `json:"repair"`
+	if !bytes.Equal(got, want) {
+		t.Error("wiped replica serves different bytes than the original compute")
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Repair.Repaired == 0 {
-		t.Fatalf("repair pass restored nothing: %+v", rep.Repair)
-	}
-	if !victim.srv.Store().Has(key) {
-		t.Fatal("blob not restored on the wiped replica")
+	if !cached {
+		t.Error("wiped replica's reply not marked cached")
 	}
 	if got := victim.srv.Store().Stats().Repaired; got == 0 {
 		t.Error("store Repaired counter not bumped")
 	}
-	if victim.computes.Load() != 0 {
-		t.Error("repair recomputed instead of fetching from a replica")
+	restored, ok := victim.srv.Store().GetSealed(key)
+	if !ok {
+		t.Fatal("blob not restored on the wiped replica")
 	}
+	if donor, _ := owner.srv.Store().GetSealed(key); !bytes.Equal(restored, donor) {
+		t.Error("restored blob differs from the replica's copy")
+	}
+	if victim.computes.Load() != 0 {
+		t.Error("the wiped replica recomputed instead of fetching from a replica")
+	}
+}
 
-	// And the repaired bytes answer requests byte-identically.
-	got, _, status := rawSweep(t, victim.url, req)
-	if status != http.StatusOK {
-		t.Fatalf("status %d after repair", status)
+// TestFleetRoutesSampledSweepToItsReplicas: Fleet routes a sampled sweep by
+// the key spurd stores it under, so once the outboxes flush the result sits
+// on its replicas and nowhere else. Placement follows the nodes' random
+// ports, so the test picks the first seed whose owner under the exact
+// "sweep" kind lies outside the sampled key's replicas: a router that
+// hashed the request under that kind would leave a third copy.
+func TestFleetRoutesSampledSweepToItsReplicas(t *testing.T) {
+	tc := startCluster(t, 3, 2)
+	fleet, err := client.NewFleet(tc.urls, client.FleetOptions{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("repaired node serves different bytes than the original compute")
+	var req client.SweepRequest
+	for seed := uint64(1); ; seed++ {
+		req = client.SweepRequest{
+			Workloads:   []string{"SLC"},
+			SizesMB:     []int{6, 8},
+			Refs:        testRefs,
+			Seed:        seed,
+			Sample:      true,
+			IntervalLen: 20_000,
+		}
+		job, err := client.SweepJob(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := expstore.KeyOf(spur.Version, "sweep", job.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(tc.ring.Replicas(string(job.Key), 2), tc.ring.Replicas(string(exact), 2)[0]) {
+			break
+		}
 	}
-	if victim.computes.Load() != 0 {
-		t.Error("serving the repaired blob burned simulator cycles")
+	_, meta, err := fleet.Sweep(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range tc.nodes {
+		if !n.srv.cluster.outbox.Flush(time.Now().Add(10 * time.Second)) {
+			t.Fatalf("%s's outbox never flushed: %+v", n.url, n.srv.cluster.outbox.Stats())
+		}
+	}
+	replicas := fleet.Replicas(meta.Key)
+	for _, n := range tc.nodes {
+		want := slices.Contains(replicas, n.url)
+		if got := n.srv.Store().Has(expstore.Key(meta.Key)); got != want {
+			t.Errorf("%s holds the sampled sweep: %v, want %v (replicas %v)", n.url, got, want, replicas)
+		}
 	}
 }
 
 // TestClusterKillDrill is the acceptance drill: three nodes, live load, one
 // node killed mid-drill. Every request — before, during, after — completes,
 // repeated requests return byte-identical bodies, and the restarted node is
-// healed from its replicas without recomputing anything.
+// healed by the survivors' outboxes without recomputing anything.
 func TestClusterKillDrill(t *testing.T) {
 	tc := startCluster(t, 3, 2)
 	fleet, err := client.NewFleet(tc.urls, client.FleetOptions{Replication: 2})
@@ -548,23 +584,22 @@ func TestClusterKillDrill(t *testing.T) {
 		baseline[seed] = body
 	}
 
-	// Restart the victim on its old store and scrub: anything it now owes
-	// (computed while it was dead) is pulled from replicas, not recomputed.
+	// Restart the victim on its old store and flush the survivors'
+	// outboxes: what it missed while dead (computed meanwhile) is pushed
+	// to it, not recomputed.
 	victim.start(nil)
 	computesBefore := victim.computes.Load()
-	resp, err := drillClient.Post(victim.url+"/v1/cluster/scrub", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		t.Fatal(err)
+	for _, n := range tc.nodes {
+		if n != victim && !n.srv.cluster.outbox.Flush(time.Now().Add(20*time.Second)) {
+			t.Fatalf("%s's outbox never flushed: %+v", n.url, n.srv.cluster.outbox.Stats())
+		}
 	}
 	if victim.computes.Load() != computesBefore {
-		t.Error("post-restart repair recomputed results")
+		t.Error("post-restart delivery recomputed results")
 	}
 	for seed := range baseline {
 		key := sweepKey(t, testSweepReq(seed))
-		if tc.ring.Owns(victim.url, string(key), 2) && !victim.srv.Store().Has(key) {
+		if slices.Contains(tc.ring.Replicas(string(key), 2), victim.url) && !victim.srv.Store().Has(key) {
 			t.Errorf("restarted node missing replica blob for seed %d", seed)
 		}
 	}

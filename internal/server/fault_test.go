@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,10 +50,11 @@ func TestHealthzReportsBreakersAndOutboxAge(t *testing.T) {
 		t.Fatalf("breakers %v missing entry for %s", h.Cluster.Breakers, victim.url)
 	}
 
-	// Three straight inventory failures (default threshold) trip the
-	// survivor's breaker for the dead peer.
-	for i := 0; i < 3; i++ {
-		survivor.srv.RepairFromPeers(context.Background())
+	// Three store misses on the survivor each ask the dead replica for the
+	// blob first: three straight failures (the threshold) trip the
+	// survivor's breaker for it.
+	for seed := uint64(1); seed <= 3; seed++ {
+		postRun(t, survivor.url, client.RunRequest{Refs: 10_000, Seed: seed})
 	}
 	h, err = c.Health(context.Background())
 	if err != nil {
@@ -108,88 +111,74 @@ func TestNetFaultMiddlewareDropsSeededRequests(t *testing.T) {
 	}
 }
 
-// TestShedsHeavyOpsWhenDegraded pins the op-class load shedder: with a
-// peer's breaker open and the waiting room over half full, a sweep that
-// would compute is shed with 429 + Retry-After, while a cache hit for the
-// very same key is still served.
-func TestShedsHeavyOpsWhenDegraded(t *testing.T) {
-	urls := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
-	srv, err := New(Config{
-		Self:        urls[0],
-		Peers:       urls,
-		Replication: 1,
-		MaxRun:      1,
-		MaxQueue:    2,
-	})
+// TestBreakerBoundsDegradedMisses pins the measured value of the server's
+// peer breakers. One replica is black-holed: its listener accepts and never
+// answers. Every store miss on the survivor for a key the two share asks
+// that replica for the blob first, and every compute owes it a push. Only
+// the calls before the breaker opens (breakerThreshold consecutive
+// failures) may wait out the peer timeout; the misses after it skip the
+// dead replica and compute at once.
+func TestBreakerBoundsDegradedMisses(t *testing.T) {
+	const (
+		peerTimeout = 300 * time.Millisecond
+		misses      = 20
+		maxWaits    = 3 // the breaker's threshold
+	)
+	tc := startCluster(t, 3, 2)
+	survivor, victim := tc.nodes[0], tc.nodes[1]
+	victim.kill()
+	hole, err := net.Listen("tcp", victim.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	// Trip the peer's breaker: three consecutive recorded failures.
-	br := srv.cluster.breakers[urls[1]]
-	for i := 0; i < 3; i++ {
-		if !br.Allow() {
-			t.Fatal("breaker opened early")
-		}
-		br.Record(false)
-	}
-	if !srv.cluster.anyBreakerOpen() {
-		t.Fatal("breaker did not open")
-	}
-
-	// Fill the slot and more than half the waiting room.
-	release, err := srv.q.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	waitCtx, cancelWaiters := context.WithCancel(context.Background())
-	defer cancelWaiters()
-	for i := 0; i < 2; i++ {
-		go func() {
-			if rel, err := srv.q.acquire(waitCtx); err == nil {
-				rel()
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := hole.Accept()
+			if err != nil {
+				return
 			}
-		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.q.waitingCount() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue waiters never parked")
+			mu.Lock()
+			held = append(held, c) // accepted, never answered
+			mu.Unlock()
 		}
-		time.Sleep(time.Millisecond)
-	}
+	}()
+	t.Cleanup(func() {
+		hole.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	})
+	survivor.kill()
+	survivor.cfg.PeerTimeout = peerTimeout
+	survivor.start(nil)
 
-	req := testSweepReq(43)
-	body, _, status := rawSweepVia(t, srv, req)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("degraded sweep: status %d body %s, want 429", status, body)
+	var lat []time.Duration
+	for seed := uint64(1); len(lat) < misses; seed++ {
+		req := client.RunRequest{Refs: 10_000, Seed: seed}
+		_, key := runKey(t, req)
+		replicas, _ := tc.placement(key)
+		if !slices.Contains(replicas, survivor.url) || !slices.Contains(replicas, victim.url) {
+			continue
+		}
+		t0 := time.Now()
+		postRun(t, survivor.url, req)
+		lat = append(lat, time.Since(t0))
 	}
-
-	// The same key served from cache bypasses the shedder entirely.
-	key := sweepKey(t, req)
-	if err := srv.store.Put(key, []byte("[]")); err != nil {
-		t.Fatal(err)
+	waits := 0
+	for _, d := range lat {
+		if d >= peerTimeout {
+			waits++
+		}
 	}
-	body, hdr, status := rawSweepVia(t, srv, req)
-	if status != http.StatusOK {
-		t.Fatalf("cached sweep under degradation: status %d body %s, want 200", status, body)
+	slices.Sort(lat)
+	t.Logf("%d of %d misses waited a %s peer timeout; median %s", waits, misses, peerTimeout, lat[misses/2])
+	if waits > maxWaits {
+		t.Errorf("%d of %d store misses waited out the black-holed replica, want at most %d", waits, misses, maxWaits)
 	}
-	if hdr.Get("X-Spur-Cached") != "true" {
-		t.Fatalf("cached sweep not marked cached (headers %v)", hdr)
-	}
-}
-
-// rawSweepVia posts a sweep straight at an in-process handler.
-func rawSweepVia(t *testing.T, h http.Handler, req client.SweepRequest) ([]byte, http.Header, int) {
-	t.Helper()
-	payload := mustJSON(t, req)
-	hr := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(payload))
-	hr.Header.Set("Content-Type", "application/json")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, hr)
-	return rec.Body.Bytes(), rec.Result().Header, rec.Code
 }
 
 func mustJSON(t *testing.T, v any) string {

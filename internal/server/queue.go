@@ -84,14 +84,6 @@ func (q *queue) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// waitingCount is the current queued-but-not-running depth, for the
-// degraded-fleet load shedder.
-func (q *queue) waitingCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.waiting
-}
-
 // stats snapshots the queue for /healthz.
 func (q *queue) stats(deduped uint64) client.QueueStats {
 	q.mu.Lock()

@@ -61,10 +61,9 @@ type Config struct {
 	// recomputes whatever an earlier process accepted but never finished.
 	JobJournal string
 	// ScrubEvery, when positive, runs a background store integrity pass
-	// (expstore.Scrub) at that cadence, quarantining bit-rotted blobs.
-	// In cluster mode each pass is followed by replica repair
-	// (RepairFromPeers), so a node heals from its peers before anything
-	// recomputes.
+	// (expstore.Scrub) at that cadence, quarantining bit-rotted blobs. A
+	// quarantined blob comes back on its next request: in cluster mode from
+	// one of the key's replicas, else (or failing that) by recomputing it.
 	ScrubEvery time.Duration
 
 	// Self and Peers turn the node into a cluster member: Self is this
@@ -77,17 +76,18 @@ type Config struct {
 	// replicas; default 2, clamped to the peer count).
 	Replication int
 	// Outbox journals replication debts durably ("" = in-memory outbox:
-	// pushes pending at a crash are healed later by scrub repair).
+	// pushes pending at a crash are lost, and a replica that missed one
+	// fetches the blob on its first request for it).
 	Outbox string
-	// PeerTimeout bounds every peer call — blob pushes and fetches, key
-	// inventories and health probes (default 5s).
+	// PeerTimeout bounds every peer call — blob pushes and fetches and
+	// health probes (default 5s).
 	PeerTimeout time.Duration
 
 	// NetFaults, when non-nil, is the deterministic network fault plane:
 	// incoming requests pass through its Middleware, and every outgoing
-	// peer call (blob push and fetch, key inventory, health probe) through
-	// its Transport. The injector is shared, not copied, so a torture
-	// driver can re-arm rules per round with SetRules.
+	// peer call (blob push and fetch, health probe) through its Transport.
+	// The injector is shared, not copied, so a torture driver can re-arm
+	// rules per round with SetRules.
 	NetFaults *faultinject.NetInjector
 
 	// Logf, when set, receives one line per computed (not cached) job.
@@ -179,7 +179,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-		s.mux.HandleFunc("GET /v1/cluster/keys", s.handleClusterKeys)
 		s.mux.HandleFunc("GET /v1/cluster/blob/{key}", s.handleBlobGet)
 		s.mux.HandleFunc("PUT /v1/cluster/blob/{key}", s.handleBlobPut)
 		s.mux.HandleFunc("POST /v1/cluster/scrub", s.handleClusterScrub)
@@ -246,12 +245,6 @@ func (s *Server) scrubLoop() {
 			rep := s.store.Scrub()
 			if rep.Quarantined > 0 || rep.Errors > 0 {
 				s.cfg.Logf("spurd: scrub: %d blobs scanned, %d quarantined, %d unreadable", rep.Scanned, rep.Quarantined, rep.Errors)
-			}
-			// In cluster mode the scrub's second half refills what the
-			// first half (or a crash) removed — from replicas, not the
-			// simulator.
-			if s.cluster != nil {
-				s.RepairFromPeers(context.Background())
 			}
 		}
 	}
@@ -336,16 +329,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := req.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := expstore.KeyOf(spur.Version, "run", req)
+	job, err := client.RunJob(&req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	data, cached, err := s.memoize(r.Context(), key, "run", req, s.runJob(key, req))
+	data, cached, err := s.memoize(r.Context(), job.Key, job.Kind, job.Spec, s.runJob(job.Key, req))
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -356,7 +345,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "corrupt stored run: not a JSON object")
 		return
 	}
-	head := `{"key":"` + string(key) + `","cached":` + strconv.FormatBool(cached) + `,`
+	head := `{"key":"` + string(job.Key) + `","cached":` + strconv.FormatBool(cached) + `,`
 	writeSpliced(w, "run", head, data[1:], "")
 }
 
@@ -425,29 +414,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := req.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Format is presentation only: both renderings share one stored
-	// result, so it is excluded from the content address. Sampled sweeps
-	// get their own kind: an estimate with error bars must never be served
-	// where an exact sweep was asked for, or vice versa.
-	kind := "sweep"
-	if req.Sample {
-		kind = "sweep-sampled"
-	}
-	keyReq := req
-	keyReq.Format = ""
-	key, err := expstore.KeyOf(spur.Version, kind, keyReq)
+	job, err := client.SweepJob(&req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.shedHeavy(w, key, kind) {
-		return
-	}
-	data, cached, err := s.memoize(r.Context(), key, kind, keyReq, s.sweepJob(key, req))
+	data, cached, err := s.memoize(r.Context(), job.Key, job.Kind, job.Spec, s.sweepJob(job.Key, req))
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -458,7 +430,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "corrupt stored sampled sweep: %v", err)
 			return
 		}
-		w.Header().Set("X-Spur-Key", string(key))
+		w.Header().Set("X-Spur-Key", string(job.Key))
 		w.Header().Set("X-Spur-Cached", strconv.FormatBool(cached))
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		// Write errors here mean the client hung up; nothing to do.
@@ -470,7 +442,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "corrupt stored sweep: %v", err)
 		return
 	}
-	w.Header().Set("X-Spur-Key", string(key))
+	w.Header().Set("X-Spur-Key", string(job.Key))
 	w.Header().Set("X-Spur-Cached", strconv.FormatBool(cached))
 	switch req.Format {
 	case client.FormatChart:
@@ -556,28 +528,21 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := q.Normalize(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := expstore.KeyOf(spur.Version, "tables/"+id, q)
+	job, err := client.TablesJob(id, &q)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if render, ok := fixedTables[id]; ok {
-		writeTables(w, id, key, true, render())
+		writeTables(w, id, job.Key, true, render())
 		return
 	}
-	if s.shedHeavy(w, key, "tables/"+id) {
-		return
-	}
-	data, cached, err := s.memoize(r.Context(), key, "tables/"+id, q, s.tablesJob(key, id, q))
+	data, cached, err := s.memoize(r.Context(), job.Key, job.Kind, job.Spec, s.tablesJob(job.Key, id, q))
 	if err != nil {
 		writeComputeError(w, err)
 		return
 	}
-	writeTables(w, id, key, cached, data)
+	writeTables(w, id, job.Key, cached, data)
 }
 
 // fixedTables holds the artifacts whose bytes depend on no query field.
@@ -689,32 +654,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, h)
-}
-
-// shedHeavy sheds one heavy request (the batch op class: sweeps and table
-// builds) with 429 when the fleet is degraded: some peer's outgoing
-// breaker is open — its share of traffic is landing here — and the local
-// waiting room is already more than half full. Interactive runs, cache
-// hits, health probes, and blob transfers are never shed this way; they
-// are how the fleet keeps serving and heals.
-func (s *Server) shedHeavy(w http.ResponseWriter, key expstore.Key, op string) bool {
-	c := s.cluster
-	if c == nil || !c.anyBreakerOpen() {
-		return false
-	}
-	if s.q.waitingCount()*2 <= s.cfg.MaxQueue {
-		return false
-	}
-	// Only a request that would compute is sheddable; a cache hit costs
-	// nothing and is served even mid-drill. The store is asked last: on a
-	// healthy fleet memoize's lookup is the only one.
-	if s.store.Has(key) {
-		return false
-	}
-	s.q.rejected.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int(client.BreakerCooldown.Seconds())))
-	httpError(w, http.StatusTooManyRequests, "fleet degraded (peer breaker open) and queue backed up: shedding %s", op)
-	return true
 }
 
 // --- plumbing ----------------------------------------------------------------

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	spur "repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/expstore"
@@ -329,6 +330,53 @@ func (q *TablesQuery) Normalize() error {
 		q.Seed = 1
 	}
 	return nil
+}
+
+// Job is a request as spurd files it: the store kind, the normalized spec
+// and the content address that spec hashes to. RunJob, SweepJob and
+// TablesJob are the one place a request becomes a key: spurd's handlers
+// store under it and Fleet routes by it.
+type Job struct {
+	Kind string
+	Key  expstore.Key
+	Spec any
+}
+
+func newJob(kind string, spec any) (Job, error) {
+	key, err := expstore.KeyOf(spur.Version, kind, spec)
+	return Job{Kind: kind, Key: key, Spec: spec}, err
+}
+
+// RunJob normalizes req in place and files it as a "run".
+func RunJob(req *RunRequest) (Job, error) {
+	if err := req.Normalize(); err != nil {
+		return Job{}, err
+	}
+	return newJob("run", *req)
+}
+
+// SweepJob normalizes req in place and files it without its Format, which
+// is presentation only: both renderings share one stored result. A sampled
+// sweep is a "sweep-sampled", so an estimate with error bars is never
+// served where an exact "sweep" was asked for, or the other way round.
+func SweepJob(req *SweepRequest) (Job, error) {
+	if err := req.Normalize(); err != nil {
+		return Job{}, err
+	}
+	spec := *req
+	spec.Format = ""
+	if spec.Sample {
+		return newJob("sweep-sampled", spec)
+	}
+	return newJob("sweep", spec)
+}
+
+// TablesJob normalizes q in place and files it as "tables/<id>".
+func TablesJob(id string, q *TablesQuery) (Job, error) {
+	if err := q.Normalize(); err != nil {
+		return Job{}, err
+	}
+	return newJob("tables/"+id, *q)
 }
 
 // TablesResponse is the service's answer to /v1/tables/{id}: the artifact

@@ -29,7 +29,7 @@ func (s BreakerState) String() string {
 }
 
 // Breaker is a per-peer circuit breaker: breakerThreshold consecutive
-// failures open it, an open breaker rejects requests for BreakerCooldown,
+// failures open it, an open breaker rejects requests for breakerCooldown,
 // and after the cooldown a single half-open probe decides whether it closes
 // again. A nil *Breaker allows everything and records nothing, so call
 // sites need no nil checks.
@@ -46,15 +46,15 @@ type Breaker struct {
 }
 
 // breakerThreshold is the consecutive-failure count that opens a breaker;
-// BreakerCooldown is how long an open breaker rejects its peer before
-// admitting a half-open probe (spurd's Retry-After when it sheds load).
+// breakerCooldown is how long an open breaker rejects its peer before
+// admitting a half-open probe.
 const (
 	breakerThreshold = 3
-	BreakerCooldown  = 5 * time.Second
+	breakerCooldown  = 5 * time.Second
 )
 
 // NewBreaker builds a closed breaker on the wall clock.
-func NewBreaker() *Breaker { return newBreaker(breakerThreshold, BreakerCooldown, time.Now) }
+func NewBreaker() *Breaker { return newBreaker(breakerThreshold, breakerCooldown, time.Now) }
 
 // newBreaker builds a breaker with its own threshold, cooldown and clock,
 // so tests step time instead of sleeping.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	spur "repro"
 	"repro/internal/cluster"
 	"repro/internal/expstore"
 )
@@ -211,14 +210,11 @@ func failover[T any](ctx context.Context, f *Fleet, key expstore.Key, call func(
 // Run executes one simulator run against the key's owner, failing over
 // through its replicas.
 func (f *Fleet) Run(ctx context.Context, req RunRequest) (*RunResponse, error) {
-	if err := req.Normalize(); err != nil {
-		return nil, err
-	}
-	key, err := expstore.KeyOf(spur.Version, "run", req)
+	job, err := RunJob(&req)
 	if err != nil {
 		return nil, err
 	}
-	return failover(ctx, f, key, func(ctx context.Context, c *Client) (*RunResponse, error) {
+	return failover(ctx, f, job.Key, func(ctx context.Context, c *Client) (*RunResponse, error) {
 		return c.Run(ctx, req)
 	})
 }
@@ -226,14 +222,7 @@ func (f *Fleet) Run(ctx context.Context, req RunRequest) (*RunResponse, error) {
 // Sweep executes the memory-size study against the key's owner, failing
 // over through its replicas.
 func (f *Fleet) Sweep(ctx context.Context, req SweepRequest) ([]byte, SweepMeta, error) {
-	if err := req.Normalize(); err != nil {
-		return nil, SweepMeta{}, err
-	}
-	// Format is presentation only and excluded from the content address,
-	// exactly as the server strips it.
-	keyReq := req
-	keyReq.Format = ""
-	key, err := expstore.KeyOf(spur.Version, "sweep", keyReq)
+	job, err := SweepJob(&req)
 	if err != nil {
 		return nil, SweepMeta{}, err
 	}
@@ -241,7 +230,7 @@ func (f *Fleet) Sweep(ctx context.Context, req SweepRequest) ([]byte, SweepMeta,
 		body []byte
 		meta SweepMeta
 	}
-	a, err := failover(ctx, f, key, func(ctx context.Context, c *Client) (answer, error) {
+	a, err := failover(ctx, f, job.Key, func(ctx context.Context, c *Client) (answer, error) {
 		body, meta, err := c.Sweep(ctx, req)
 		return answer{body, meta}, err
 	})
@@ -251,14 +240,11 @@ func (f *Fleet) Sweep(ctx context.Context, req SweepRequest) ([]byte, SweepMeta,
 // Tables fetches one paper artifact from the key's owner, failing over
 // through its replicas.
 func (f *Fleet) Tables(ctx context.Context, id string, q TablesQuery) (*TablesResponse, error) {
-	if err := q.Normalize(); err != nil {
-		return nil, err
-	}
-	key, err := expstore.KeyOf(spur.Version, "tables/"+id, q)
+	job, err := TablesJob(id, &q)
 	if err != nil {
 		return nil, err
 	}
-	return failover(ctx, f, key, func(ctx context.Context, c *Client) (*TablesResponse, error) {
+	return failover(ctx, f, job.Key, func(ctx context.Context, c *Client) (*TablesResponse, error) {
 		return c.Tables(ctx, id, q)
 	})
 }

@@ -3,8 +3,8 @@
 # sharding, replication 2), drive mixed load with spurload, SIGKILL one
 # node mid-drill, and check that every request still completes with
 # byte-identical bodies, that the fleet reports the dead peer, and that the
-# restarted node is repaired from its replicas — blob-for-blob identical,
-# no recompute — by the scrubber. CI runs this; it also works locally:
+# restarted node gets a lost blob back on its next request from a replica —
+# blob-for-blob identical, no recompute. CI runs this; it also works locally:
 #
 #   ./scripts/smoke_cluster.sh
 set -euo pipefail
@@ -16,7 +16,7 @@ pids=()
 trap 'kill "${pids[@]}" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 # -race: the drill exercises the daemon's real concurrency (queue, flight
-# dedup, outbox sender, repair scrubber) under kill/restart; the detector
+# dedup, outbox sender, replica fetches) under kill/restart; the detector
 # turns a latent data race into a hard failure instead of a flaky pass.
 go build -race -o "$workdir/spurd" ./cmd/spurd
 go build -race -o "$workdir/spurload" ./cmd/spurload
@@ -38,8 +38,8 @@ u1="http://127.0.0.1:$p1"; u2="http://127.0.0.1:$p2"; u3="http://127.0.0.1:$p3"
 peers="$u1,$u2,$u3"
 
 # start_node <n> starts fleet member n over its persistent store dir and
-# records its pid in pid<n>. Background scrubbing is off: the drill triggers
-# scrub+repair explicitly so its assertions are deterministic.
+# records its pid in pid<n>. Background scrubbing is off so that nothing but
+# the drill's own requests touches the stores.
 start_node() {
     local n=$1 url port
     eval "url=\$u$n"
@@ -94,7 +94,7 @@ done
 echo "replication delivered 2 copies of every baseline blob"
 
 # Pick the victim: node 3 or 2, whichever holds the first baseline blob, so
-# the post-restart drill must repair that exact key. Only node 1's computes
+# the post-restart drill must fetch that exact key. Only node 1's computes
 # and its pushes to replicas have written blobs so far, so the victim
 # replicates it; once every node has served the baseline below, every
 # node holds a copy.
@@ -148,13 +148,15 @@ done
 echo "degraded fleet: byte-identical serves, dead peer reported down"
 
 # Lose a blob from the dead node's disk; the restarted node must get it
-# back from a replica via scrub — hash-verified, not recomputed.
+# back on the blob's next request from a replica — hash-verified, served
+# with the baseline bytes, not recomputed.
 rm "$workdir/store$victim/${key:0:2}/$key.json"
 start_node "$victim"
 echo "node $victim restarted"
-curl -fsS -X POST "$victim_url/v1/cluster/scrub" >"$workdir/scrub.json"
-grep -q '"repaired": 0' "$workdir/scrub.json" \
-    && { echo "scrub repaired nothing:"; cat "$workdir/scrub.json"; exit 1; }
+curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d "$(sweep_req 1)" "$victim_url/v1/sweep" -o "$workdir/check.csv"
+diff "$workdir/base1.csv" "$workdir/check.csv" \
+    || { echo "seed 1 from the restarted node $victim differs from baseline"; exit 1; }
 curl -fsS "$victim_url/healthz" | grep -Eq '"repaired": [1-9]' \
     || { echo "healthz does not count the repair:"; curl -fsS "$victim_url/healthz"; exit 1; }
 # Blob-for-blob identical to the surviving replica's copy.
@@ -170,7 +172,7 @@ done
 # The victim never simulated: the repair was a replica fetch.
 grep -q "computed" "$workdir/log$victim" \
     && { echo "restarted node recomputed instead of repairing:"; grep computed "$workdir/log$victim"; exit 1; }
-echo "restarted node repaired from replicas without recompute"
+echo "restarted node repaired the lost blob from a replica without recompute"
 
 # Healed fleet: one more identical load pass must be all-hit and error-free.
 "$workdir/spurload" -peers "$peers" -n 120 -c 6 -mix run=6,sweep=3,tables=1 \

@@ -5,8 +5,9 @@
 # within budget with bytes identical to a clean run, outboxes drained, and
 # the quarantine ledger balanced. A second in-process run with the same
 # seed must print the same schedule digest, pinning both the schedule's
-# determinism and its independence from the fleet mode. CI runs this; it
-# also works locally:
+# determinism and its independence from the fleet mode. Seeds 2-4 then run
+# in-process, so more schedules hold the fleet to the same invariants with
+# repair on the request path only. CI runs this; it also works locally:
 #
 #   ./scripts/smoke_torture.sh
 set -euo pipefail
@@ -37,3 +38,8 @@ if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
     exit 1
 fi
 echo "torture smoke OK: both modes passed with identical $d1 (seed $seed)"
+
+for seed in 2 3 4; do
+    "$workdir/spurtorture" -mode inproc -seed "$seed" -rounds 6
+done
+echo "torture smoke OK: seeds 2-4 passed in-process"

@@ -143,7 +143,7 @@ func TestSweepRunKeyPinned(t *testing.T) {
 // again from the store alone: no miss, no put, the same docs.
 func TestTableDocsCompleteStoreComputesNothing(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs Table 3.5 and the dirty-policy runs at their full length")
+		t.Skip("runs Table 3.5 at its full length")
 	}
 	o := Table41Options{Refs: 60_000, Reps: 2, Seed: 3}
 	dir := t.TempDir()

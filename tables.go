@@ -254,11 +254,14 @@ func RenderTable35(rows []Table35Row, paper bool) *report.Table {
 // TableDocs computes artifact id as report.Docs: a table ("2.1" to "4.1"),
 // a figure ("f3.1", "f3.2"), the extension sweeps ("ext"), "all" of them
 // with the claims last, or the "claims" alone, which read every table.
-// Refs applies to Tables 3.3 and 4.1 and the cache sweep, Reps and SizesMB
-// to Table 4.1, and the rest of opts to every table; paper adds the
-// published values. With dir set, every run is memoized in the result
-// store there, so a rerun computes only the runs it lacks. A quarantined
-// run stops the computation with its reason once its siblings finish.
+// Refs applies to Tables 3.3 and 4.1, the cache sweep and the claims'
+// dirty-policy runs, Reps and SizesMB to Table 4.1, and the rest of opts
+// to every table; paper adds the published values. Table 3.5's hosts keep
+// their own lengths: spurd serves that table, and its bytes may change
+// only with a spur.Version bump. With dir set, every run is memoized in
+// the result store there, so a rerun computes only the runs it lacks. A
+// quarantined run stops the computation with its reason once its siblings
+// finish.
 func TableDocs(id string, opts Table41Options, paper bool, dir string) ([]report.Doc, error) {
 	d := driver{par: parallel.Options{Workers: opts.Parallel, Context: opts.Context, Progress: opts.Progress}}
 	if dir != "" {
@@ -302,7 +305,7 @@ func (d driver) docs(id string, o Table41Options, paper bool) ([]report.Doc, err
 		queue(cs, func(r []cellRun) { cr.Cache = rows(r) })
 	}
 	if need("claims") {
-		cs, rows := dirtySweepCells(0, o.Seed)
+		cs, rows := dirtySweepCells(o.Refs, o.Seed)
 		queue(cs, func(r []cellRun) { cr.Dirty = rows(r) })
 	}
 	runs, err := d.table(cells)
