@@ -13,6 +13,9 @@
 //   - every response is byte-identical to the clean-fleet baseline;
 //   - once the round's faults are disarmed, every node converges: outbox
 //     drained, journaled jobs settled, /healthz answering;
+//   - a blob rotted on one node comes back through the request path:
+//     asked for it after the scrub, the node answers with the clean bytes
+//     and counts one repair from a replica;
 //   - at the end, quarantined `.corrupt` blobs exactly account for the
 //     bit rot the driver planted — no blob rots silently, none is
 //     quarantined without cause.
@@ -48,10 +51,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/expstore"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/pkg/client"
@@ -306,29 +310,83 @@ func (h *harness) round(num int, kind string) {
 }
 
 // plantRot flips one bit in a stored blob on the victim and triggers an
-// on-demand scrub, which quarantines it: the blob is never served rotten,
-// and its next request on the victim fetches it from a replica.
+// on-demand scrub, which quarantines it: the blob is never served rotten.
+// The blob is one whose request the harness knows (a suite item or a fresh
+// run) and that another of its replicas holds, so the harness then sends
+// that request straight to the victim, which must fetch the blob back from
+// that replica: the reply must equal the clean bytes, and the victim's
+// store must count exactly one repair.
 func (h *harness) plantRot(num int, v node) {
-	blobs, err := filepath.Glob(filepath.Join(v.StoreDir(), "*", "*.json"))
-	if err == nil {
-		sort.Strings(blobs)
+	type known struct {
+		it   workItem
+		want []byte
 	}
-	// jobs.journal and outbox.journal live at the store root, so the
-	// shard glob only ever sees result blobs.
-	if len(blobs) == 0 {
-		log.Printf("torture: round %d: no blobs on %s to rot; skipping plant", num, v.URL())
+	var cands []known
+	for _, it := range suite() {
+		if it.key != "" {
+			cands = append(cands, known{it, h.baseline[it.name]})
+		}
+	}
+	for _, fr := range h.fresh {
+		cands = append(cands, known{runWork(fr.name, fr.seed), fr.body})
+	}
+	var rottable []known
+	ring := h.fleetOf(h.urls)
+	for _, c := range cands {
+		if !fileExists(blobPath(v, c.it.key)) {
+			continue
+		}
+		for _, u := range ring.Replicas(string(c.it.key)) {
+			if u != v.URL() && fileExists(blobPath(h.nodes[slices.Index(h.urls, u)], c.it.key)) {
+				rottable = append(rottable, c)
+				break
+			}
+		}
+	}
+	if len(rottable) == 0 {
+		log.Printf("torture: round %d: no replicated blob of a known request on %s to rot; skipping plant", num, v.URL())
 		return
 	}
-	target := blobs[h.aux.intn(len(blobs))]
+	c := rottable[h.aux.intn(len(rottable))]
+	before, err := nodeHealth(v.URL())
+	if err != nil {
+		h.violationf("round %d: reading %s health before rot: %v", num, v.URL(), err)
+		return
+	}
+	target := blobPath(v, c.it.key)
 	if err := faultinject.FlipBit(target, 120); err != nil {
 		h.violationf("round %d: flipping bit in %s: %v", num, target, err)
 		return
 	}
 	h.planted++
-	log.Printf("torture: round %d: flipped bit 120 of %s", num, target)
+	log.Printf("torture: round %d: flipped bit 120 of %s (%s)", num, target, c.it.name)
 	if err := scrubNode(v.URL()); err != nil {
 		h.violationf("round %d: scrubbing %s after rot: %v", num, v.URL(), err)
 	}
+
+	got, err := h.execute(h.fleetOf([]string{v.URL()}), c.it)
+	switch {
+	case err != nil:
+		h.violationf("round %d: %s on %s after rot: %v", num, c.it.name, v.URL(), err)
+	case string(got) != string(c.want):
+		h.violationf("round %d: %s on %s after rot diverged from its clean bytes", num, c.it.name, v.URL())
+	}
+	after, err := nodeHealth(v.URL())
+	if err != nil {
+		h.violationf("round %d: reading %s health after rot: %v", num, v.URL(), err)
+	} else if d := after.Store.Repaired - before.Store.Repaired; d != 1 {
+		h.violationf("round %d: %s repaired %d blobs from replicas serving %s, want 1", num, v.URL(), d, c.it.name)
+	}
+}
+
+// blobPath is where node n's store keeps the blob of key k.
+func blobPath(n node, k expstore.Key) string {
+	return filepath.Join(n.StoreDir(), string(k[:2]), string(k)+".json")
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // drain waits for the healed fleet to converge: every node answering
@@ -413,8 +471,12 @@ func (h *harness) finalVerify() {
 	}
 }
 
-func (h *harness) newFleet() *client.Fleet {
-	f, err := client.NewFleet(h.urls, client.FleetOptions{
+func (h *harness) newFleet() *client.Fleet { return h.fleetOf(h.urls) }
+
+// fleetOf is a fleet client over the given nodes; over one node, every
+// request goes straight to it.
+func (h *harness) fleetOf(urls []string) *client.Fleet {
+	f, err := client.NewFleet(urls, client.FleetOptions{
 		Replication:    replication,
 		AttemptTimeout: 2 * time.Second,
 		RetryBudget:    8,
@@ -454,27 +516,31 @@ func (h *harness) teardown() {
 // ---------------------------------------------------------------- workload
 
 // workItem is one request in the round's fixed workload suite; do returns
-// the bytes the byte-identical invariant compares.
+// the bytes the byte-identical invariant compares, and key is the store key
+// its result is kept under (empty for a fixed artifact, which is never
+// stored).
 type workItem struct {
 	name string
+	key  expstore.Key
 	do   func(ctx context.Context, f *client.Fleet) ([]byte, error)
 }
 
 // suite is the workload driven through the fleet every round: three runs,
 // a sweep, and a tables artifact — every op class the daemons serve.
 func suite() []workItem {
+	sweepReq := client.SweepRequest{
+		Workloads: []string{"SLC"},
+		SizesMB:   []int{2, 3},
+		Policies:  []string{"MISS"},
+		Refs:      tortureSweepRefs,
+		Seed:      7,
+	}
 	items := []workItem{
 		runWork("run-a", 1),
 		runWork("run-b", 2),
 		runWork("run-c", 3),
-		{name: "sweep", do: func(ctx context.Context, f *client.Fleet) ([]byte, error) {
-			body, _, err := f.Sweep(ctx, client.SweepRequest{
-				Workloads: []string{"SLC"},
-				SizesMB:   []int{2, 3},
-				Policies:  []string{"MISS"},
-				Refs:      tortureSweepRefs,
-				Seed:      7,
-			})
+		{name: "sweep", key: jobKey(client.SweepJob(&sweepReq)), do: func(ctx context.Context, f *client.Fleet) ([]byte, error) {
+			body, _, err := f.Sweep(ctx, sweepReq)
 			return body, err
 		}},
 		{name: "tables-3.1", do: func(ctx context.Context, f *client.Fleet) ([]byte, error) {
@@ -490,14 +556,24 @@ func suite() []workItem {
 }
 
 func runWork(name string, seed uint64) workItem {
-	return workItem{name: name, do: func(ctx context.Context, f *client.Fleet) ([]byte, error) {
-		resp, err := f.Run(ctx, client.RunRequest{Refs: tortureRunRefs, Seed: seed})
+	req := client.RunRequest{Refs: tortureRunRefs, Seed: seed}
+	return workItem{name: name, key: jobKey(client.RunJob(&req)), do: func(ctx context.Context, f *client.Fleet) ([]byte, error) {
+		resp, err := f.Run(ctx, req)
 		if err != nil {
 			return nil, err
 		}
 		resp.Cached = false
 		return json.Marshal(resp)
 	}}
+}
+
+// jobKey is the store key of a request the harness builds itself; filing
+// one fails only on a spec that cannot be encoded, which none of them is.
+func jobKey(j client.Job, err error) expstore.Key {
+	if err != nil {
+		panic(err)
+	}
+	return j.Key
 }
 
 // ---------------------------------------------------------------- plumbing

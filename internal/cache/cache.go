@@ -148,7 +148,6 @@ type Cache struct {
 	port int
 
 	// Stats accumulates internal event counts.
-	//spurlint:ignore statecomplete — measurement accumulator, reset at interval start; not warm state
 	Stats Stats
 }
 
@@ -422,6 +421,18 @@ func (c *Cache) InvalidateAll() int {
 		}
 	}
 	return wb
+}
+
+// CopyFrom makes c's lines and statistics those of src, in c's own arrays.
+// The caches must have the same geometry: a fanout split copies a leader's
+// cache only into a member configured like it.
+func (c *Cache) CopyFrom(src *Cache) {
+	if len(src.tags) != len(c.tags) {
+		panic(fmt.Sprintf("cache: copy of a %d-line cache into a %d-line one", len(src.tags), len(c.tags)))
+	}
+	copy(c.tags, src.tags)
+	copy(c.meta, src.meta)
+	c.Stats = src.Stats
 }
 
 // ResidentBlocks returns how many valid blocks of page p are resident, and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -133,64 +134,29 @@ func (m *oracleMachine) AllocSegment() addr.SegmentID {
 
 func (m *oracleMachine) FreeSegment(s addr.SegmentID) { m.segFree = append(m.segFree, s) }
 
-// oracleState is everything the reference step can change.
-type oracleState struct {
-	Tags       []addr.BlockAddr
-	Meta       []uint8
-	CacheStats cache.Stats
-	PTEs       []pte.Entry
-	PTEPages   []addr.GVPN
-	Pager      vm.PagerState
-	Free       []addr.PFN
-	Mode       int
-	Shadow     [counters.NumEvents]uint64
-	Hardware   [counters.HardwareCounters + 1]uint32
-	Cycles     uint64
-	ByKind     [4]uint64
-	Injections []faultinject.Record
-}
-
-func (m *oracleMachine) state() oracleState {
-	s := oracleState{
-		CacheStats: m.c.Stats, Pager: m.pager.ExportState(), Free: m.pool.ExportFree(),
-		Mode: m.ctr.Mode(), Shadow: m.ctr.Snapshot(), Hardware: m.ctr.HardwareSnapshot(),
-		Cycles: m.e.Cycles, ByKind: m.e.FaultsByKind, Injections: m.inj.Log(),
-	}
-	s.Tags, s.Meta = m.c.ExportState()
-	m.tbl.Range(func(p addr.GVPN, e pte.Entry) bool {
-		s.PTEPages = append(s.PTEPages, p)
-		s.PTEs = append(s.PTEs, e)
-		return true
-	})
-	return s
-}
-
-// diffStates names the first part of the state where a and b differ.
-func diffStates(a, b oracleState) string {
+// diffMachines names the first part of the state the reference step can
+// change where a and b differ, or returns "".
+func diffMachines(a, b *oracleMachine) string {
 	switch {
-	case !slices.Equal(a.Tags, b.Tags):
-		return "cache tags"
-	case !slices.Equal(a.Meta, b.Meta):
-		return "cache meta"
-	case a.CacheStats != b.CacheStats:
-		return "cache stats"
-	case !slices.Equal(a.PTEPages, b.PTEPages) || !slices.Equal(a.PTEs, b.PTEs):
+	case !reflect.DeepEqual(a.c, b.c):
+		return "cache"
+	case !reflect.DeepEqual(a.tbl, b.tbl):
 		return "PTE table"
-	case !slices.Equal(a.Pager.Pages, b.Pager.Pages) || !slices.Equal(a.Pager.Clock, b.Pager.Clock):
+	case !a.pager.SamePages(b.pager):
 		return "pager pages"
-	case a.Pager.Stats != b.Pager.Stats || a.Pager.Cycles != b.Pager.Cycles:
+	case a.pager.Stats != b.pager.Stats || a.pager.Cycles != b.pager.Cycles:
 		return "pager stats"
-	case !slices.Equal(a.Free, b.Free):
+	case !reflect.DeepEqual(a.pool, b.pool):
 		return "free frames"
-	case a.Mode != b.Mode || a.Shadow != b.Shadow:
+	case a.ctr.Mode() != b.ctr.Mode() || a.ctr.Snapshot() != b.ctr.Snapshot():
 		return "counter shadow"
-	case a.Hardware != b.Hardware:
+	case a.ctr.HardwareSnapshot() != b.ctr.HardwareSnapshot():
 		return "hardware counters"
-	case a.Cycles != b.Cycles:
+	case a.e.Cycles != b.e.Cycles:
 		return "cycles"
-	case a.ByKind != b.ByKind:
+	case a.e.FaultsByKind != b.e.FaultsByKind:
 		return "faults by kind"
-	case !slices.Equal(a.Injections, b.Injections):
+	case !slices.Equal(a.inj.Log(), b.inj.Log()):
 		return "injection log"
 	}
 	return ""
@@ -236,7 +202,7 @@ func runOracle(t *testing.T, cfg oracleConfig) (model, batch *oracleMachine) {
 			batch.ctr.SetMode(mode)
 		}
 		done += km
-		if f := diffStates(model.state(), batch.state()); f != "" {
+		if f := diffMachines(model, batch); f != "" {
 			t.Fatalf("after batch %d (%d refs): %s differs", i, done, f)
 		}
 	}
@@ -263,7 +229,7 @@ func oraclePanic(t *testing.T, model, batch *oracleMachine, recs []trace.Rec) {
 	if pm == nil || pb == nil || fmt.Sprint(pm) != fmt.Sprint(pb) {
 		t.Fatalf("panics differ: model %v, batch %v", pm, pb)
 	}
-	if f := diffStates(model.state(), batch.state()); f != "" {
+	if f := diffMachines(model, batch); f != "" {
 		t.Fatalf("after panic %q: %s differs", fmt.Sprint(pm), f)
 	}
 }
@@ -322,11 +288,10 @@ func TestBatchLoopsMatchPerReferenceModel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			model, batch := runOracle(t, tc.cfg)
-			st := batch.state()
-			if st.Shadow[counters.EvDaemonScan] == 0 {
+			if batch.ctr.Count(counters.EvDaemonScan) == 0 {
 				t.Fatal("the page daemon never ran; the run does not cover reclaim")
 			}
-			if tc.cfg.faults != nil && len(st.Injections) == 0 {
+			if tc.cfg.faults != nil && len(batch.inj.Log()) == 0 {
 				t.Fatal("no fault was injected")
 			}
 			// A write miss to a code page panics inside miss, after a hit

@@ -23,11 +23,11 @@ import (
 // reference-bit reads/clears and page-out dirty checks flow back through the
 // same policies.
 type Engine struct {
-	//spurlint:ignore statecomplete — component wiring; the cache's own state goes through Cache.ExportState/RestoreState
+	//spurlint:ignore statecomplete — component wiring; a fanout split copies the cache's own state with Cache.CopyFrom
 	Cache *cache.Cache
 	//spurlint:ignore statecomplete — stateless in-cache translation unit, rebuilt when the machine is wired
 	X *xlate.Unit
-	//spurlint:ignore statecomplete — component wiring; the pager's own state goes through Pager.ExportState/RestoreState
+	//spurlint:ignore statecomplete — component wiring; a fanout split copies the pager's own state with Pager.CopyFrom
 	Pager *vm.Pager
 	//spurlint:ignore statecomplete — component wiring; counters are armed per measured interval, not checkpointed
 	Ctr *counters.Set

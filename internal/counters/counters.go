@@ -161,7 +161,6 @@ type Set struct {
 	hw     [HardwareCounters + 1]uint32
 	shadow [NumEvents]uint64
 	// mark is the shadow as of the last fold.
-	//spurlint:ignore statecomplete — derived: the shadow at the last fold; HardwareSnapshot folds before reading hw and Restore resets mark to the restored shadow
 	mark [NumEvents]uint64
 }
 

@@ -216,6 +216,9 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 // quarantine sets a corrupt blob aside — renamed with a .corrupt suffix,
 // never deleted, so the evidence survives for forensics — and counts it.
 // Concurrent quarantines of the same blob count once (first rename wins).
+// The key's copy in the LRU front goes too: rot and loss look the same, so
+// the next request for it misses and a cluster node fetches the blob back
+// from a replica, which puts it on disk again.
 func (s *Store) quarantine(k Key) {
 	path := s.path(k)
 	for i := 0; i < 64; i++ {
@@ -234,6 +237,11 @@ func (s *Store) quarantine(k Key) {
 		}
 		s.mu.Lock()
 		s.stats.Corrupt++
+		if el, ok := s.index[k]; ok {
+			s.lru.Remove(el)
+			delete(s.index, k)
+			s.bytes -= len(el.Value.(*entry).data)
+		}
 		s.mu.Unlock()
 		return
 	}
@@ -390,34 +398,6 @@ func (s *Store) admit(k Key, data []byte) {
 		s.bytes -= len(e.data)
 		s.stats.Evictions++
 	}
-}
-
-// Has reports whether the store holds a verified copy of k — in the LRU
-// front, or on disk with a valid envelope. A corrupt disk blob is
-// quarantined on the spot and reported as absent: rot and loss look the
-// same.
-func (s *Store) Has(k Key) bool {
-	if !k.valid() {
-		return false
-	}
-	s.mu.Lock()
-	_, ok := s.index[k]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	if s.dir == "" {
-		return false
-	}
-	raw, err := readBlob(s.path(k))
-	if err != nil {
-		return false
-	}
-	if _, verr := openBlob(raw); verr != nil {
-		s.quarantine(k)
-		return false
-	}
-	return true
 }
 
 // GetSealed returns k's blob in its sealed on-disk envelope form, for

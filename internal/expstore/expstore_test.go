@@ -341,3 +341,29 @@ func TestInvalidKey(t *testing.T) {
 		t.Error("invalid key hit")
 	}
 }
+
+// TestScrubDropsTheMemoryCopy: a blob whose disk copy a scrub quarantines
+// is gone from the LRU front too, so the next Get misses instead of serving
+// a copy that no longer survives a restart.
+func TestScrubDropsTheMemoryCopy(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := mustKey(t, "v1", "run", "rotted")
+	if err := s.Put(k, []byte(`{"r":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.FlipBit(filepath.Join(s.Dir(), string(k[:2]), string(k)+".json"), 180); err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Scrub(); r.Quarantined != 1 {
+		t.Fatalf("scrub = %+v, want one quarantined", r)
+	}
+	if data, ok := s.Get(k); ok {
+		t.Fatalf("Get served the quarantined blob from memory: %q", data)
+	}
+	if st := s.Stats(); st.MemHits != 0 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 0 memory hits and 1 miss", st)
+	}
+}

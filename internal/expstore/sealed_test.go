@@ -78,7 +78,7 @@ func TestPutSealedRejectsTamperedEnvelope(t *testing.T) {
 	if err := dst.PutSealed(k, bad, true); err == nil {
 		t.Fatal("tampered envelope accepted")
 	}
-	if dst.Has(k) {
+	if _, ok := dst.GetSealed(k); ok {
 		t.Error("tampered blob landed in the store")
 	}
 }
@@ -108,27 +108,31 @@ func TestMemoryOnlySealing(t *testing.T) {
 	}
 }
 
-func TestHas(t *testing.T) {
+// TestGetSealedServesOnlyVerifiedBlobs: GetSealed hands out a blob only
+// when the store holds a verified copy of it. A corrupt disk blob is
+// quarantined on the spot and reported as absent: rot and loss look the
+// same, so a request for it fetches a fresh copy from a replica.
+func TestGetSealedServesOnlyVerifiedBlobs(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "store"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k1 := mustKey(t, "v1", "run", "one")
 	k2 := mustKey(t, "v1", "run", "two")
-	if s.Has(k1) {
-		t.Fatal("Has on empty store")
+	if _, ok := s.GetSealed(k1); ok {
+		t.Fatal("GetSealed hit on an empty store")
 	}
 	for _, k := range []Key{k1, k2} {
 		if err := s.Put(k, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !s.Has(k1) || !s.Has(k2) {
-		t.Fatal("Has missed stored keys")
+	for _, k := range []Key{k1, k2} {
+		if _, ok := s.GetSealed(k); !ok {
+			t.Fatalf("GetSealed missed stored key %s", k)
+		}
 	}
 
-	// A corrupted blob is treated as absent by Has — and quarantined, so
-	// repair can land a fresh copy.
 	path := s.path(k1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -138,15 +142,15 @@ func TestHas(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Drop the LRU copy so Has consults disk.
+	// Drop the LRU copy so only the disk holds k1.
 	fresh, err := Open(s.Dir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Has(k1) {
-		t.Error("Has served a corrupt blob")
+	if _, ok := fresh.GetSealed(k1); ok {
+		t.Error("GetSealed served a corrupt blob")
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Error("corrupt blob not quarantined by Has")
+		t.Error("corrupt blob not quarantined by GetSealed")
 	}
 }

@@ -26,7 +26,7 @@
 //     map order) taint their transitive callers; a model-package call into
 //     a tainted non-model function is a finding, reported with the chain.
 //   - statecomplete: every mutable field of a registered state type is
-//     covered by its snapshot/restore pair, or annotated with why it is
+//     covered by its copy path, or annotated with why it is
 //     derived, configuration, or built by the stream's environment calls.
 //   - lockconfine: in the concurrent packages, fields documented
 //     `// guarded by mu` are only touched with that mutex held.
@@ -65,7 +65,7 @@ func (f Finding) String() string {
 
 // Analyzer is one named check. Per-package analyzers set Run and see one
 // package at a time; whole-program analyzers set RunProgram and see every
-// loaded package at once (the call-graph and snapshot-completeness checks
+// loaded package at once (the call-graph and copy-completeness checks
 // need cross-package facts no single Pass carries). An analyzer sets one or
 // the other.
 type Analyzer struct {

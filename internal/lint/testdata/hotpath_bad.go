@@ -37,11 +37,12 @@ func (t *Table) Update(p uint64, f func(uint32) uint32) uint32 {
 	return 0
 }
 
-// Range exists so the statecomplete registry's snapshot path (Table.Range)
-// resolves against this fixture Table; it references the backing map without
-// iterating it, keeping the fixture free of determinism findings.
-func (t *Table) Range(func(uint64, uint32)) int {
-	return len(t.m)
+// CopyFrom exists so the statecomplete registry's copy path
+// (Table.CopyFrom) resolves against this fixture Table; it references the
+// backing map without iterating it, keeping the fixture free of
+// determinism findings.
+func (t *Table) CopyFrom(src *Table) {
+	t.m = src.m
 }
 
 // Walk is not a designated hot-path function: the same operations pass.

@@ -1,30 +1,24 @@
 //spurlint:path repro/internal/cache
 
 // Positive statecomplete fixture: this package redefines the registered
-// cache.Cache with a mutable field its snapshot pair forgot. Deleting a
-// field from a real Snapshot/Restore pair produces exactly this shape.
+// cache.Cache with a mutable field its copy path forgot. Deleting a field
+// from a real copy function produces exactly this shape.
 package fixture
 
 // Cache mimics the registered state type.
 type Cache struct {
 	tags []uint64
 	meta []uint8
-	// hand is mutable state neither ExportState nor RestoreState touches.
-	// want statecomplete "field hand of fixture.Cache is not snapshotted by Cache.ExportState"
-	// want statecomplete "field hand of fixture.Cache is not restored by Cache.RestoreState"
+	// hand is mutable state CopyFrom does not touch.
+	// want statecomplete "field hand of fixture.Cache is not copied by Cache.CopyFrom"
 	hand int
-	// gen is exempted on the record; the directive covers both paths.
+	// gen is exempted on the record.
 	//spurlint:ignore statecomplete — derived generation counter, rebuilt on first access
 	gen uint64
 }
 
-// ExportState covers tags and meta only.
-func (c *Cache) ExportState() ([]uint64, []uint8) {
-	return c.tags, c.meta
-}
-
-// RestoreState covers tags and meta only.
-func (c *Cache) RestoreState(tags []uint64, meta []uint8) {
-	c.tags = tags
-	c.meta = meta
+// CopyFrom covers tags and meta only.
+func (c *Cache) CopyFrom(src *Cache) {
+	copy(c.tags, src.tags)
+	copy(c.meta, src.meta)
 }

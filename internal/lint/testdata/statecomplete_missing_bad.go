@@ -1,10 +1,10 @@
 //spurlint:path repro/internal/mem
 
-// Positive statecomplete fixture: the registered type exists but one half
-// of its registered snapshot path does not — retiring RestoreFree without
+// Positive statecomplete fixture: the registered type exists but its
+// registered copy function does not — retiring CopyFreeFrom without
 // updating the registry must fail the lint, not silently skip the check.
 // The finding anchors on the package clause (the type's package).
-// want statecomplete "registered state type Pool has no restore function Pool.RestoreFree"
+// want statecomplete "registered state type Pool has no copy function Pool.CopyFreeFrom"
 package fixture
 
 // Pool mimics the registered frame pool.
@@ -12,5 +12,5 @@ type Pool struct {
 	free []uint32
 }
 
-// ExportFree covers the only field.
-func (p *Pool) ExportFree() []uint32 { return p.free }
+// Free reads the only field, but it is not the registered copy path.
+func (p *Pool) Free() int { return len(p.free) }

@@ -76,7 +76,7 @@ func DefaultConfig() Config {
 
 // Machine is one assembled simulator instance.
 type Machine struct {
-	//spurlint:ignore statecomplete — the spec itself; sample keys snapshots by config hash instead of serializing it
+	//spurlint:ignore statecomplete — the spec itself; a fanout merges only members whose configurations differ in Ref and MemoryBytes
 	Cfg   Config
 	Ctr   *counters.Set
 	Cache *cache.Cache
@@ -90,8 +90,8 @@ type Machine struct {
 	Inject *faultinject.Injector
 
 	// Segment allocation is a pure function of the workload stream: a machine
-	// driven by the same stream up to a snapshot point already holds it
-	// (see sample.Restore).
+	// driven by the same stream up to a fanout split already holds it
+	// (see sample.copyMachine).
 	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv
 	segNext addr.SegmentID
 	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv

@@ -15,12 +15,9 @@ import (
 
 // Pool is a physical frame allocator.
 type Pool struct {
-	//spurlint:ignore statecomplete — pool geometry fixed at construction from the spec
 	total int
-	//spurlint:ignore statecomplete — pool geometry fixed at construction from the spec
 	wired int
 	free  []addr.PFN
-	//spurlint:ignore statecomplete — complement of the free list; RestoreFree rebuilds it
 	inUse []bool // indexed by PFN, true while allocated
 
 	//spurlint:ignore statecomplete — watermark configuration derived from the geometry at construction
@@ -114,6 +111,27 @@ func (p *Pool) Release(f addr.PFN) {
 	}
 	p.inUse[f] = false
 	p.free = append(p.free, f)
+}
+
+// CopyFreeFrom makes p's free list src's, cut to p's frames: the frames of
+// src's list that p has, in src's order, with every other allocatable frame
+// of p in use. The order is real machine state: the list is LIFO over the
+// release history, so it decides which frame every later fault gets. A
+// fanout split hands a member its larger leader's list with it; the cut
+// drops only frames the leader never allocated (see sample's horizon).
+func (p *Pool) CopyFreeFrom(src *Pool) {
+	p.free = p.free[:0]
+	for _, f := range src.free {
+		if int(f) < p.total {
+			p.free = append(p.free, f)
+		}
+	}
+	for f := p.wired; f < p.total; f++ {
+		p.inUse[f] = true
+	}
+	for _, f := range p.free {
+		p.inUse[f] = false
+	}
 }
 
 func max(a, b int) int {

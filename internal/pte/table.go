@@ -14,17 +14,18 @@ const PTESize = 4
 // into the cache with it.
 const PTEsPerBlock = addr.BlockBytes / PTESize
 
-// The first-level array is stored as a directory of fixed-size chunks,
-// allocated on first write: a dense paged image of the logical linear array.
-// Lookup, Set and Update — on the path of every cache miss — are then two
-// array indexings, with no hashing and no map iteration anywhere near the
-// hot path, and Range walks the chunks in address order so iteration is
-// deterministic by construction rather than by sorting.
+// The first-level array is stored as a directory of fixed-size chunks: a
+// dense paged image of the logical linear array, holding only the chunks
+// with a live entry. Lookup, Set and Update — on the path of every cache
+// miss — are then three array indexings, with no hashing and no map
+// iteration anywhere near the hot path, and Range walks the chunks in
+// address order so iteration is deterministic by construction rather than
+// by sorting.
 const (
-	// chunkShift gives 4096 entries (16 KB) per chunk: one chunk spans
-	// 16 MB of mapped virtual memory, so even the largest sweeps touch a
-	// handful of chunks while the directory stays small.
-	chunkShift   = 12
+	// chunkShift gives 512 entries (2 KB, one heap size class) per chunk,
+	// mapping 2 MB of virtual memory: about the span of one process
+	// region, so a machine holds little more than its live entries.
+	chunkShift   = 9
 	chunkEntries = 1 << chunkShift
 	chunkMask    = chunkEntries - 1
 	// maxGVPN bounds the global page number: 38-bit global addresses over
@@ -32,12 +33,11 @@ const (
 	maxGVPN   = 1 << (addr.GlobalBits - addr.PageShift)
 	numChunks = maxGVPN / chunkEntries
 	// The chunk directory is itself two-level: a flat [numChunks]*chunk
-	// array would be 128 KB of pointers embedded in every Table — zeroed
-	// at construction and walked by every GC scan, which dominated the
-	// cost of short-lived machines (every micro-scenario and model test
-	// builds one). Splitting it 128×128 keeps the embedded top level at
-	// 1 KB and allocates mid nodes only for the address ranges actually
-	// mapped, at the price of one extra dependent load per Lookup.
+	// array would be 1 MB of pointers embedded in every Table, zeroed at
+	// construction and walked by every GC scan. Splitting it 1024×128
+	// keeps the embedded top level at 8 KB and allocates a directory
+	// (1280 bytes, one heap size class) only for each 256 MB range
+	// actually mapped.
 	dirShift   = 7
 	dirEntries = 1 << dirShift
 	dirMask    = dirEntries - 1
@@ -46,7 +46,13 @@ const (
 
 type chunk [chunkEntries]Entry
 
-type chunkDir [dirEntries]*chunk
+// dir maps dirEntries consecutive chunks. live[i] counts chunk i's
+// non-zero entries: the chunk is freed when it drops to zero, and the
+// directory when its last chunk goes.
+type dir struct {
+	chunks [dirEntries]*chunk
+	live   [dirEntries]uint16
+}
 
 // Table is the two-level page table for the global virtual space.
 //
@@ -57,14 +63,14 @@ type chunkDir [dirEntries]*chunk
 // pages of that array and is wired in physical memory; Table exposes the
 // second-level address computation so the translation unit can account for
 // its accesses, and materializes the first-level contents chunk by chunk as
-// pages are entered (the simulator never instantiates the full 256 MB
-// array, but what it does instantiate is flat).
+// pages are entered and frees it as they leave (the simulator never
+// instantiates the full 256 MB array, but what it does instantiate is
+// flat).
 type Table struct {
 	//spurlint:ignore statecomplete — construction-time configuration (NewTable), not mutated afterwards
 	seg  addr.SegmentID // reserved segment holding the first-level array
-	dirs [numDirs]*chunkDir
-	//spurlint:ignore statecomplete — derived count of non-zero entries; Set maintains it while restoring
-	n int // count of non-zero entries
+	dirs [numDirs]*dir
+	n    int // count of non-zero entries
 }
 
 // NewTable returns an empty page table whose first-level array lives in
@@ -107,7 +113,7 @@ func (t *Table) Lookup(p addr.GVPN) Entry {
 	if d == nil {
 		return 0
 	}
-	c := d[ci&dirMask]
+	c := d.chunks[ci&dirMask]
 	if c == nil {
 		return 0
 	}
@@ -117,35 +123,45 @@ func (t *Table) Lookup(p addr.GVPN) Entry {
 // Set stores the entry for page p. Setting an entry for a page outside the
 // global space is a hard error: no address computation can have produced it,
 // so it means a corrupt caller, and storing it silently would make Lookup
-// lie about table contents.
+// lie about table contents. Clearing a chunk's last entry frees the chunk,
+// and its directory's last chunk the directory.
 func (t *Table) Set(p addr.GVPN, e Entry) {
 	ci := uint64(p) >> chunkShift
 	if ci >= numChunks {
 		panic(fmt.Sprintf("pte: page %#x outside the %d-bit global space", uint64(p), addr.GlobalBits))
 	}
-	d := t.dirs[ci>>dirShift]
+	di, j := ci>>dirShift, ci&dirMask
+	d := t.dirs[di]
 	if d == nil {
 		if e == 0 {
 			return // clearing an entry that was never set
 		}
-		d = new(chunkDir)
-		t.dirs[ci>>dirShift] = d
+		d = new(dir)
+		t.dirs[di] = d
 	}
-	c := d[ci&dirMask]
+	c := d.chunks[j]
 	if c == nil {
 		if e == 0 {
 			return // clearing an entry that was never set
 		}
 		c = new(chunk)
-		d[ci&dirMask] = c
+		d.chunks[j] = c
 	}
-	old := c[uint64(p)&chunkMask]
-	c[uint64(p)&chunkMask] = e
+	slot := &c[uint64(p)&chunkMask]
+	old := *slot
+	*slot = e
 	switch {
 	case old == 0 && e != 0:
 		t.n++
+		d.live[j]++
 	case old != 0 && e == 0:
 		t.n--
+		if d.live[j]--; d.live[j] == 0 {
+			d.chunks[j] = nil
+			if d.live == [dirEntries]uint16{} {
+				t.dirs[di] = nil
+			}
+		}
 	}
 }
 
@@ -176,11 +192,11 @@ func (t *Table) Len() int { return t.n }
 // entry order on every run — the byte-identical-replay contract the
 // experiment store depends on — without the sort the old sparse map needed.
 func (t *Table) Range(fn func(addr.GVPN, Entry) bool) {
-	for di, d := range t.dirs {
+	for di, d := range &t.dirs {
 		if d == nil {
 			continue
 		}
-		for cj, c := range d {
+		for cj, c := range &d.chunks {
 			if c == nil {
 				continue
 			}
@@ -195,6 +211,27 @@ func (t *Table) Range(fn func(addr.GVPN, Entry) bool) {
 			}
 		}
 	}
+}
+
+// CopyFrom makes t hold exactly src's entries, in chunks of its own. A
+// fanout split copies a leader's table into a member with it.
+func (t *Table) CopyFrom(src *Table) {
+	for di, sd := range &src.dirs {
+		if sd == nil {
+			t.dirs[di] = nil
+			continue
+		}
+		d := &dir{live: sd.live}
+		for j, sc := range &sd.chunks {
+			if sc != nil {
+				c := new(chunk)
+				*c = *sc
+				d.chunks[j] = c
+			}
+		}
+		t.dirs[di] = d
+	}
+	t.n = src.n
 }
 
 // Format describes the entry layout (Figure 3.2a) as text, for cmd/tables.

@@ -121,3 +121,70 @@ func TestTableOutOfSpacePages(t *testing.T) {
 	}()
 	tbl.Set(addr.GVPN(maxGVPN), Make(1, ProtReadWrite))
 }
+
+// held counts the directories and chunks t holds.
+func held(t *Table) (dirs, chunks int) {
+	for _, d := range &t.dirs {
+		if d == nil {
+			continue
+		}
+		dirs++
+		for _, c := range &d.chunks {
+			if c != nil {
+				chunks++
+			}
+		}
+	}
+	return dirs, chunks
+}
+
+// TestTableFreesEmptyChunks sets each case's pages and clears them in
+// order. A chunk is held exactly while one of its entries is set: clearing
+// its last entry frees it (and its directory's last chunk the directory),
+// a table whose entries have all cleared holds nothing, and the next Set
+// brings a chunk back.
+func TestTableFreesEmptyChunks(t *testing.T) {
+	const dirSpan = chunkEntries * dirEntries
+	e := Make(7, ProtReadWrite)
+	for _, tc := range []struct {
+		name         string
+		pages        []addr.GVPN
+		dirs, chunks int // held once every page is set
+	}{
+		{"one chunk", []addr.GVPN{5, 0, chunkEntries - 1}, 1, 1},
+		{"chunk boundary", []addr.GVPN{chunkEntries - 1, chunkEntries, chunkEntries + 1}, 1, 2},
+		{"directory boundary", []addr.GVPN{dirSpan, dirSpan - 1}, 2, 2},
+		{"both ends of the space", []addr.GVPN{maxGVPN - 1, 0, 1}, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := NewTable(addr.SegmentID(addr.MaxSegmentID))
+			for _, p := range tc.pages {
+				tbl.Set(p, e)
+			}
+			if d, c := held(tbl); d != tc.dirs || c != tc.chunks {
+				t.Fatalf("holds %d directories and %d chunks, want %d and %d", d, c, tc.dirs, tc.chunks)
+			}
+			for i, p := range tc.pages {
+				tbl.Invalidate(p)
+				live := map[addr.GVPN]bool{}
+				for _, q := range tc.pages[i+1:] {
+					live[q>>chunkShift] = true
+					if tbl.Lookup(q) != e {
+						t.Fatalf("clearing %#x lost %#x", uint64(p), uint64(q))
+					}
+				}
+				if _, c := held(tbl); c != len(live) {
+					t.Fatalf("after clearing %#x: %d chunks held, want %d", uint64(p), c, len(live))
+				}
+			}
+			if d, c := held(tbl); d != 0 || c != 0 || tbl.Len() != 0 {
+				t.Fatalf("an empty table holds %d directories and %d chunks (Len %d)", d, c, tbl.Len())
+			}
+			p := tc.pages[0]
+			tbl.Set(p, e)
+			if d, c := held(tbl); d != 1 || c != 1 || tbl.Lookup(p) != e || tbl.Len() != 1 {
+				t.Fatalf("Set after emptying: %d directories, %d chunks, Lookup %v, Len %d", d, c, tbl.Lookup(p), tbl.Len())
+			}
+		})
+	}
+}

@@ -40,9 +40,9 @@
 // lacks, less the member's low watermark — reaches zero: a reference
 // allocates at most one frame and the daemon runs only when a fault finds
 // fewer than the low watermark free, so until then the member's daemon
-// cannot have run. The split restores the member from the leader's snapshot
-// with the free list cut to the member's frames, and from then on the
-// member is simulated on its own.
+// cannot have run. The split copies the leader's state into the member's
+// machine, with the free list cut to the member's frames, and from then on
+// the member is simulated on its own.
 //
 // Machine state persists across the gaps ("checkpointed warmup"): each
 // variant's machine is warmed through the whole stream once and never

@@ -80,8 +80,8 @@ func readBaseline(m *machine.Machine) baseline {
 
 // multiEnv fans one workload's environment calls out to every variant
 // machine, so a single generated stream drives them all. Merged members get
-// them too: Capture omits regions and segments, so a member splitting off
-// its leader must already hold them. The machines see identical call
+// them too: copyMachine omits regions and segments, so a member splitting
+// off its leader must already hold them. The machines see identical call
 // sequences, so their segment allocators answer identically; a divergence
 // means variant construction differed and is a hard error.
 type multiEnv struct{ ms []*machine.Machine }
@@ -174,8 +174,8 @@ func (f *fanout) horizon(vi int) int {
 }
 
 // NextBatch implements trace.BatchSource: it splits off every merged member
-// whose horizon is exhausted, restoring the member's machine from its
-// leader's projected state, and caps the batch at the smallest horizon left.
+// whose horizon is exhausted, copying its leader's state into the member's
+// machine, and caps the batch at the smallest horizon left.
 func (f *fanout) NextBatch(buf []trace.Rec) int {
 	n := len(buf)
 	for vi, l := range f.leader {
@@ -191,12 +191,10 @@ func (f *fanout) NextBatch(buf []trace.Rec) int {
 	return f.BatchSource.NextBatch(buf[:n])
 }
 
-// split restores merged member vi from its leader's projected state and
-// steps it on its own from then on.
+// split copies merged member vi's state from its leader and steps it on its
+// own from then on.
 func (f *fanout) split(vi int) {
-	if err := Restore(f.ms[vi], f.capture(vi)); err != nil {
-		panic(fmt.Sprintf("sample: splitting variant %d off variant %d: %v", vi, f.leader[vi], err))
-	}
+	copyMachine(f.ms[vi], f.holder(vi))
 	f.leader[vi] = vi
 	f.step = append(f.step, f.ms[vi])
 }
@@ -220,27 +218,40 @@ func (f *fanout) run(b []trace.Rec, warm bool) {
 
 // holder returns the machine holding variant vi's state. A merged member
 // shares its leader's counters, pager statistics and cycles exactly; only
-// its free list differs (see capture).
+// its free list differs (see copyMachine).
 func (f *fanout) holder(vi int) *machine.Machine { return f.ms[f.leader[vi]] }
 
-// capture is Capture of variant vi's state. A merged member's is its
-// leader's with the free list cut to the member's frames. The pool reuses
-// freed frames first and hands out fresh ones lowest first, and a positive
+// copyMachine makes m the machine l simulates: the cache lines, PTEs, pages
+// and clock ring, counters and engine totals, each copied into m's own
+// structures, and l's free list cut to m's frames. The pool reuses freed
+// frames first and hands out fresh ones lowest first, and a positive
 // horizon means the leader never ran out of frames below the member's
-// total, so the frames cut are ones the leader never allocated.
-func (f *fanout) capture(vi int) *MachineState {
-	s := Capture(f.holder(vi))
-	if f.leader[vi] != vi {
-		total := f.ms[vi].Pool.Total()
-		free := make([]addr.PFN, 0, len(s.PoolFree))
-		for _, fr := range s.PoolFree {
-			if int(fr) < total {
-				free = append(free, fr)
-			}
-		}
-		s.PoolFree = free
+// total, so the frames cut are ones the leader never allocated. What it
+// omits is everything the workload stream builds through the machine's
+// environment calls — regions and segment allocation — and the generator's
+// own state: generation is a pure function of (spec, seed), and a machine
+// driven by the same stream (a fanout member through multiEnv) already
+// holds them. Driving m and l with the same references afterwards produces
+// identical counters, cycles and statistics.
+func copyMachine(m, l *machine.Machine) {
+	m.Cache.CopyFrom(l.Cache)
+	m.Table.CopyFrom(l.Table)
+	m.Pool.CopyFreeFrom(l.Pool)
+	m.Pager.CopyFrom(l.Pager)
+	m.Ctr.Restore(l.Ctr.Mode(), l.Ctr.HardwareSnapshot(), l.Ctr.Snapshot())
+	m.Engine.Cycles = l.Engine.Cycles
+	m.Engine.FaultsByKind = l.Engine.FaultsByKind
+}
+
+// validateNoFaults rejects configurations the sampling engine cannot
+// honestly serve: injected faults fire on absolute reference counts, so a
+// run that skips stream segments would fire them at different points than
+// the full run it estimates.
+func validateNoFaults(cfg machine.Config) error {
+	if len(cfg.Faults) != 0 {
+		return fmt.Errorf("sample: fault-injection plans cannot be sampled (faults fire at absolute reference positions the sampled run does not visit)")
 	}
-	return s
+	return nil
 }
 
 // Measure runs the measuring pass: one generated stream drives every

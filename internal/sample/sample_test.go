@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/faultinject"
@@ -34,6 +35,28 @@ func drive(t *testing.T, m *machine.Machine, script *workload.Script, pos *int64
 	if *pos < target {
 		t.Fatalf("stream ended at %d refs (wanted %d)", *pos, target)
 	}
+}
+
+// machineDiff names the first part of the simulated state where machines a
+// and b differ, or returns "": the state copyMachine copies.
+func machineDiff(a, b *machine.Machine) string {
+	switch {
+	case !reflect.DeepEqual(a.Cache, b.Cache):
+		return "cache"
+	case !reflect.DeepEqual(a.Table, b.Table):
+		return "PTEs"
+	case !a.Pager.SamePages(b.Pager):
+		return "pages"
+	case a.Pager.Stats != b.Pager.Stats || a.Pager.Cycles != b.Pager.Cycles:
+		return "pager statistics"
+	case !reflect.DeepEqual(a.Pool, b.Pool):
+		return "free list"
+	case a.Ctr.Mode() != b.Ctr.Mode() || a.Ctr.HardwareSnapshot() != b.Ctr.HardwareSnapshot() || a.Ctr.Snapshot() != b.Ctr.Snapshot():
+		return "counters"
+	case a.Engine.Cycles != b.Engine.Cycles || a.Engine.FaultsByKind != b.Engine.FaultsByKind:
+		return "engine totals"
+	}
+	return ""
 }
 
 func TestProfileDeterministicAndNormalized(t *testing.T) {
@@ -124,10 +147,10 @@ func TestBuildPlanShape(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: across seeds and prefix lengths, capture a warmed
-// machine, restore the capture onto a fresh machine (after regenerating the
-// stream prefix, which registers the same regions and segments), and check
-// the two machines stay bit-for-bit identical over the rest of the stream.
+// TestSnapshotRoundTrip: across seeds and prefix lengths, copy a warmed
+// machine onto a fresh one (after regenerating the stream prefix, which
+// registers the same regions and segments), and check the two machines stay
+// bit-for-bit identical over the rest of the stream.
 func TestSnapshotRoundTrip(t *testing.T) {
 	spec := workload.SLCSpec()
 	for _, tc := range []struct {
@@ -142,42 +165,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		cfg := testConfig(200_000)
 		cfg.Seed = tc.seed
 
-		// Original: simulate the prefix, capture, keep going.
+		// Original: simulate the prefix, copy, keep going.
 		m1 := machine.New(cfg)
 		s1 := workload.NewScript(m1, tc.seed, spec)
 		m1.Pager.Runnable = s1.Runnable
 		var pos1 int64
 		drive(t, m1, s1, &pos1, tc.prefix, true)
-		snap := Capture(m1)
 
-		// Replica: regenerate the prefix without simulating it, then apply
-		// the capture.
+		// Replica: regenerate the prefix without simulating it, then copy
+		// the original's state onto it.
 		m2 := machine.New(cfg)
 		s2 := workload.NewScript(m2, tc.seed, spec)
 		m2.Pager.Runnable = s2.Runnable
 		var pos2 int64
 		drive(t, m2, s2, &pos2, tc.prefix, false)
-		if err := Restore(m2, snap); err != nil {
-			t.Fatalf("seed %d prefix %d: Restore: %v", tc.seed, tc.prefix, err)
+		copyMachine(m2, m1)
+		if d := machineDiff(m1, m2); d != "" {
+			t.Fatalf("seed %d prefix %d: the copy differs in its %s", tc.seed, tc.prefix, d)
 		}
 
-		// The restored machine must be indistinguishable from the original
-		// over the rest of the stream.
+		// The copy must be indistinguishable from the original over the
+		// rest of the stream.
 		drive(t, m1, s1, &pos1, 200_000, true)
 		drive(t, m2, s2, &pos2, 200_000, true)
-		if !reflect.DeepEqual(Capture(m1), Capture(m2)) {
-			t.Fatalf("seed %d prefix %d: machines diverged after restore", tc.seed, tc.prefix)
+		if d := machineDiff(m1, m2); d != "" {
+			t.Fatalf("seed %d prefix %d: machines diverged after the copy, in their %s", tc.seed, tc.prefix, d)
 		}
-	}
-}
-
-func TestRestoreRejectsBadState(t *testing.T) {
-	cfg := testConfig(10_000)
-	m := machine.New(cfg)
-	snap := Capture(m)
-	snap.CacheMeta = snap.CacheMeta[:len(snap.CacheMeta)-1]
-	if err := Restore(machine.New(cfg), snap); err == nil {
-		t.Fatal("Restore accepted a truncated cache meta array")
 	}
 }
 
@@ -359,7 +372,7 @@ func TestMeasureMergedMatchesSolo(t *testing.T) {
 // splits off with. Driving mergeVariants' machines through one fanout over
 // the whole stream, every member that splits off its leader must at that
 // moment hold exactly the state of a machine that simulated it alone, and
-// at the end every variant's state — projected from its leader for the
+// at the end every variant's state — copied from its leader for the
 // members that never split — must be its solo machine's.
 func TestMeasureMergedSplitsWithSoloState(t *testing.T) {
 	spec, seed, plan, _, _ := sampledFixture()
@@ -392,8 +405,8 @@ func TestMeasureMergedSplitsWithSoloState(t *testing.T) {
 			merged[vi] = vi
 			splits++
 			drive(t, solo[vi], soloScripts[vi], &soloPos[vi], pos, true)
-			if !reflect.DeepEqual(Capture(ms[vi]), Capture(solo[vi])) {
-				t.Errorf("%s split off at ref %d with state unequal to its solo machine's", variants[vi].Name, pos)
+			if d := machineDiff(ms[vi], solo[vi]); d != "" {
+				t.Errorf("%s split off at ref %d with %s unequal to its solo machine's", variants[vi].Name, pos, d)
 			}
 		}
 		f.run(b, false)
@@ -409,8 +422,11 @@ func TestMeasureMergedSplitsWithSoloState(t *testing.T) {
 	}
 	for vi, v := range variants {
 		drive(t, solo[vi], soloScripts[vi], &soloPos[vi], pos, true)
-		if !reflect.DeepEqual(f.capture(vi), Capture(solo[vi])) {
-			t.Errorf("%s: final state unequal to its solo machine's", v.Name)
+		if f.leader[vi] != vi {
+			f.split(vi)
+		}
+		if d := machineDiff(ms[vi], solo[vi]); d != "" {
+			t.Errorf("%s: final %s unequal to its solo machine's", v.Name, d)
 		}
 	}
 }
@@ -498,21 +514,23 @@ func TestTouchBatchMirrorsAccessBatch(t *testing.T) {
 			pos := trace.Pump(script, make([]trace.Rec, trace.BatchSize), 600_000, 0, func(b []trace.Rec) bool {
 				ms[0].Engine.AccessBatch(b)
 				ms[1].Engine.TouchBatch(b)
-				sim, warm := Capture(ms[0]), Capture(ms[1])
+				sim, warm := ms[0], ms[1]
+				simCache, warmCache := *sim.Cache, *warm.Cache
+				simCache.Stats, warmCache.Stats = cache.Stats{}, cache.Stats{}
 				switch {
-				case !reflect.DeepEqual(sim.CacheTags, warm.CacheTags) || !reflect.DeepEqual(sim.CacheMeta, warm.CacheMeta):
+				case !reflect.DeepEqual(simCache, warmCache):
 					diverged = "cache"
-				case !reflect.DeepEqual(sim.PTE, warm.PTE):
+				case !reflect.DeepEqual(sim.Table, warm.Table):
 					diverged = "PTEs"
-				case !reflect.DeepEqual(sim.Pager, warm.Pager):
+				case !sim.Pager.SamePages(warm.Pager) || sim.Pager.Stats != warm.Pager.Stats || sim.Pager.Cycles != warm.Pager.Cycles:
 					diverged = "pager"
-				case !reflect.DeepEqual(sim.PoolFree, warm.PoolFree):
+				case !reflect.DeepEqual(sim.Pool, warm.Pool):
 					diverged = "free list"
-				case sim.FaultsByKind != warm.FaultsByKind:
+				case sim.Engine.FaultsByKind != warm.Engine.FaultsByKind:
 					diverged = "faults by kind"
 				}
 				for _, ev := range vmEvents {
-					if diverged == "" && sim.CtrShadow[ev] != warm.CtrShadow[ev] {
+					if diverged == "" && sim.Ctr.Count(ev) != warm.Ctr.Count(ev) {
 						diverged = fmt.Sprintf("event %v", ev)
 					}
 				}

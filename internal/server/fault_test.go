@@ -207,7 +207,7 @@ func TestOutboxBreakerRecovers(t *testing.T) {
 		t.Fatalf("sweep on survivor: status %d", status)
 	}
 	key := sweepKey(t, req)
-	if !survivor.srv.Store().Has(key) {
+	if !holds(survivor.srv.Store(), key) {
 		t.Fatal("survivor did not store its compute")
 	}
 
@@ -228,10 +228,10 @@ func TestOutboxBreakerRecovers(t *testing.T) {
 	// can reach the revived replica and close the breaker again; within the
 	// deadline the replica must hold the blob and the breaker read closed.
 	deadline = time.Now().Add(25 * time.Second)
-	for !victim.srv.Store().Has(key) || breaker() != "closed" {
+	for !holds(victim.srv.Store(), key) || breaker() != "closed" {
 		if time.Now().After(deadline) {
 			t.Fatalf("revived replica has %.12s: %v; breaker %q (outbox %+v)",
-				key, victim.srv.Store().Has(key), breaker(), survivor.srv.cluster.outbox.Stats())
+				key, holds(victim.srv.Store(), key), breaker(), survivor.srv.cluster.outbox.Stats())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

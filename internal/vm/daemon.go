@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"container/list"
-
-	"repro/internal/counters"
-)
+import "repro/internal/counters"
 
 // insertBehindHand places a newly resident page so that it is the last page
 // the clock hand will reach: with an empty ring it becomes the hand; with a
@@ -12,35 +8,33 @@ import (
 // when no reference bits are ever observed set (the NOREF degeneration the
 // paper describes).
 func (pg *Pager) insertBehindHand(page *Page) {
-	if pg.hand == nil {
-		page.elem = pg.clock.PushBack(page)
-		pg.hand = page.elem
-		return
+	if h := pg.hand; h == nil {
+		page.prev, page.next = page, page
+		pg.hand = page
+	} else {
+		page.prev, page.next = h.prev, h
+		h.prev.next = page
+		h.prev = page
 	}
-	page.elem = pg.clock.InsertBefore(page, pg.hand)
+	pg.resident++
 }
 
 // removeFromClock deletes a page from the ring, advancing the hand if it
 // pointed at the page.
 func (pg *Pager) removeFromClock(page *Page) {
-	if page.elem == nil {
+	if page.next == nil {
 		return
 	}
-	if pg.hand == page.elem {
-		pg.hand = nextRing(pg.clock, pg.hand)
-		if pg.hand == page.elem { // last element
+	if pg.hand == page {
+		pg.hand = page.next
+		if pg.hand == page { // last page
 			pg.hand = nil
 		}
 	}
-	pg.clock.Remove(page.elem)
-	page.elem = nil
-}
-
-func nextRing(l *list.List, e *list.Element) *list.Element {
-	if n := e.Next(); n != nil {
-		return n
-	}
-	return l.Front()
+	page.prev.next = page.next
+	page.next.prev = page.prev
+	page.prev, page.next = nil, nil
+	pg.resident--
 }
 
 // frontHandSweep is the number of extra pages the daemon examines (clearing
@@ -57,12 +51,12 @@ const frontHandSweep = 192
 // was just cleared gets a full revolution of grace before it can be
 // reclaimed, which is the classic second-chance behaviour.
 func (pg *Pager) runDaemon() {
-	if pg.clock.Len() == 0 {
+	if pg.resident == 0 {
 		return
 	}
 	// Bound the sweep: two full revolutions always suffice (first clears,
 	// second reclaims); needing more means the target is unreachable.
-	limit := 2*pg.clock.Len() + 1
+	limit := 2*pg.resident + 1
 	extra := frontHandSweep
 	for scanned := 0; scanned < limit; scanned++ {
 		if pg.pool.AboveHighWater() {
@@ -71,12 +65,11 @@ func (pg *Pager) runDaemon() {
 			}
 			extra--
 		}
-		if pg.clock.Len() == 0 {
+		if pg.resident == 0 {
 			return
 		}
-		e := pg.hand
-		page := e.Value.(*Page)
-		pg.hand = nextRing(pg.clock, e)
+		page := pg.hand
+		pg.hand = page.next
 		pg.Stats.Scans++
 		pg.ctr.Inc(counters.EvDaemonScan)
 		pg.Cycles += pg.tp.DaemonScanCycles

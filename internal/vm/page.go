@@ -5,11 +5,7 @@
 // hooks the paper's policies plug into.
 package vm
 
-import (
-	"container/list"
-
-	"repro/internal/addr"
-)
+import "repro/internal/addr"
 
 // PageKind classifies a page for workload realism and reporting.
 type PageKind uint8
@@ -72,8 +68,9 @@ type Page struct {
 	// modified, for the Table 3.5 style accounting.
 	EverDirtied bool
 
-	// elem is the page's position in the clock ring while resident.
-	elem *list.Element
+	// prev and next link the page into the clock ring while it is
+	// resident; both are nil otherwise.
+	prev, next *Page
 }
 
 // Writable reports whether user writes to the page are permitted.

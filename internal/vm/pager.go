@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/addr"
@@ -88,7 +87,7 @@ type Fault struct {
 
 // Pager is the Sprite-like virtual memory manager.
 type Pager struct {
-	//spurlint:ignore statecomplete — component wiring; the pool's free list goes through Pool.ExportFree/RestoreFree
+	//spurlint:ignore statecomplete — component wiring; a fanout split copies the pool's free list with Pool.CopyFreeFrom
 	pool *mem.Pool
 	//spurlint:ignore statecomplete — component wiring, re-established by SetOS when the machine is rebuilt
 	os OS
@@ -97,12 +96,14 @@ type Pager struct {
 	//spurlint:ignore statecomplete — timing configuration from the spec, not accumulated state
 	tp timing.Params
 
-	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv (see sample.Restore)
+	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv (see sample.copyMachine)
 	regions []Region
 	pages   map[addr.GVPN]*Page
 
-	clock *list.List    // ring of resident pages, oldest at hand
-	hand  *list.Element // next page the daemon examines
+	// The clock is a ring of the resident pages, threaded through their
+	// prev and next fields, oldest at the hand.
+	hand     *Page // next page the daemon examines; nil when none is resident
+	resident int   // pages in the ring
 
 	// Cycles accumulates kernel CPU and I/O stall overhead attributable
 	// to paging: zero-fill, page-in stalls, page-out queueing, daemon
@@ -141,7 +142,6 @@ func NewPager(pool *mem.Pool, ctr *counters.Set, tp timing.Params) *Pager {
 		ctr:   ctr,
 		tp:    tp,
 		pages: make(map[addr.GVPN]*Page),
-		clock: list.New(),
 	}
 }
 
@@ -291,4 +291,4 @@ func (pg *Pager) EnsureResident(vpn addr.GVPN) (*Page, Fault) {
 }
 
 // ResidentPages returns the number of pages currently in the clock.
-func (pg *Pager) ResidentPages() int { return pg.clock.Len() }
+func (pg *Pager) ResidentPages() int { return pg.resident }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -338,5 +339,95 @@ func TestAutoRegister(t *testing.T) {
 	}
 	if page.Kind != Data || !page.Writable() {
 		t.Errorf("auto page kind = %v", page.Kind)
+	}
+}
+
+// clockOrder lists the ring from the hand, checking that every page's prev
+// link mirrors its predecessor's next.
+func clockOrder(t *testing.T, pg *Pager) []addr.GVPN {
+	t.Helper()
+	var out []addr.GVPN
+	for p := pg.hand; p != nil; {
+		if p.next.prev != p {
+			t.Fatalf("page %#x: next.prev does not point back", uint64(p.VPN))
+		}
+		out = append(out, p.VPN)
+		if p = p.next; p == pg.hand {
+			break
+		}
+	}
+	if len(out) != pg.ResidentPages() {
+		t.Fatalf("ring holds %d pages, ResidentPages says %d", len(out), pg.ResidentPages())
+	}
+	return out
+}
+
+// TestClockRingOrder pins the ring order the pager had as a container/list
+// with a wrapping hand, step by step: a daemon pass that wraps, an insert
+// behind the hand, removal of the hand page, and removal of the only page.
+// Each page has a region of its own so a release removes exactly one.
+func TestClockRingOrder(t *testing.T) {
+	pg, _ := newPager(16) // watermarks 2/4: the daemon only scans
+	regions := make([]Region, 6)
+	for i := range regions {
+		regions[i] = pg.AddRegion(addr.GVPN(i), 1, Data)
+	}
+	steps := []struct {
+		name string
+		do   func()
+		want []addr.GVPN // ring from the hand
+	}{
+		{"fill", func() { fillPages(pg, 0, 3) }, []addr.GVPN{0, 1, 2}},
+		// Above the high watermark the daemon only runs its front hand:
+		// 2×3+1 scans wrap the ring twice and leave the hand on page 1.
+		{"daemon wrap", pg.runDaemon, []addr.GVPN{1, 2, 0}},
+		{"insert behind the hand", func() { pg.EnsureResident(3) }, []addr.GVPN{1, 2, 0, 3}},
+		{"remove the hand page", func() { pg.ReleaseRegion(regions[1]) }, []addr.GVPN{2, 0, 3}},
+		{"remove behind the hand", func() { pg.ReleaseRegion(regions[3]) }, []addr.GVPN{2, 0}},
+		{"remove after the hand", func() { pg.ReleaseRegion(regions[0]) }, []addr.GVPN{2}},
+		{"remove the only page", func() { pg.ReleaseRegion(regions[2]) }, nil},
+		{"refill", func() { fillPages(pg, 4, 2) }, []addr.GVPN{4, 5}},
+	}
+	for _, s := range steps {
+		s.do()
+		if got := clockOrder(t, pg); !slices.Equal(got, s.want) {
+			t.Fatalf("after %s: ring %v, want %v", s.name, got, s.want)
+		}
+	}
+	if pg.Stats.Scans != 7 {
+		t.Errorf("daemon scanned %d pages, want 7", pg.Stats.Scans)
+	}
+}
+
+// TestCopyFromKeepsClockOrder: a copied pager holds its own pages, linked
+// in the source's ring order from the same hand, with the same statistics.
+func TestCopyFromKeepsClockOrder(t *testing.T) {
+	src, os := newPager(16)
+	src.AddRegion(0, 8, Heap)
+	fillPages(src, 0, 5)
+	os.modified[2] = true
+	src.runDaemon() // the hand moves off the first page
+	src.ReleaseRegion(Region{Start: 0, N: 8, Kind: Heap})
+	src.AddRegion(0, 8, Heap)
+	fillPages(src, 3, 4)
+	src.runDaemon()
+	src.Lookup(4).SoftDirty = true
+
+	dst, _ := newPager(16)
+	dst.CopyFrom(src)
+	if got, want := clockOrder(t, dst), clockOrder(t, src); !slices.Equal(got, want) {
+		t.Fatalf("copied ring %v, want %v", got, want)
+	}
+	if !dst.SamePages(src) || dst.Stats != src.Stats || dst.Cycles != src.Cycles {
+		t.Fatal("the copy differs from its source")
+	}
+	for v, p := range src.pages {
+		if dst.pages[v] == p {
+			t.Fatalf("page %#x shared between the source and its copy", uint64(v))
+		}
+	}
+	dst.runDaemon()
+	if dst.SamePages(src) {
+		t.Fatal("SamePages missed a moved hand")
 	}
 }

@@ -133,7 +133,7 @@ func TestSweepRunKeyPinned(t *testing.T) {
 	if _, err := MemorySweepStored(storeSweepOpts(), dir); err != nil {
 		t.Fatal(err)
 	}
-	if !openStore(t, dir).Has(want) {
+	if _, ok := openStore(t, dir).GetSealed(want); !ok {
 		t.Fatalf("the stored sweep has no run under %s", want)
 	}
 }
