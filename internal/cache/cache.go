@@ -12,8 +12,9 @@
 // dirty bit (dirty-bit misses under the SPUR policy).
 //
 // The line state is stored flat, exactly as the hardware does: a tag array
-// indexed by line frame, and one packed byte per frame holding the whole
-// Figure 3.2b record (coherency state, protection, both dirty bits, plus the
+// indexed by line frame, holding only the block-address bits above the
+// frame index, and one packed byte per frame holding the whole Figure 3.2b
+// record (coherency state, protection, both dirty bits, plus the
 // simulator's two bookkeeping flags). The probe-hit path — the single most
 // executed code in the simulator — is then two array loads and a compare,
 // with no per-line struct to copy. Callers hold a LineRef, a tiny index
@@ -134,13 +135,17 @@ type Stats struct {
 
 // Cache is a direct-mapped virtual-address cache.
 type Cache struct {
-	// tags[i] and meta[i] together are line frame i. A frame is empty iff
+	// tags[i] and meta[i] together are line frame i. tags[i] is what
+	// SPUR's tag RAM holds, the block address without its index bits:
+	// the frame holds block tags[i]<<tagShift | i. A frame is empty iff
 	// meta[i]'s coherency state is Invalid (meta[i]&metaStateMask == 0);
 	// its tag is then meaningless.
-	tags []addr.BlockAddr
+	tags []uint32
 	meta []uint8
+	// indexMask selects a block address's frame index and tagShift, the
+	// index width, shifts it out.
 	//spurlint:ignore statecomplete — derived from the configured size in New; reconstructing the cache rebuilds it
-	indexMask uint64
+	indexMask, tagShift uint64
 
 	//spurlint:ignore statecomplete — coherency wiring, re-established by Bus.Attach when the machine is rebuilt
 	bus *coherence.Bus
@@ -151,8 +156,13 @@ type Cache struct {
 	Stats Stats
 }
 
+// tagBits is the width of the tag store's entries.
+const tagBits = 32
+
 // New returns a cache of the given total size and the architectural 32-byte
-// block size. Size must be a power of two and a multiple of the block size.
+// block size. Size must be a power of two and a multiple of the block size,
+// and the cache must have enough frames that a global block address's tag,
+// its bits above the frame index, fits the 32-bit tag store.
 func New(sizeBytes int) *Cache {
 	if sizeBytes <= 0 || sizeBytes%addr.BlockBytes != 0 {
 		panic(fmt.Sprintf("cache: bad size %d", sizeBytes))
@@ -161,10 +171,15 @@ func New(sizeBytes int) *Cache {
 	if bits.OnesCount(uint(n)) != 1 {
 		panic(fmt.Sprintf("cache: line count %d not a power of two", n))
 	}
+	w := bits.TrailingZeros(uint(n))
+	if tw := addr.GlobalBits - addr.BlockShift - w; tw > tagBits {
+		panic(fmt.Sprintf("cache: %d lines leave a %d-bit tag; the tag store holds %d", n, tw, tagBits))
+	}
 	return &Cache{
-		tags:      make([]addr.BlockAddr, n),
+		tags:      make([]uint32, n),
 		meta:      make([]uint8, n),
 		indexMask: uint64(n - 1),
+		tagShift:  uint64(w),
 		port:      -1,
 	}
 }
@@ -184,6 +199,19 @@ func (c *Cache) SizeBytes() int { return len(c.tags) * addr.BlockBytes }
 // index returns the line index for block b (direct mapped).
 func (c *Cache) index(b addr.BlockAddr) uint64 { return uint64(b) & c.indexMask }
 
+// tag returns the tag of block b, its address bits above the frame index.
+// Masking the shift to 63 spares the probe the compiler's check for
+// shifts of 64 or more; tagShift is at most 32.
+func (c *Cache) tag(b addr.BlockAddr) uint32 {
+	//spurlint:ignore countersafe — New admits only geometries whose tag, GlobalBits-BlockShift less the index width, fits 32 bits
+	return uint32(uint64(b) >> (c.tagShift & 63))
+}
+
+// block rebuilds the block address held at frame i from its tag.
+func (c *Cache) block(i uint64) addr.BlockAddr {
+	return addr.BlockAddr(uint64(c.tags[i])<<(c.tagShift&63) | i)
+}
+
 // LineRef is a handle to one resident line frame, as returned by Probe. Its
 // accessors read and write the cache's packed state in place, so a LineRef
 // plays the role the hardware's tag-store port does: mutations through it
@@ -199,11 +227,17 @@ type LineRef struct {
 func (r LineRef) Index() int { return int(r.i) }
 
 // Addr returns the global virtual block address held.
-func (r LineRef) Addr() addr.BlockAddr { return r.c.tags[r.i] }
+func (r LineRef) Addr() addr.BlockAddr { return r.c.block(uint64(r.i)) }
 
-// SetAddr overwrites the tag. No normal path does this; it exists for fault
-// injection, which corrupts tags to exercise the audit machinery.
-func (r LineRef) SetAddr(b addr.BlockAddr) { r.c.tags[r.i] = b }
+// SetAddr overwrites the tag with b's. No normal path does this; it exists
+// for fault injection, which corrupts tags to exercise the audit machinery.
+// A tag holds no index bits, so b must map to the frame the ref addresses.
+func (r LineRef) SetAddr(b addr.BlockAddr) {
+	if r.c.index(b) != uint64(r.i) {
+		panic(fmt.Sprintf("cache: block %#x does not map to frame %d", uint64(b), r.i))
+	}
+	r.c.tags[r.i] = r.c.tag(b)
+}
 
 // State returns the Berkeley Ownership coherency state.
 func (r LineRef) State() coherence.State {
@@ -281,7 +315,7 @@ func (r LineRef) Line() Line { return r.c.LineAt(int(r.i)) }
 // zero value and must not be used.
 func (c *Cache) Probe(b addr.BlockAddr) (LineRef, bool) {
 	i := c.index(b)
-	if c.meta[i]&metaStateMask != 0 && c.tags[i] == b {
+	if c.meta[i]&metaStateMask != 0 && c.tags[i] == c.tag(b) {
 		//spurlint:ignore countersafe — i is a line index masked to the frame count, at most 2^22 for the largest sweepable cache, far inside uint32
 		return LineRef{c: c, i: uint32(i)}, true
 	}
@@ -300,7 +334,7 @@ func (c *Cache) LineAt(i int) Line {
 		FilledByWrite: m&metaByWrite != 0,
 	}
 	if l.State.Valid() {
-		l.Addr = c.tags[i]
+		l.Addr = c.block(uint64(i))
 	}
 	return l
 }
@@ -311,15 +345,15 @@ func (c *Cache) LineAt(i int) Line {
 // state is the arriving coherency state (UnOwned for reads, OwnedExclusive
 // for writes under Berkeley Ownership).
 func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pageDirty, isPTE, byWrite bool) (Victim, bool) {
-	i := c.index(b)
+	i, t := c.index(b), c.tag(b)
 	m := c.meta[i]
 	var v Victim
 	evicted := false
 	if m&metaStateMask != 0 {
-		old := c.tags[i]
-		if old == b {
+		if c.tags[i] == t {
 			panic("cache: Fill of resident block")
 		}
+		old := c.block(i)
 		v = Victim{
 			Addr:                 old,
 			WriteBack:            metaNeedsWriteBack(m),
@@ -333,7 +367,7 @@ func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pag
 			c.IssueBus(coherence.BusWriteBack, old)
 		}
 	}
-	c.tags[i] = b
+	c.tags[i] = t
 	c.meta[i] = packMeta(state, prot, byWrite, pageDirty, isPTE, byWrite)
 	c.Stats.Fills++
 	return v, evicted
@@ -357,7 +391,7 @@ func (c *Cache) invalidateFrame(i uint64) bool {
 	wb := metaNeedsWriteBack(c.meta[i])
 	if wb {
 		c.Stats.WriteBacks++
-		c.IssueBus(coherence.BusWriteBack, c.tags[i])
+		c.IssueBus(coherence.BusWriteBack, c.block(i))
 	}
 	c.meta[i] = 0
 	return wb
@@ -397,10 +431,10 @@ func (c *Cache) FlushPage(p addr.GVPN, tagCheck bool) FlushResult {
 		if c.meta[fi]&metaStateMask == 0 {
 			continue
 		}
-		if tagCheck && c.tags[fi] != b {
+		if tagCheck && c.tags[fi] != c.tag(b) {
 			continue
 		}
-		if c.tags[fi].Page() != p {
+		if c.block(fi).Page() != p {
 			res.Collateral++
 		}
 		res.Flushed++
@@ -444,7 +478,7 @@ func (c *Cache) ResidentBlocks(p addr.GVPN) (resident, clean int) {
 	for i := 0; i < addr.BlocksPerPage; i++ {
 		b := first + addr.BlockAddr(i)
 		fi := c.index(b)
-		if c.meta[fi]&metaStateMask != 0 && c.tags[fi] == b {
+		if c.meta[fi]&metaStateMask != 0 && c.tags[fi] == c.tag(b) {
 			resident++
 			if c.meta[fi]&metaBlockDirty == 0 {
 				clean++

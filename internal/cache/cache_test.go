@@ -35,6 +35,89 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
+// TestTagRoundTrip: at every geometry the cache sweep runs, smallest to
+// largest, a frame's 32-bit tag rebuilds the exact block it holds — the
+// lowest and highest block of the 38-bit global space included — for every
+// path that returns an address: Probe's ref, LineAt, Fill's victim and the
+// bus write-back.
+func TestTagRoundTrip(t *testing.T) {
+	const top = addr.BlockAddr(1)<<(addr.GlobalBits-addr.BlockShift) - 1
+	for _, size := range []int{32 << 10, 128 << 10, 1 << 20, 8 << 20} {
+		c := New(size)
+		bus := coherence.NewBus()
+		c.AttachBus(bus)
+		spy := &busSpy{}
+		bus.Attach(spy)
+		n := addr.BlockAddr(c.Lines())
+		for _, b := range []addr.BlockAddr{0, 12345, top - n, top} {
+			c.Fill(b, coherence.OwnedExclusive, pte.ProtReadWrite, true, false, true)
+			l, hit := c.Probe(b)
+			if !hit || l.Addr() != b || c.LineAt(l.Index()).Addr != b {
+				t.Fatalf("%d KB: block %#x reads back as %#x (hit %v)", size>>10, uint64(b), uint64(l.Addr()), hit)
+			}
+			// The conflicting block differs only in its tag bits.
+			conflict := b ^ n
+			v, evicted := c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
+			if !evicted || v.Addr != b || spy.last != b {
+				t.Fatalf("%d KB: victim of %#x is %#x, written back %#x", size>>10, uint64(b), uint64(v.Addr), uint64(spy.last))
+			}
+			if _, hit := c.Probe(b); hit {
+				t.Fatalf("%d KB: evicted block %#x still probes", size>>10, uint64(b))
+			}
+			c.InvalidateAll()
+		}
+	}
+}
+
+// busSpy records the block of the last bus transaction it snooped.
+type busSpy struct{ last addr.BlockAddr }
+
+func (s *busSpy) Snoop(op coherence.BusOp, b addr.BlockAddr) coherence.SnoopResult {
+	s.last = b
+	return coherence.SnoopResult{}
+}
+
+// TestNewPanicsOnWideTag: a one-frame cache would need a 33-bit tag for a
+// 38-bit global address; two frames are the smallest geometry the 32-bit
+// tag store holds.
+func TestNewPanicsOnWideTag(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("New of a one-line cache did not panic")
+			}
+		}()
+		New(addr.BlockBytes)
+	}()
+	if c := New(2 * addr.BlockBytes); c.Lines() != 2 {
+		t.Errorf("two-line cache has %d lines", c.Lines())
+	}
+}
+
+// TestSetAddrCorruptsTagOnly: fault injection's corrupted tag flips block
+// bit 24, which lies above the index at every swept geometry, so the frame
+// keeps its index and now claims another page; a block that maps to
+// another frame cannot be written into a tag at all.
+func TestSetAddrCorruptsTagOnly(t *testing.T) {
+	c := New(8 << 20)
+	b := addr.BlockAddr(0x1234567)
+	c.Fill(b, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
+	l, _ := c.Probe(b)
+	l.SetAddr(l.Addr() ^ 1<<24)
+	if _, hit := c.Probe(b); hit {
+		t.Error("the original block still probes after its tag was corrupted")
+	}
+	if got, hit := c.Probe(b ^ 1<<24); !hit || got.Index() != l.Index() || got.Addr().Page() == b.Page() {
+		t.Errorf("corrupted line: hit %v, frame %d, page %#x", hit, got.Index(), uint64(got.Addr().Page()))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetAddr of a block of another frame did not panic")
+		}
+	}()
+	l.SetAddr(b + 1)
+}
+
 func TestProbeMissAndFillHit(t *testing.T) {
 	c := New(testSize)
 	b := addr.BlockAddr(12345)

@@ -340,7 +340,7 @@ func TestReclaimRearmsDirtyFault(t *testing.T) {
 	for i := 1; i < 12; i++ {
 		r.read(dataAddr(i, 20))
 	}
-	if pg := r.e.Pager.Lookup(dataAddr(0, 20).Page()); pg.Resident {
+	if pg := r.e.Pager.Lookup(dataAddr(0, 20).Page()); pg.Resident() {
 		t.Fatal("page 0 still resident; pressure insufficient")
 	}
 	if r.e.Pager.Stats.PageOuts == 0 {

@@ -58,6 +58,8 @@ var stateRegistry = []stateReg{
 		copy: []stateFunc{{recv: "Cache", name: "CopyFrom"}}},
 	{pkg: "repro/internal/vm", typ: "Pager",
 		copy: []stateFunc{{recv: "Pager", name: "CopyFrom"}}},
+	{pkg: "repro/internal/vm", typ: "region",
+		copy: []stateFunc{{recv: "Pager", name: "CopyFrom"}}},
 	{pkg: "repro/internal/mem", typ: "Pool",
 		copy: []stateFunc{{recv: "Pool", name: "CopyFreeFrom"}}},
 	{pkg: "repro/internal/counters", typ: "Set",

@@ -103,7 +103,7 @@ func viewOf(lookup func(addr.GVPN) *vm.Page, pteLookup func(addr.GVPN) pte.Entry
 			if pg == nil {
 				return pageView{}
 			}
-			return pageView{exists: true, resident: pg.Resident, frame: pg.Frame}
+			return pageView{exists: true, resident: pg.Resident(), frame: pg.Frame}
 		},
 		pteValid: func(p addr.GVPN) (bool, addr.PFN) {
 			e := pteLookup(p)

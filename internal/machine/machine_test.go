@@ -231,7 +231,7 @@ func TestFrameConservationUnderStress(t *testing.T) {
 			t.Fatal("runaway scan")
 		}
 		pg := m.Pager.Lookup(p)
-		if pg == nil || !pg.Resident {
+		if pg == nil || !pg.Resident() {
 			continue
 		}
 		count++

@@ -167,7 +167,7 @@ func TestMPUnmapFlushesAllCaches(t *testing.T) {
 				continue
 			}
 			pg := m.Pager.Lookup(l.Addr.Page())
-			if pg == nil || !pg.Resident {
+			if pg == nil || !pg.Resident() {
 				t.Fatalf("cache %d holds block %#x of a non-resident page", ci, uint64(l.Addr))
 			}
 		}

@@ -54,6 +54,16 @@ type dir struct {
 	live   [dirEntries]uint16
 }
 
+// spares holds the last chunk and the last directory a Table freed. Each
+// is all zero when freed, so the next Set that needs one takes it instead
+// of allocating: a page leaving a 2 MB range while another enters one
+// costs no allocation, and a table retains at most 2 KB + 1.25 KB more
+// than its live entries need.
+type spares struct {
+	chunk *chunk
+	dir   *dir
+}
+
 // Table is the two-level page table for the global virtual space.
 //
 // The first level is (logically) a linear array of entries indexed by global
@@ -71,6 +81,8 @@ type Table struct {
 	seg  addr.SegmentID // reserved segment holding the first-level array
 	dirs [numDirs]*dir
 	n    int // count of non-zero entries
+	//spurlint:ignore statecomplete — freed all-zero storage kept for reuse, not table contents: no lookup reads it, and a copy neither copies nor shares it
+	spare spares
 }
 
 // NewTable returns an empty page table whose first-level array lives in
@@ -124,7 +136,7 @@ func (t *Table) Lookup(p addr.GVPN) Entry {
 // global space is a hard error: no address computation can have produced it,
 // so it means a corrupt caller, and storing it silently would make Lookup
 // lie about table contents. Clearing a chunk's last entry frees the chunk,
-// and its directory's last chunk the directory.
+// and its directory's last chunk the directory, into the table's spares.
 func (t *Table) Set(p addr.GVPN, e Entry) {
 	ci := uint64(p) >> chunkShift
 	if ci >= numChunks {
@@ -136,7 +148,11 @@ func (t *Table) Set(p addr.GVPN, e Entry) {
 		if e == 0 {
 			return // clearing an entry that was never set
 		}
-		d = new(dir)
+		if d = t.spare.dir; d != nil {
+			t.spare.dir = nil
+		} else {
+			d = new(dir)
+		}
 		t.dirs[di] = d
 	}
 	c := d.chunks[j]
@@ -144,7 +160,11 @@ func (t *Table) Set(p addr.GVPN, e Entry) {
 		if e == 0 {
 			return // clearing an entry that was never set
 		}
-		c = new(chunk)
+		if c = t.spare.chunk; c != nil {
+			t.spare.chunk = nil
+		} else {
+			c = new(chunk)
+		}
 		d.chunks[j] = c
 	}
 	slot := &c[uint64(p)&chunkMask]
@@ -157,9 +177,9 @@ func (t *Table) Set(p addr.GVPN, e Entry) {
 	case old != 0 && e == 0:
 		t.n--
 		if d.live[j]--; d.live[j] == 0 {
-			d.chunks[j] = nil
+			t.spare.chunk, d.chunks[j] = c, nil
 			if d.live == [dirEntries]uint16{} {
-				t.dirs[di] = nil
+				t.spare.dir, t.dirs[di] = d, nil
 			}
 		}
 	}
@@ -214,7 +234,8 @@ func (t *Table) Range(fn func(addr.GVPN, Entry) bool) {
 }
 
 // CopyFrom makes t hold exactly src's entries, in chunks of its own. A
-// fanout split copies a leader's table into a member with it.
+// fanout split copies a leader's table into a member with it. The spares
+// are neither copied nor shared: t keeps its own.
 func (t *Table) CopyFrom(src *Table) {
 	for di, sd := range &src.dirs {
 		if sd == nil {

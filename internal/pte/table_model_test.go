@@ -188,3 +188,41 @@ func TestTableFreesEmptyChunks(t *testing.T) {
 		})
 	}
 }
+
+// TestTableReusesFreedChunk: a page leaving one 2 MB range, and with it
+// its 256 MB directory range, while a page enters another takes the chunk
+// and directory the clear freed instead of allocating, and the storage
+// taken back reads as empty. A copy neither copies nor shares the source's
+// spares.
+func TestTableReusesFreedChunk(t *testing.T) {
+	const dirSpan = chunkEntries * dirEntries
+	e := Make(7, ProtReadWrite)
+	tbl := NewTable(addr.SegmentID(addr.MaxSegmentID))
+	tbl.Set(1, e)
+	allocs := testing.AllocsPerRun(100, func() {
+		tbl.Set(1, 0) // frees the chunk and its directory
+		tbl.Set(dirSpan+chunkEntries+2, e)
+		tbl.Set(dirSpan+chunkEntries+2, 0)
+		tbl.Set(1, e)
+	})
+	if allocs != 0 {
+		t.Errorf("chunk churn allocates %v times a round", allocs)
+	}
+	for _, p := range []addr.GVPN{0, 1, 2, chunkEntries - 1, dirSpan + chunkEntries, dirSpan + chunkEntries + 2} {
+		if want := map[addr.GVPN]Entry{1: e}[p]; tbl.Lookup(p) != want {
+			t.Fatalf("Lookup(%#x) = %v after reuse, want %v", uint64(p), tbl.Lookup(p), want)
+		}
+	}
+	if d, c := held(tbl); d != 1 || c != 1 || tbl.Len() != 1 {
+		t.Errorf("holds %d directories and %d chunks (Len %d), want 1, 1 and 1", d, c, tbl.Len())
+	}
+	tbl.Set(1, 0)
+	if tbl.spare.chunk == nil || tbl.spare.dir == nil || *tbl.spare.chunk != (chunk{}) || *tbl.spare.dir != (dir{}) {
+		t.Fatal("an emptied table keeps no all-zero spare chunk and directory")
+	}
+	cp := NewTable(tbl.Segment())
+	cp.CopyFrom(tbl)
+	if cp.spare != (spares{}) {
+		t.Error("CopyFrom copied the source's spares")
+	}
+}

@@ -80,10 +80,11 @@ func readBaseline(m *machine.Machine) baseline {
 
 // multiEnv fans one workload's environment calls out to every variant
 // machine, so a single generated stream drives them all. Merged members get
-// them too: copyMachine omits regions and segments, so a member splitting
-// off its leader must already hold them. The machines see identical call
-// sequences, so their segment allocators answer identically; a divergence
-// means variant construction differed and is a hard error.
+// them too: copyMachine omits the region list and segments, so a member
+// splitting off its leader must already hold them. The machines see
+// identical call sequences, so their segment allocators answer
+// identically; a divergence means variant construction differed and is a
+// hard error.
 type multiEnv struct{ ms []*machine.Machine }
 
 func (e multiEnv) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
@@ -228,10 +229,10 @@ func (f *fanout) holder(vi int) *machine.Machine { return f.ms[f.leader[vi]] }
 // horizon means the leader never ran out of frames below the member's
 // total, so the frames cut are ones the leader never allocated. What it
 // omits is everything the workload stream builds through the machine's
-// environment calls — regions and segment allocation — and the generator's
-// own state: generation is a pure function of (spec, seed), and a machine
-// driven by the same stream (a fanout member through multiEnv) already
-// holds them. Driving m and l with the same references afterwards produces
+// environment calls — the region list and segment allocation — and the
+// generator's own state: generation is a pure function of (spec, seed),
+// and a machine driven by the same stream (a fanout member through
+// multiEnv) already holds them. The pages the regions hold are copied. Driving m and l with the same references afterwards produces
 // identical counters, cycles and statistics.
 func copyMachine(m, l *machine.Machine) {
 	m.Cache.CopyFrom(l.Cache)

@@ -1,32 +1,35 @@
 package vm
 
 import (
+	"fmt"
 	"slices"
-
-	"repro/internal/addr"
 )
 
 // CopyFrom makes pg's pages, clock ring, statistics and paging cycles those
-// of src, with Pages of its own linked in src's ring order from src's hand,
-// so pg's daemon examines the same pages in the same order. Regions are not
-// copied: a fanout member receives the workload's environment calls that
-// build them as its leader does. The frame pool is the caller's to copy.
+// of src, in page arrays of its own linked in src's ring order from src's
+// hand, so pg's daemon examines the same pages in the same order. Regions
+// are not copied: a fanout member receives the workload's environment calls
+// that build them as its leader does, so the two pagers must hold the same
+// regions, and CopyFrom panics if they differ. The frame pool is the
+// caller's to copy.
 func (pg *Pager) CopyFrom(src *Pager) {
-	vpns := make([]addr.GVPN, 0, len(src.pages))
-	for v := range src.pages {
-		vpns = append(vpns, v)
+	if len(pg.regions) != len(src.regions) {
+		panic(fmt.Sprintf("vm: copy of a pager with %d regions into one with %d", len(src.regions), len(pg.regions)))
 	}
-	slices.Sort(vpns)
-	pg.pages = make(map[addr.GVPN]*Page, len(vpns))
-	for _, v := range vpns {
-		p := *src.pages[v]
-		p.prev, p.next = nil, nil
-		pg.pages[v] = &p
+	for i := range src.regions {
+		r, s := &pg.regions[i], &src.regions[i]
+		if r.Region != s.Region {
+			panic(fmt.Sprintf("vm: copy of a pager with region %v into one with %v", s.Region, r.Region))
+		}
+		// The copied ring links still point into src; relinking below
+		// overwrites every one of them, and a page out of the ring has
+		// none.
+		r.pages = slices.Clone(s.pages)
 	}
 	pg.hand, pg.resident = nil, 0
 	if h := src.hand; h != nil {
 		for p := h; ; {
-			pg.insertBehindHand(pg.pages[p.VPN])
+			pg.insertBehindHand(pg.Lookup(p.VPN))
 			if p = p.next; p == h {
 				break
 			}
@@ -36,25 +39,39 @@ func (pg *Pager) CopyFrom(src *Pager) {
 	pg.Cycles = src.Cycles
 }
 
-// SamePages reports whether pg and o hold the same pages, field for field,
-// linked in the same clock order from a hand at the same page. Differential
-// tests compare two machines' pagers with it.
+// SamePages reports whether pg and o hold the same regions and pages, field
+// for field, linked in the same clock order from a hand at the same page.
+// Differential tests compare two machines' pagers with it.
 func (pg *Pager) SamePages(o *Pager) bool {
-	if len(pg.pages) != len(o.pages) || pg.resident != o.resident || !sameVPN(pg.hand, o.hand) {
+	if len(pg.regions) != len(o.regions) || pg.resident != o.resident || !sameVPN(pg.hand, o.hand) {
 		return false
 	}
-	for v, p := range pg.pages {
-		q, ok := o.pages[v]
-		if !ok || !sameVPN(p.next, q.next) {
+	for i := range pg.regions {
+		a, b := &pg.regions[i], &o.regions[i]
+		if a.Region != b.Region {
 			return false
 		}
-		a, b := *p, *q
-		a.prev, a.next, b.prev, b.next = nil, nil, nil, nil
-		if a != b {
-			return false
+		for j := 0; j < a.N; j++ {
+			p, q := a.slot(j), b.slot(j)
+			if !sameVPN(p.next, q.next) {
+				return false
+			}
+			p.prev, p.next, q.prev, q.next = nil, nil, nil, nil
+			if p != q {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// slot returns a copy of the region's page slot j, the zero Page when the
+// region has never faulted.
+func (r *region) slot(j int) Page {
+	if r.pages == nil {
+		return Page{}
+	}
+	return r.pages[j]
 }
 
 // sameVPN reports whether two ring positions name the same page, or are

@@ -115,7 +115,6 @@ func (pg *Pager) reclaim(page *Page) {
 	}
 
 	page.SoftDirty = false
-	page.Resident = false
 	pg.pool.Release(page.Frame)
 	pg.Stats.Reclaims++
 	pg.ctr.Inc(counters.EvPageReclaim)

@@ -43,17 +43,22 @@ func (k PageKind) Writable() bool { return k != Code }
 // reading the backing store.
 func (k PageKind) ZeroFill() bool { return k == Heap || k == Stack }
 
-// Page is the OS's software state for one virtual page.
+// Page is the OS's software state for one virtual page. Pages live in
+// their region's page array (see Pager), 32 bytes each; a slot whose VPN is
+// zero is a page never faulted, which is why no region may cover page 0.
 type Page struct {
 	// VPN is the page's global virtual page number.
 	VPN addr.GVPN
-	// Kind is the page classification from its region.
-	Kind PageKind
 
-	// Resident is true while a frame holds the page.
-	Resident bool
+	// prev and next link the page into the clock ring while it is
+	// resident; both are nil otherwise.
+	prev, next *Page
+
 	// Frame is the physical frame, valid while Resident.
 	Frame addr.PFN
+
+	// Kind is the page classification from its region.
+	Kind PageKind
 
 	// OnStore is true once the backing store holds the page's contents
 	// (always for file-backed pages; for zero-fill pages only after
@@ -67,11 +72,11 @@ type Page struct {
 	// EverDirtied reports whether any residency of this page was ever
 	// modified, for the Table 3.5 style accounting.
 	EverDirtied bool
-
-	// prev and next link the page into the clock ring while it is
-	// resident; both are nil otherwise.
-	prev, next *Page
 }
+
+// Resident reports whether a frame holds the page: exactly when the page
+// is in the clock ring.
+func (pg *Page) Resident() bool { return pg.next != nil }
 
 // Writable reports whether user writes to the page are permitted.
 func (pg *Page) Writable() bool { return pg.Kind.Writable() }

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/addr"
 	"repro/internal/counters"
@@ -96,9 +98,11 @@ type Pager struct {
 	//spurlint:ignore statecomplete — timing configuration from the spec, not accumulated state
 	tp timing.Params
 
-	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv (see sample.copyMachine)
-	regions []Region
-	pages   map[addr.GVPN]*Page
+	// regions, sorted by Start, hold every page the pager knows. The
+	// workload's environment calls build the list, and every fanout
+	// member receives them through multiEnv (see sample.copyMachine);
+	// CopyFrom copies the pages.
+	regions []region
 
 	// The clock is a ring of the resident pages, threaded through their
 	// prev and next fields, oldest at the hand.
@@ -115,10 +119,10 @@ type Pager struct {
 	//spurlint:ignore statecomplete — callback wiring installed by the scheduler when the machine is rebuilt
 	Runnable func() int
 
-	// AutoRegister makes faults outside any region register a writable
-	// data page on the fly instead of panicking. Trace replay uses it:
-	// a stored trace carries addresses but not the region bookkeeping of
-	// the run that produced it.
+	// AutoRegister makes faults outside any region register a one-page
+	// writable data region on the fly instead of panicking. Trace replay
+	// uses it: a stored trace carries addresses but not the region
+	// bookkeeping of the run that produced it.
 	//spurlint:ignore statecomplete — replay-harness configuration, set by the driver, not machine state
 	AutoRegister bool
 
@@ -133,15 +137,23 @@ type Pager struct {
 	Stats Stats
 }
 
+// region is a registered Region and its pages. The page array is
+// allocated at the region's first fault, so a region never faulted costs
+// no page storage, and slot i is page Start+i once instantiated; a slot
+// never faulted is the zero Page.
+type region struct {
+	Region
+	pages []Page
+}
+
 // NewPager builds a pager over the frame pool. The OS callbacks are set
 // with SetOS before first use (the policy engine and pager reference each
 // other, so construction is two-phase).
 func NewPager(pool *mem.Pool, ctr *counters.Set, tp timing.Params) *Pager {
 	return &Pager{
-		pool:  pool,
-		ctr:   ctr,
-		tp:    tp,
-		pages: make(map[addr.GVPN]*Page),
+		pool: pool,
+		ctr:  ctr,
+		tp:   tp,
 	}
 }
 
@@ -152,71 +164,86 @@ func (pg *Pager) SetOS(os OS) { pg.os = os }
 func (pg *Pager) Pool() *mem.Pool { return pg.pool }
 
 // AddRegion registers n pages starting at start with the given kind.
-// Overlapping regions are a setup bug and panic.
+// Overlapping regions are a setup bug and panic, and so is a region
+// covering page 0, the VPN of a page slot never faulted.
 func (pg *Pager) AddRegion(start addr.GVPN, n int, kind PageKind) Region {
 	r := Region{Start: start, N: n, Kind: kind}
+	if r.Contains(0) {
+		panic(fmt.Sprintf("vm: region %v covers page 0", r))
+	}
 	for _, old := range pg.regions {
 		if r.Start < old.End() && old.Start < r.End() {
-			panic(fmt.Sprintf("vm: region %v overlaps %v", r, old))
+			panic(fmt.Sprintf("vm: region %v overlaps %v", r, old.Region))
 		}
 	}
-	pg.regions = append(pg.regions, r)
+	i := sort.Search(len(pg.regions), func(i int) bool { return pg.regions[i].Start >= start })
+	pg.regions = slices.Insert(pg.regions, i, region{Region: r})
 	return r
 }
 
 // ReleaseRegion tears down a region: resident pages are unmapped and their
-// frames freed, backing-store copies dropped, and the region forgotten.
-// Used at process exit; nothing is written out.
+// frames freed, backing-store copies dropped, and the region forgotten
+// with its pages. Used at process exit; nothing is written out.
 func (pg *Pager) ReleaseRegion(r Region) {
-	for i := 0; i < r.N; i++ {
-		vpn := r.Start + addr.GVPN(i)
-		page, ok := pg.pages[vpn]
-		if !ok {
-			continue
-		}
-		if page.Resident {
+	i := slices.IndexFunc(pg.regions, func(old region) bool { return old.Region == r })
+	if i < 0 {
+		panic(fmt.Sprintf("vm: release of unknown region %v", r))
+	}
+	for j := range pg.regions[i].pages {
+		if page := &pg.regions[i].pages[j]; page.Resident() {
 			pg.os.UnmapPage(page)
 			pg.removeFromClock(page)
 			pg.pool.Release(page.Frame)
-			page.Resident = false
-		}
-		delete(pg.pages, vpn)
-	}
-	for i, old := range pg.regions {
-		if old == r {
-			pg.regions = append(pg.regions[:i], pg.regions[i+1:]...)
-			return
 		}
 	}
-	panic(fmt.Sprintf("vm: release of unknown region %v", r))
+	pg.regions = slices.Delete(pg.regions, i, i+1)
+}
+
+// regionOf returns the registered region covering vpn, or nil.
+func (pg *Pager) regionOf(vpn addr.GVPN) *region {
+	i := sort.Search(len(pg.regions), func(i int) bool { return pg.regions[i].End() > vpn })
+	if i < len(pg.regions) && pg.regions[i].Start <= vpn {
+		return &pg.regions[i]
+	}
+	return nil
 }
 
 // Lookup returns the instantiated page for vpn, or nil.
-func (pg *Pager) Lookup(vpn addr.GVPN) *Page { return pg.pages[vpn] }
-
-// page returns (creating if needed) the Page for vpn, or nil if no region
-// covers it.
-func (pg *Pager) page(vpn addr.GVPN) *Page {
-	if p, ok := pg.pages[vpn]; ok {
-		return p
+func (pg *Pager) Lookup(vpn addr.GVPN) *Page {
+	r := pg.regionOf(vpn)
+	if r == nil || r.pages == nil {
+		return nil
 	}
-	for _, r := range pg.regions {
-		if r.Contains(vpn) {
-			p := &Page{
-				VPN:     vpn,
-				Kind:    r.Kind,
-				OnStore: !r.Kind.ZeroFill(), // file-backed pages start on store
-			}
-			pg.pages[vpn] = p
-			return p
-		}
-	}
-	if pg.AutoRegister {
-		p := &Page{VPN: vpn, Kind: Data, OnStore: true}
-		pg.pages[vpn] = p
+	if p := &r.pages[vpn-r.Start]; p.VPN != 0 {
 		return p
 	}
 	return nil
+}
+
+// page returns (creating if needed) the Page for vpn, or nil if no region
+// covers it. With AutoRegister, a page outside every region gets a
+// one-page Data region of its own.
+func (pg *Pager) page(vpn addr.GVPN) *Page {
+	r := pg.regionOf(vpn)
+	if r == nil {
+		if !pg.AutoRegister {
+			return nil
+		}
+		pg.AddRegion(vpn, 1, Data)
+		r = pg.regionOf(vpn)
+	}
+	if r.pages == nil {
+		r.pages = make([]Page, r.N)
+	}
+	p := &r.pages[vpn-r.Start]
+	if p.VPN == 0 {
+		*p = Page{
+			VPN:     vpn,
+			Kind:    r.Kind,
+			OnStore: !r.Kind.ZeroFill(), // file-backed pages start on store
+		}
+	}
+	return p
 }
 
 // EnsureResident handles a page fault on vpn: it reclaims frames if the
@@ -229,7 +256,7 @@ func (pg *Pager) EnsureResident(vpn addr.GVPN) (*Page, Fault) {
 	if page == nil {
 		panic(fmt.Sprintf("vm: fault outside any region: page %#x", uint64(vpn)))
 	}
-	if page.Resident {
+	if page.Resident() {
 		return page, Fault{}
 	}
 
@@ -283,7 +310,6 @@ func (pg *Pager) EnsureResident(vpn addr.GVPN) (*Page, Fault) {
 	}
 
 	page.Frame = frame
-	page.Resident = true
 	page.SoftDirty = false
 	pg.insertBehindHand(page)
 	pg.os.MapPage(page)
