@@ -288,7 +288,7 @@ func BenchmarkWorkloadGenBatch(b *testing.B) {
 }
 
 // BenchmarkTouchWarm measures functional warming throughput (generation
-// plus Engine.Touch per reference): the rate at which the sampled
+// plus Engine.TouchBatch per reference): the rate at which the sampled
 // measuring pass advances cache and VM state between representative
 // intervals. The gap between this and BenchmarkEndToEnd is what interval
 // sampling saves per gap reference.

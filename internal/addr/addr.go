@@ -6,8 +6,10 @@
 // to use the same *global* virtual address: the hardware maps the top two
 // bits of a process virtual address through one of four per-process segment
 // registers into a 38-bit global virtual space, and the cache is indexed and
-// tagged with global virtual addresses only [Hill86]. This package models
-// that mapping plus the page (4 KB) and cache-block (32 B) arithmetic.
+// tagged with global virtual addresses only [Hill86]. The workload
+// generators build global addresses directly from a segment and an offset
+// (Global), so this package holds only the global address types and their
+// page (4 KB) and cache-block (32 B) arithmetic.
 package addr
 
 import "fmt"
@@ -26,12 +28,9 @@ const (
 	BlocksPerPage = PageBytes / BlockBytes
 
 	// SegmentShift is the bit position where the segment number begins in
-	// a process virtual address: the top two bits select one of four
-	// segment registers, each mapping a 1 GB quadrant.
+	// a global address: each segment is a 1 GB quadrant.
 	SegmentShift = 30
-	// NumSegments is the number of segment registers per process.
-	NumSegments = 4
-	// SegmentMask extracts the within-segment offset of a process VA.
+	// SegmentMask extracts the within-segment offset of an address.
 	SegmentMask = (1 << SegmentShift) - 1
 
 	// GlobalBits is the width of a global virtual address.
@@ -43,9 +42,6 @@ const (
 	// MaxSegmentID is the largest valid segment register value.
 	MaxSegmentID = 1<<SegmentIDBits - 1
 )
-
-// VA is a 32-bit process virtual address.
-type VA uint32
 
 // GVA is a 38-bit global virtual address (held in a uint64).
 type GVA uint64
@@ -62,23 +58,11 @@ type PFN uint32
 // SegmentID identifies one 1 GB segment of the global virtual space.
 type SegmentID uint16
 
-// Segment returns the segment-register index (0..3) selected by v.
-func (v VA) Segment() int { return int(v >> SegmentShift) }
-
-// Offset returns the within-segment offset of v.
-func (v VA) Offset() uint32 { return uint32(v) & SegmentMask }
-
 // Page returns the global virtual page number containing g.
 func (g GVA) Page() GVPN { return GVPN(g >> PageShift) }
 
 // Block returns the global virtual block address containing g.
 func (g GVA) Block() BlockAddr { return BlockAddr(g >> BlockShift) }
-
-// PageOffset returns the byte offset of g within its page.
-func (g GVA) PageOffset() uint32 { return uint32(g) & (PageBytes - 1) }
-
-// BlockOffset returns the byte offset of g within its cache block.
-func (g GVA) BlockOffset() uint32 { return uint32(g) & (BlockBytes - 1) }
 
 // String formats the global address in hex.
 func (g GVA) String() string { return fmt.Sprintf("gva:%#x", uint64(g)) }
@@ -89,30 +73,12 @@ func (p GVPN) Base() GVA { return GVA(p) << PageShift }
 // FirstBlock returns the first block address of the page.
 func (p GVPN) FirstBlock() BlockAddr { return BlockAddr(p) << (PageShift - BlockShift) }
 
-// BlockIndex returns the index (0..BlocksPerPage-1) of block b within its page.
-func (b BlockAddr) BlockIndex() int { return int(b) & (BlocksPerPage - 1) }
-
 // Page returns the page containing block b.
 func (b BlockAddr) Page() GVPN { return GVPN(b >> (PageShift - BlockShift)) }
 
-// GVA returns the first global virtual address of the block.
-func (b BlockAddr) GVA() GVA { return GVA(b) << BlockShift }
-
-// SegmentMap is the per-process set of four segment registers. A zero
-// SegmentMap maps every quadrant to segment 0, which the OS reserves; user
-// processes are given distinct segments by the process substrate.
-type SegmentMap [NumSegments]SegmentID
-
-// Translate maps a process virtual address to its global virtual address by
-// concatenating the selected segment register with the segment offset. This
-// is the hardware's synonym-prevention mapping: it is done on every access
-// and never faults.
-func (m *SegmentMap) Translate(v VA) GVA {
-	return GVA(m[v.Segment()])<<SegmentShift | GVA(v.Offset())
-}
-
-// Global constructs a global virtual address directly from a segment and a
-// within-segment offset. Offsets larger than a segment wrap within it.
+// Global constructs a global virtual address from a segment and a
+// within-segment offset: what the hardware's segment mapping produces.
+// Offsets larger than a segment wrap within it.
 func Global(seg SegmentID, offset uint64) GVA {
 	return GVA(seg)<<SegmentShift | GVA(offset&SegmentMask)
 }

@@ -20,62 +20,6 @@ func TestConstants(t *testing.T) {
 	}
 }
 
-func TestVASegmentOffset(t *testing.T) {
-	cases := []struct {
-		va  VA
-		seg int
-		off uint32
-	}{
-		{0, 0, 0},
-		{0x3FFFFFFF, 0, 0x3FFFFFFF},
-		{0x40000000, 1, 0},
-		{0x80000001, 2, 1},
-		{0xFFFFFFFF, 3, 0x3FFFFFFF},
-	}
-	for _, c := range cases {
-		if got := c.va.Segment(); got != c.seg {
-			t.Errorf("VA(%#x).Segment() = %d, want %d", uint32(c.va), got, c.seg)
-		}
-		if got := c.va.Offset(); got != c.off {
-			t.Errorf("VA(%#x).Offset() = %#x, want %#x", uint32(c.va), got, c.off)
-		}
-	}
-}
-
-func TestSegmentMapTranslate(t *testing.T) {
-	m := SegmentMap{10, 20, 30, 40}
-	cases := []struct {
-		va   VA
-		want GVA
-	}{
-		{0x00000000, GVA(10) << SegmentShift},
-		{0x00001234, GVA(10)<<SegmentShift | 0x1234},
-		{0x40000000, GVA(20) << SegmentShift},
-		{0xC0000FFF, GVA(40)<<SegmentShift | 0xFFF},
-	}
-	for _, c := range cases {
-		if got := m.Translate(c.va); got != c.want {
-			t.Errorf("Translate(%#x) = %#x, want %#x", uint32(c.va), uint64(got), uint64(c.want))
-		}
-	}
-}
-
-func TestTranslatePreservesOffset(t *testing.T) {
-	// Property: translation preserves the within-segment offset and the
-	// result fits in GlobalBits bits.
-	m := SegmentMap{1, 2, 3, MaxSegmentID}
-	f := func(v uint32) bool {
-		g := m.Translate(VA(v))
-		if uint64(g)>>GlobalBits != 0 {
-			return false
-		}
-		return uint32(g)&SegmentMask == VA(v).Offset()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPageBlockRoundTrip(t *testing.T) {
 	f := func(raw uint64) bool {
 		g := GVA(raw & (1<<GlobalBits - 1))
@@ -87,11 +31,9 @@ func TestPageBlockRoundTrip(t *testing.T) {
 		if p.Base().Page() != p {
 			return false
 		}
-		if b.GVA().Block() != b {
-			return false
-		}
-		// The block index is consistent with the page-relative offset.
-		return b.BlockIndex() == int(g.PageOffset())>>BlockShift
+		// The block's index within its page is consistent with the
+		// page-relative offset.
+		return b-p.FirstBlock() == BlockAddr(g-p.Base())>>BlockShift
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -109,9 +51,6 @@ func TestPageFirstBlock(t *testing.T) {
 		if b.Page() != p {
 			t.Fatalf("block %d of page maps to page %d", i, b.Page())
 		}
-		if b.BlockIndex() != i {
-			t.Fatalf("block %d index = %d", i, b.BlockIndex())
-		}
 	}
 }
 
@@ -122,6 +61,20 @@ func TestGlobalAndPageIn(t *testing.T) {
 	}
 	if got := Global(5, 1<<SegmentShift); got != Global(5, 0) {
 		t.Errorf("Global should wrap offsets within the segment: %#x", uint64(got))
+	}
+}
+
+// TestTranslatePreservesOffset: the segment translation, Global's
+// concatenation of a segment and an offset, keeps the within-segment offset
+// and the segment, and fits GlobalBits bits.
+func TestTranslatePreservesOffset(t *testing.T) {
+	f := func(seg uint8, off uint32) bool {
+		g := Global(SegmentID(seg), uint64(off))
+		return uint64(g)>>GlobalBits == 0 && uint32(g)&SegmentMask == off&SegmentMask &&
+			uint64(g)>>SegmentShift == uint64(seg)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -109,28 +109,19 @@ func metaNeedsWriteBack(m uint8) bool {
 	return st.Valid() && (m&metaBlockDirty != 0 || st.Owned())
 }
 
-// Victim describes a block displaced by a fill or flush.
+// Victim describes a block displaced by a fill.
 type Victim struct {
 	Addr addr.BlockAddr
 	// WriteBack is true if the block was dirty/owned and had to be
 	// written to memory.
 	WriteBack bool
-	// ReadThenNeverWritten is true if the block was brought in by a read
-	// and left clean — the common case the FLUSH cost model's "90% of
-	// blocks at 1 cycle" term reflects.
-	ReadThenNeverWritten bool
-	IsPTE                bool
 }
 
-// Stats counts cache-internal events for tests and reports. The experiment
-// harness uses the counters package instead; these stay here so the cache is
-// independently observable.
+// Stats counts cache-internal events. The experiment harness uses the
+// counters package; the cell driver reads WriteBacks beside the bus's
+// write count.
 type Stats struct {
-	Fills      uint64
-	Evictions  uint64
 	WriteBacks uint64
-	BlockFlush uint64
-	PageFlush  uint64
 }
 
 // Cache is a direct-mapped virtual-address cache.
@@ -193,9 +184,6 @@ func (c *Cache) AttachBus(bus *coherence.Bus) {
 // Lines returns the number of block frames.
 func (c *Cache) Lines() int { return len(c.tags) }
 
-// SizeBytes returns the cache capacity in bytes.
-func (c *Cache) SizeBytes() int { return len(c.tags) * addr.BlockBytes }
-
 // index returns the line index for block b (direct mapped).
 func (c *Cache) index(b addr.BlockAddr) uint64 { return uint64(b) & c.indexMask }
 
@@ -222,9 +210,6 @@ type LineRef struct {
 	c *Cache
 	i uint32
 }
-
-// Index returns the frame index (for diagnostics).
-func (r LineRef) Index() int { return int(r.i) }
 
 // Addr returns the global virtual block address held.
 func (r LineRef) Addr() addr.BlockAddr { return r.c.block(uint64(r.i)) }
@@ -305,9 +290,6 @@ const (
 	metaSettled     = uint8(coherence.OwnedExclusive) | uint8(pte.ProtReadWrite)<<metaProtShift | metaBlockDirty | metaPageDirty
 )
 
-// Line returns a decoded snapshot of the frame.
-func (r LineRef) Line() Line { return r.c.LineAt(int(r.i)) }
-
 // Probe looks up block b and reports whether it is resident. On a hit the
 // returned LineRef addresses the frame holding it; callers mutate the frame
 // through the ref to model hardware actions (setting the block dirty bit,
@@ -354,14 +336,8 @@ func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pag
 			panic("cache: Fill of resident block")
 		}
 		old := c.block(i)
-		v = Victim{
-			Addr:                 old,
-			WriteBack:            metaNeedsWriteBack(m),
-			ReadThenNeverWritten: m&(metaByWrite|metaBlockDirty) == 0,
-			IsPTE:                m&metaIsPTE != 0,
-		}
+		v = Victim{Addr: old, WriteBack: metaNeedsWriteBack(m)}
 		evicted = true
-		c.Stats.Evictions++
 		if v.WriteBack {
 			c.Stats.WriteBacks++
 			c.IssueBus(coherence.BusWriteBack, old)
@@ -369,20 +345,7 @@ func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pag
 	}
 	c.tags[i] = t
 	c.meta[i] = packMeta(state, prot, byWrite, pageDirty, isPTE, byWrite)
-	c.Stats.Fills++
 	return v, evicted
-}
-
-// FlushBlock removes block b from the cache if present, returning whether it
-// was present and whether it was written back. This is SPUR's single-block
-// flush operation.
-func (c *Cache) FlushBlock(b addr.BlockAddr) (present, writtenBack bool) {
-	l, ok := c.Probe(b)
-	if !ok {
-		return false, false
-	}
-	c.Stats.BlockFlush++
-	return true, c.invalidateFrame(uint64(l.i))
 }
 
 // invalidateFrame empties frame i, writing the block back if it needs it,
@@ -406,11 +369,6 @@ type FlushResult struct {
 	Flushed int
 	// WrittenBack is how many of those required a memory write.
 	WrittenBack int
-	// Collateral is the number of invalidated lines that belonged to
-	// *other* pages — nonzero only for the tag-ignoring flush, whose
-	// collateral damage the paper calls out ("blocks from other pages may
-	// be unnecessarily flushed").
-	Collateral int
 }
 
 // FlushPage removes every block of page p from the cache.
@@ -420,9 +378,10 @@ type FlushResult struct {
 // frames is examined and only lines actually belonging to the page are
 // invalidated. If tagCheck is false this is the flush SPUR actually built:
 // the 128 frames are flushed regardless of their virtual address tags,
-// taking resident blocks of other pages with them.
+// taking resident blocks of other pages with them (the collateral damage
+// the paper calls out: "blocks from other pages may be unnecessarily
+// flushed").
 func (c *Cache) FlushPage(p addr.GVPN, tagCheck bool) FlushResult {
-	c.Stats.PageFlush++
 	res := FlushResult{Checked: addr.BlocksPerPage}
 	first := p.FirstBlock()
 	for i := 0; i < addr.BlocksPerPage; i++ {
@@ -434,27 +393,12 @@ func (c *Cache) FlushPage(p addr.GVPN, tagCheck bool) FlushResult {
 		if tagCheck && c.tags[fi] != c.tag(b) {
 			continue
 		}
-		if c.block(fi).Page() != p {
-			res.Collateral++
-		}
 		res.Flushed++
 		if c.invalidateFrame(fi) {
 			res.WrittenBack++
 		}
 	}
 	return res
-}
-
-// InvalidateAll empties the cache, writing back dirty blocks, and returns
-// the number of write-backs.
-func (c *Cache) InvalidateAll() int {
-	wb := 0
-	for i := range c.meta {
-		if c.meta[i]&metaStateMask != 0 && c.invalidateFrame(uint64(i)) {
-			wb++
-		}
-	}
-	return wb
 }
 
 // CopyFrom makes c's lines and statistics those of src, in c's own arrays.
@@ -467,25 +411,6 @@ func (c *Cache) CopyFrom(src *Cache) {
 	copy(c.tags, src.tags)
 	copy(c.meta, src.meta)
 	c.Stats = src.Stats
-}
-
-// ResidentBlocks returns how many valid blocks of page p are resident, and
-// how many of those are clean. The FLUSH cost model's "10% of blocks from
-// the page are in cache and are clean" assumption is the paper's estimate of
-// exactly this quantity.
-func (c *Cache) ResidentBlocks(p addr.GVPN) (resident, clean int) {
-	first := p.FirstBlock()
-	for i := 0; i < addr.BlocksPerPage; i++ {
-		b := first + addr.BlockAddr(i)
-		fi := c.index(b)
-		if c.meta[fi]&metaStateMask != 0 && c.tags[fi] == c.tag(b) {
-			resident++
-			if c.meta[fi]&metaBlockDirty == 0 {
-				clean++
-			}
-		}
-	}
-	return resident, clean
 }
 
 // IssueBus broadcasts a bus transaction if a bus is attached. The cache
@@ -514,17 +439,6 @@ func (c *Cache) Snoop(op coherence.BusOp, b addr.BlockAddr) coherence.SnoopResul
 		l.SetState(ns)
 	}
 	return res
-}
-
-// Utilization returns the fraction of lines currently valid.
-func (c *Cache) Utilization() float64 {
-	n := 0
-	for i := range c.meta {
-		if c.meta[i]&metaStateMask != 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.meta))
 }
 
 // Format describes the cache line layout (Figure 3.2b) as text.

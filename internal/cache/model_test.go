@@ -13,7 +13,7 @@ import (
 // straight-line code. The fuzz drives the real (packed, flat) cache and the
 // model with the same operation stream and compares every observable after
 // every step — probe hits, complete victim records, both page-flush
-// flavours' full results (including collateral counts), and per-line state.
+// flavours' full results, and per-line state.
 type modelCache struct {
 	lines int
 	held  map[int]Line
@@ -42,12 +42,7 @@ func (m *modelCache) fill(b addr.BlockAddr, state coherence.State, prot pte.Prot
 	var v Victim
 	evicted := false
 	if old, ok := m.held[i]; ok {
-		v = Victim{
-			Addr:                 old.Addr,
-			WriteBack:            lineNeedsWriteBack(old),
-			ReadThenNeverWritten: !old.FilledByWrite && !old.BlockDirty,
-			IsPTE:                old.IsPTE,
-		}
+		v = Victim{Addr: old.Addr, WriteBack: lineNeedsWriteBack(old)}
 		evicted = true
 	}
 	m.held[i] = Line{
@@ -56,15 +51,6 @@ func (m *modelCache) fill(b addr.BlockAddr, state coherence.State, prot pte.Prot
 		IsPTE: isPTE, FilledByWrite: byWrite,
 	}
 	return v, evicted
-}
-
-func (m *modelCache) flushBlock(b addr.BlockAddr) (present, wb bool) {
-	l, ok := m.probe(b)
-	if !ok {
-		return false, false
-	}
-	delete(m.held, m.index(b))
-	return true, lineNeedsWriteBack(l)
 }
 
 func (m *modelCache) flushPage(p addr.GVPN, tagCheck bool) FlushResult {
@@ -79,9 +65,6 @@ func (m *modelCache) flushPage(p addr.GVPN, tagCheck bool) FlushResult {
 		}
 		if tagCheck && l.Addr != b {
 			continue
-		}
-		if l.Addr.Page() != p {
-			res.Collateral++
 		}
 		res.Flushed++
 		if lineNeedsWriteBack(l) {
@@ -191,12 +174,6 @@ func TestCacheAgainstReferenceModel(t *testing.T) {
 				}
 				m.held[i] = ml
 			}
-		case 5: // block flush
-			p, wb := c.FlushBlock(b)
-			mp, mwb := m.flushBlock(b)
-			if p != mp || wb != mwb {
-				t.Fatalf("step %d: flush mismatch (%v,%v) vs (%v,%v)", step, p, wb, mp, mwb)
-			}
 		case 6: // tag-checking page flush, full result compared
 			page := b.Page()
 			res := c.FlushPage(page, true)
@@ -204,31 +181,12 @@ func TestCacheAgainstReferenceModel(t *testing.T) {
 			if res != mres {
 				t.Fatalf("step %d: tag-checking flush mismatch\n real: %+v\nmodel: %+v", step, res, mres)
 			}
-			if res.Collateral != 0 {
-				t.Fatalf("step %d: tag-checking flush reported collateral %d", step, res.Collateral)
-			}
 		case 7: // tag-ignoring page flush: the collateral-damage flavour
 			page := b.Page()
 			res := c.FlushPage(page, false)
 			mres := m.flushPage(page, false)
 			if res != mres {
 				t.Fatalf("step %d: tag-ignoring flush mismatch\n real: %+v\nmodel: %+v", step, res, mres)
-			}
-		case 8: // resident-block census
-			page := b.Page()
-			resident, clean := c.ResidentBlocks(page)
-			mr, mc := 0, 0
-			first := page.FirstBlock()
-			for i := 0; i < addr.BlocksPerPage; i++ {
-				if l, ok := m.probe(first + addr.BlockAddr(i)); ok {
-					mr++
-					if !l.BlockDirty {
-						mc++
-					}
-				}
-			}
-			if resident != mr || clean != mc {
-				t.Fatalf("step %d: ResidentBlocks = (%d,%d), model (%d,%d)", step, resident, clean, mr, mc)
 			}
 		default: // probe only
 			_, hit := c.Probe(b)

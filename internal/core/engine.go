@@ -55,10 +55,6 @@ type Engine struct {
 	// Total machine time is Cycles + Pager.Cycles.
 	Cycles uint64
 
-	// FaultsByKind breaks necessary dirty faults down by page kind
-	// (indexed by vm.PageKind), for workload diagnosis and ablations.
-	FaultsByKind [4]uint64
-
 	//spurlint:ignore statecomplete — derived from TP in NewEngine, not accumulated state
 	cost cycleCosts
 }
@@ -406,7 +402,6 @@ func (e *Engine) necessaryFault(p addr.GVPN) {
 		panic(fmt.Sprintf("core: dirty fault on non-resident page %#x", uint64(p)))
 	}
 	page.SoftDirty = true
-	e.FaultsByKind[page.Kind]++
 
 	_, c := e.X.UpdatePTE(p, func(en pte.Entry) pte.Entry {
 		en = en.WithDirty(true)

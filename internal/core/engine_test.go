@@ -505,12 +505,19 @@ func TestTagIgnoringFlushCollateral(t *testing.T) {
 	}
 }
 
-// TestEngineFaultsByKind verifies the diagnostic breakdown.
+// TestEngineFaultsByKind: a first write to a data page and to a heap page
+// each take one necessary dirty fault, which sets that page's software
+// dirty bit.
 func TestEngineFaultsByKind(t *testing.T) {
 	r := newRig(DirtySPUR, RefMISS, 64)
 	r.write(dataAddr(0, 20))
 	r.write(heapAddr(0, 20))
-	if r.e.FaultsByKind[vm.Data] != 1 || r.e.FaultsByKind[vm.Heap] != 1 {
-		t.Errorf("breakdown = %v", r.e.FaultsByKind)
+	if n := r.e.Ctr.Count(counters.EvDirtyFault); n != 2 {
+		t.Errorf("necessary faults = %d, want 2", n)
+	}
+	for _, a := range []addr.GVA{dataAddr(0, 20), heapAddr(0, 20)} {
+		if pg := r.e.Pager.Lookup(a.Page()); pg == nil || !pg.SoftDirty {
+			t.Errorf("page %#x not marked dirty", uint64(a.Page()))
+		}
 	}
 }

@@ -57,10 +57,3 @@ func OverheadTable(ev Events, tp timing.Params) OverheadRow {
 	}
 	return row
 }
-
-// FaultBeatsFlush applies the paper's break-even analysis: FAULT is
-// superior to FLUSH if there are at least twice as many necessary faults
-// as excess faults (t_flush being roughly half of t_ds).
-func FaultBeatsFlush(ev Events, tp timing.Params) bool {
-	return Overhead(DirtyFAULT, ev, tp) <= Overhead(DirtyFLUSH, ev, tp)
-}

@@ -69,23 +69,29 @@ func TestPolicyOrderingInvariant(t *testing.T) {
 	}
 }
 
+// TestFaultBeatsFlushBreakEven applies the paper's break-even analysis:
+// FAULT is superior to FLUSH if there are at least twice as many necessary
+// faults as excess faults (t_flush being roughly half of t_ds).
 func TestFaultBeatsFlushBreakEven(t *testing.T) {
 	tp := timing.Default()
+	faultBeatsFlush := func(ev Events) bool {
+		return Overhead(DirtyFAULT, ev, tp) <= Overhead(DirtyFLUSH, ev, tp)
+	}
 	// With the paper's parameters (t_flush = t_ds/2), FAULT beats FLUSH
 	// exactly when N_ef <= N_ds/2.
 	mk := func(nds, nef uint64) Events { return Events{Nds: nds, Nef: nef, Ndm: nef} }
-	if !FaultBeatsFlush(mk(1000, 400), tp) {
+	if !faultBeatsFlush(mk(1000, 400)) {
 		t.Error("FAULT should win at N_ef = 0.4 N_ds")
 	}
-	if !FaultBeatsFlush(mk(1000, 500), tp) {
+	if !faultBeatsFlush(mk(1000, 500)) {
 		t.Error("FAULT should tie/win at N_ef = 0.5 N_ds")
 	}
-	if FaultBeatsFlush(mk(1000, 501), tp) {
+	if faultBeatsFlush(mk(1000, 501)) {
 		t.Error("FLUSH should win past the break-even")
 	}
 	// Every published row is comfortably on FAULT's side.
 	for _, r := range PaperTable33 {
-		if !FaultBeatsFlush(r.Events(), tp) {
+		if !faultBeatsFlush(r.Events()) {
 			t.Errorf("%s/%d: paper row on FLUSH's side", r.Workload, r.MemMB)
 		}
 	}

@@ -11,35 +11,32 @@ import (
 	"repro/internal/trace"
 )
 
-// Touch is the functional-warming counterpart of Access: it advances the
-// machine's state for one reference — cache contents and line metadata,
-// residency, page faults, reference and dirty bits, and the pager/daemon
-// activity they trigger — without charging reference-processing time or
-// raising the cache-performance events. The sampling engine drives the
-// stream through Touch between representative intervals, so the state a
-// representative interval starts from is the state the full run would have
-// reached, and the VM events the full run takes in those spans are taken
-// (and counted) at the same references.
+// TouchBatch is the functional-warming counterpart of AccessBatch: it
+// advances the machine's state for each reference in order — cache
+// contents and line metadata, residency, page faults, reference and dirty
+// bits, and the pager/daemon activity they trigger — without charging
+// reference-processing time or raising the cache-performance events. The
+// sampling engine drives the stream through TouchBatch between
+// representative intervals, so the state a representative interval starts
+// from is the state the full run would have reached, and the VM events the
+// full run takes in those spans are taken (and counted) at the same
+// references.
 //
-// Touch mirrors Access's state transitions: misses fill the block (and the
-// PTE block in-cache translation would fetch), displacing the same victims;
-// write hits update the same line flags, fetch the PTE block WRITE's check
-// would fetch, and take the same dirty-bit faults;
-// page faults, reference faults and their handler PTE stores go through the
-// same xlate and pager paths. What it omits is exactly the measurement: hit
-// and miss counters, policy-check events (dirty-bit misses, excess faults,
-// PTE checks), and the cycle costs of cache traffic. VM events — page
-// faults and their kind breakdown, page-ins/outs, reference-bit traffic and
-// page flushes — remain counted, so a machine warmed across a gap carries
-// the full run's cumulative VM totals. The daemon's behavior is reference-
-// driven (allocation pressure, reference bits), not time-driven, so leaving
-// gap cycles uncharged does not perturb it. Touch is a one-reference call
-// into TouchBatch.
-func (e *Engine) Touch(r trace.Rec) { e.TouchBatch([]trace.Rec{r}) }
-
-// TouchBatch applies Touch to a buffer of references in order; it is the
-// one implementation of the warming step. It skips settled write hits under
-// the same invariant and the same injector condition as AccessBatch.
+// TouchBatch mirrors AccessBatch's state transitions: misses fill the
+// block (and the PTE block in-cache translation would fetch), displacing
+// the same victims; write hits update the same line flags, fetch the PTE
+// block WRITE's check would fetch, and take the same dirty-bit faults;
+// page faults, reference faults and their handler PTE stores go through
+// the same xlate and pager paths. What it omits is exactly the
+// measurement: hit and miss counters, policy-check events (dirty-bit
+// misses, excess faults, PTE checks), and the cycle costs of cache
+// traffic. VM events — page faults, page-ins/outs, reference-bit traffic
+// and page flushes — remain counted, so a machine warmed across a gap
+// carries the full run's cumulative VM totals. The daemon's behavior is
+// reference-driven (allocation pressure, reference bits), not time-driven,
+// so leaving gap cycles uncharged does not perturb it. TouchBatch is the
+// one implementation of the warming step; it skips settled write hits
+// under the same invariant and the same injector condition as AccessBatch.
 func (e *Engine) TouchBatch(recs []trace.Rec) {
 	inject := e.Inject != nil
 	for i := range recs {

@@ -150,14 +150,14 @@ func init() {
 // counter the current mode wires it to, so folding adds each event's shadow
 // growth since mark to that counter, truncated to 32 bits as the chip would
 // have counted it. The view is folded whenever it is read or the wiring
-// changes (Hardware, HardwareSnapshot, SetMode, InjectWraparound), so it
-// is always exactly what eager counting would hold.
+// changes (Hardware, SetMode, InjectWraparound), so it is always exactly
+// what eager counting would hold.
 type Set struct {
 	mode int
 	// hw has one extra slot beyond the sixteen physical counters: the
 	// write-only spill that absorbs events the current mode leaves
-	// unwired. It is part of the checkpointed view, so it is folded like
-	// any counter.
+	// unwired. It is part of the copied view, so it is folded like any
+	// counter.
 	hw     [HardwareCounters + 1]uint32
 	shadow [NumEvents]uint64
 	// mark is the shadow as of the last fold.
@@ -225,15 +225,21 @@ func (s *Set) InjectWraparound(slack uint32) {
 	}
 }
 
-// Reset clears the hardware counters and the software shadow.
-func (s *Set) Reset() {
-	s.hw = [HardwareCounters + 1]uint32{}
-	s.shadow = [NumEvents]uint64{}
-	s.mark = s.shadow
-}
-
 // Snapshot returns a copy of the full software shadow, indexed by Event.
 func (s *Set) Snapshot() [NumEvents]uint64 { return s.shadow }
+
+// CopyFrom makes s the counter block src is, as a fanout split copies its
+// leader's: the mode register, the hardware counters with the spill slot,
+// the software shadow, and how far the hardware view has been folded. The
+// hardware view is machine state (the chip does not clear on mode
+// changes), so the copy reads every counter as src does, including any
+// wraparound already suffered.
+func (s *Set) CopyFrom(src *Set) {
+	s.mode = src.mode
+	s.hw = src.hw
+	s.shadow = src.shadow
+	s.mark = src.mark
+}
 
 // Diff returns the per-event difference s - earlier, saturating at zero if
 // the earlier snapshot is somehow ahead (it cannot be in normal use).

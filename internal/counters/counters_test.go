@@ -89,15 +89,6 @@ func TestSetModePanicsOnInvalid(t *testing.T) {
 	New().SetMode(NumModes)
 }
 
-func TestReset(t *testing.T) {
-	s := New()
-	s.Inc(EvRead)
-	s.Reset()
-	if s.Count(EvRead) != 0 || s.Hardware(1) != 0 {
-		t.Error("Reset did not clear counters")
-	}
-}
-
 func TestSnapshotDiff(t *testing.T) {
 	s := New()
 	s.Add(EvRead, 10)

@@ -25,20 +25,17 @@ var HotPathAnalyzer = &Analyzer{
 // and the in-cache translation unit.
 var hotPathFuncs = map[string]map[string]bool{
 	"repro/internal/cache": {
-		"Cache.Probe":      true,
-		"Cache.Fill":       true,
-		"Cache.FlushBlock": true,
-		"Cache.FlushPage":  true,
-		"Cache.Snoop":      true,
+		"Cache.Probe":     true,
+		"Cache.Fill":      true,
+		"Cache.FlushPage": true,
+		"Cache.Snoop":     true,
 	},
 	"repro/internal/pte": {
-		"Table.Lookup":     true,
-		"Table.Set":        true,
-		"Table.Update":     true,
-		"Table.Invalidate": true,
+		"Table.Lookup": true,
+		"Table.Set":    true,
+		"Table.Update": true,
 	},
 	"repro/internal/xlate": {
-		"Unit.Translate":       true,
 		"Unit.TranslateCached": true,
 		"Unit.TranslateMiss":   true,
 		"Unit.CheckPTE":        true,

@@ -291,20 +291,6 @@ func rootIdent(expr ast.Expr) *ast.Ident {
 	}
 }
 
-// isPkgFunc reports whether the called function is package-level function
-// name in package path (e.g. "time".Now).
-func isPkgFunc(info *types.Info, call *ast.CallExpr, path, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == path && fn.Name() == name
-}
-
 // funcIn returns the *types.Func a selector or identifier call resolves to
 // when it belongs to package path, else nil.
 func funcIn(info *types.Info, fun ast.Expr, path string) *types.Func {

@@ -63,8 +63,7 @@ var stateRegistry = []stateReg{
 	{pkg: "repro/internal/mem", typ: "Pool",
 		copy: []stateFunc{{recv: "Pool", name: "CopyFreeFrom"}}},
 	{pkg: "repro/internal/counters", typ: "Set",
-		copy: []stateFunc{{recv: "Set", name: "Mode"}, {recv: "Set", name: "HardwareSnapshot"}, {recv: "Set", name: "Snapshot"},
-			{recv: "Set", name: "Restore"}, {recv: "Set", name: "SetMode"}}},
+		copy: []stateFunc{{recv: "Set", name: "CopyFrom"}}},
 	{pkg: "repro/internal/pte", typ: "Table",
 		copy: []stateFunc{{recv: "Table", name: "CopyFrom"}}},
 	{pkg: "repro/internal/machine", typ: "Machine",

@@ -20,12 +20,11 @@ func (t *Table) Set(p uint64, e uint32) {
 	if t.m == nil {
 		t.m = make(map[uint64]uint32) // want hotpath "allocates a map"
 	}
+	if e == 0 {
+		delete(t.m, p) // want hotpath "delete mutates a map"
+		return
+	}
 	t.m[p] = e // want hotpath "indexes a map"
-}
-
-// Invalidate is a designated hot-path function.
-func (t *Table) Invalidate(p uint64) {
-	delete(t.m, p) // want hotpath "delete mutates a map"
 }
 
 // Update is a designated hot-path function.

@@ -11,8 +11,8 @@ type Unit struct {
 	stats  map[string]uint64
 }
 
-// Translate is a designated hot-path function on dense state.
-func (u *Unit) Translate(p uint64) uint32 {
+// TranslateCached is a designated hot-path function on dense state.
+func (u *Unit) TranslateCached(p uint64) uint32 {
 	if len(u.frames) == 0 {
 		return 0
 	}
@@ -21,7 +21,7 @@ func (u *Unit) Translate(p uint64) uint32 {
 
 // CheckPTE is a designated hot-path function on dense state.
 func (u *Unit) CheckPTE(p uint64) uint32 {
-	return u.Translate(p)
+	return u.TranslateCached(p)
 }
 
 // Note is not on the hot path; map state is fine here.

@@ -41,8 +41,6 @@ type MP struct {
 	cur     int // CPU whose access is in progress (for OS callbacks)
 	segNext addr.SegmentID
 	segFree []addr.SegmentID
-
-	refs int64
 }
 
 var _ workload.Env = (*MP)(nil)
@@ -100,7 +98,6 @@ func NewMP(cfg Config, n int) *MP {
 func (m *MP) Access(cpu int, r trace.Rec) {
 	m.cur = cpu
 	m.CPUs[cpu].Access(r)
-	m.refs++
 }
 
 // TotalCycles sums every CPU's reference-processing time plus the shared
@@ -112,9 +109,6 @@ func (m *MP) TotalCycles() uint64 {
 	}
 	return t
 }
-
-// Refs returns the number of references driven so far.
-func (m *MP) Refs() int64 { return m.refs }
 
 // Events extracts the shared counters in the paper's vocabulary.
 func (m *MP) Events() core.Events {

@@ -89,20 +89,42 @@ func TestMPCoherenceInvariants(t *testing.T) {
 	}
 }
 
+// regionLog is an MP as a workload's environment that records the regions
+// the workload registers.
+type regionLog struct {
+	*MP
+	regions []vm.Region
+}
+
+func (r *regionLog) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
+	reg := r.MP.AddRegion(start, n, kind)
+	r.regions = append(r.regions, reg)
+	return reg
+}
+
 // TestMPDirtyFaultOncePerPage: however many CPUs write a shared page, the
 // software dirty bit is set by exactly one necessary fault per residency.
 func TestMPDirtyFaultOncePerPage(t *testing.T) {
 	cfg := mpConfig()
 	cfg.MemoryBytes = 32 << 20 // no paging: each page faults dirty at most once
 	m := NewMP(cfg, 4)
-	w := workload.NewSharedWorkload(m, 1, workload.DefaultSharedParams(4))
+	env := &regionLog{MP: m}
+	w := workload.NewSharedWorkload(env, 1, workload.DefaultSharedParams(4))
 	for i := 0; i < 400_000; i++ {
 		cpu := i % 4
 		m.Access(cpu, w.Step(cpu))
 	}
-	// Count dirtied shared pages via the pager's software bits.
+	// Count dirtied shared pages via the pager's software bits. The shared
+	// region is the one data region the workload registers.
+	var shared vm.Region
+	for _, r := range env.regions {
+		if r.Kind == vm.Data {
+			shared = r
+			break
+		}
+	}
 	dirtyPages := 0
-	for p := w.Shared().Start; p < w.Shared().End(); p++ {
+	for p := shared.Start; p < shared.End(); p++ {
 		if pg := m.Pager.Lookup(p); pg != nil && pg.SoftDirty {
 			dirtyPages++
 		}

@@ -59,9 +59,6 @@ func PoolForBytes(memBytes int, wired int) *Pool {
 // Total returns the total number of frames.
 func (p *Pool) Total() int { return p.total }
 
-// Wired returns the number of permanently reserved frames.
-func (p *Pool) Wired() int { return p.wired }
-
 // Allocatable returns the number of frames the pager may use.
 func (p *Pool) Allocatable() int { return p.total - p.wired }
 
@@ -70,9 +67,6 @@ func (p *Pool) Free() int { return len(p.free) }
 
 // LowWater returns the free-frame count below which the page daemon starts.
 func (p *Pool) LowWater() int { return p.lowWater }
-
-// HighWater returns the free-frame count at which the page daemon stops.
-func (p *Pool) HighWater() int { return p.highWater }
 
 // SetWatermarks overrides the daemon thresholds. high must exceed low.
 func (p *Pool) SetWatermarks(low, high int) {

@@ -12,11 +12,11 @@ func TestPoolGeometry(t *testing.T) {
 	if p.Total() != 1280 {
 		t.Errorf("Total = %d, want 1280", p.Total())
 	}
-	if p.Wired() != 128 || p.Allocatable() != 1152 || p.Free() != 1152 {
-		t.Errorf("wired/allocatable/free = %d/%d/%d", p.Wired(), p.Allocatable(), p.Free())
+	if p.wired != 128 || p.Allocatable() != 1152 || p.Free() != 1152 {
+		t.Errorf("wired/allocatable/free = %d/%d/%d", p.wired, p.Allocatable(), p.Free())
 	}
-	if p.LowWater() < 1 || p.HighWater() <= p.LowWater() {
-		t.Errorf("watermarks %d/%d", p.LowWater(), p.HighWater())
+	if p.LowWater() < 1 || p.highWater <= p.LowWater() {
+		t.Errorf("watermarks %d/%d", p.LowWater(), p.highWater)
 	}
 }
 

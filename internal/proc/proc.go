@@ -87,9 +87,6 @@ func (s *Scheduler) Add(t *Task) { s.tasks = append(s.tasks, t) }
 // Len returns the number of live tasks.
 func (s *Scheduler) Len() int { return len(s.tasks) }
 
-// Tasks returns the live tasks (read-only view for inspection).
-func (s *Scheduler) Tasks() []*Task { return s.tasks }
-
 // Next returns the next reference in the interleaved stream, or false when
 // every task has finished.
 func (s *Scheduler) Next() (trace.Rec, bool) {

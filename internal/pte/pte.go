@@ -44,9 +44,6 @@ func (p Prot) String() string {
 	return fmt.Sprintf("Prot(%d)", uint8(p))
 }
 
-// AllowsRead reports whether user reads are permitted.
-func (p Prot) AllowsRead() bool { return p == ProtReadOnly || p == ProtReadWrite }
-
 // AllowsWrite reports whether user writes are permitted.
 func (p Prot) AllowsWrite() bool { return p == ProtReadWrite }
 
@@ -89,20 +86,11 @@ func (e Entry) Referenced() bool { return e&bitR != 0 }
 // Dirty reports the page dirty bit D.
 func (e Entry) Dirty() bool { return e&bitD != 0 }
 
-// Cacheable reports the K bit.
-func (e Entry) Cacheable() bool { return e&bitK != 0 }
-
-// Coherent reports the C bit.
-func (e Entry) Coherent() bool { return e&bitC != 0 }
-
 // Prot returns the two-bit protection field.
 func (e Entry) Prot() Prot { return Prot(e&protMask) >> protShift }
 
 // PFN returns the physical frame number.
 func (e Entry) PFN() addr.PFN { return addr.PFN(e >> pfnShift) }
-
-// WithValid returns e with V set to v.
-func (e Entry) WithValid(v bool) Entry { return e.set(bitV, v) }
 
 // WithReferenced returns e with R set to v.
 func (e Entry) WithReferenced(v bool) Entry { return e.set(bitR, v) }
@@ -110,17 +98,9 @@ func (e Entry) WithReferenced(v bool) Entry { return e.set(bitR, v) }
 // WithDirty returns e with D set to v.
 func (e Entry) WithDirty(v bool) Entry { return e.set(bitD, v) }
 
-// WithCoherent returns e with C set to v.
-func (e Entry) WithCoherent(v bool) Entry { return e.set(bitC, v) }
-
 // WithProt returns e with the protection field replaced.
 func (e Entry) WithProt(p Prot) Entry {
 	return e&^protMask | Entry(p)<<protShift
-}
-
-// WithPFN returns e with the frame number replaced.
-func (e Entry) WithPFN(pfn addr.PFN) Entry {
-	return e&(1<<pfnShift-1) | Entry(pfn)<<pfnShift
 }
 
 func (e Entry) set(bit Entry, v bool) Entry {

@@ -13,7 +13,7 @@ func TestMakeDefaults(t *testing.T) {
 	if !e.Valid() {
 		t.Error("Make entry not valid")
 	}
-	if !e.Cacheable() {
+	if e&bitK == 0 {
 		t.Error("Make entry not cacheable")
 	}
 	if e.Dirty() || e.Referenced() {
@@ -32,45 +32,38 @@ func TestBitSettersIndependent(t *testing.T) {
 	f := func(pfn uint32, protRaw, bits uint8) bool {
 		pfn &= 1<<20 - 1
 		prot := Prot(protRaw % 4)
+		newProt := Prot((bits >> 2) % 4)
 		e := Make(addr.PFN(pfn), prot)
 		e = e.WithDirty(bits&1 != 0).
 			WithReferenced(bits&2 != 0).
-			WithValid(bits&4 != 0).
-			WithCoherent(bits&8 != 0)
+			WithProt(newProt)
 		return e.PFN() == addr.PFN(pfn) &&
-			e.Prot() == prot &&
+			e.Prot() == newProt &&
 			e.Dirty() == (bits&1 != 0) &&
 			e.Referenced() == (bits&2 != 0) &&
-			e.Valid() == (bits&4 != 0) &&
-			e.Coherent() == (bits&8 != 0) &&
-			e.Cacheable()
+			e.Valid() && e&bitK != 0 && e&bitC == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestWithProtAndPFN: raising a page to read-write, as the dirty-bit
+// fault handler does, keeps its frame number and dirty bit.
 func TestWithProtAndPFN(t *testing.T) {
 	e := Make(7, ProtReadOnly).WithDirty(true)
 	e = e.WithProt(ProtReadWrite)
 	if e.Prot() != ProtReadWrite || !e.Dirty() || e.PFN() != 7 {
 		t.Errorf("WithProt disturbed entry: %v", e)
 	}
-	e = e.WithPFN(99)
-	if e.PFN() != 99 || e.Prot() != ProtReadWrite || !e.Dirty() {
-		t.Errorf("WithPFN disturbed entry: %v", e)
-	}
 }
 
 func TestProtSemantics(t *testing.T) {
-	if ProtNone.AllowsRead() || ProtNone.AllowsWrite() {
-		t.Error("ProtNone allows access")
+	if ProtNone.AllowsWrite() || ProtReadOnly.AllowsWrite() {
+		t.Error("a read-only or no-access page allows writes")
 	}
-	if !ProtReadOnly.AllowsRead() || ProtReadOnly.AllowsWrite() {
-		t.Error("ProtReadOnly wrong")
-	}
-	if !ProtReadWrite.AllowsRead() || !ProtReadWrite.AllowsWrite() {
-		t.Error("ProtReadWrite wrong")
+	if !ProtReadWrite.AllowsWrite() {
+		t.Error("ProtReadWrite does not allow writes")
 	}
 	if ProtKernel.AllowsWrite() {
 		t.Error("ProtKernel should not allow user writes")
@@ -97,6 +90,8 @@ func TestEntryString(t *testing.T) {
 	}
 }
 
+// TestTableLookupSetInvalidate: an entry reads back as set, and storing a
+// zero entry, as unmapping a page does, invalidates it.
 func TestTableLookupSetInvalidate(t *testing.T) {
 	tbl := NewTable(200)
 	p := addr.GVPN(42)
@@ -108,14 +103,12 @@ func TestTableLookupSetInvalidate(t *testing.T) {
 	if got := tbl.Lookup(p); got != e {
 		t.Errorf("Lookup = %v, want %v", got, e)
 	}
-	if tbl.Len() != 1 {
-		t.Errorf("Len = %d", tbl.Len())
+	if n := len(entries(tbl)); n != 1 {
+		t.Errorf("table holds %d entries", n)
 	}
-	if old := tbl.Invalidate(p); old != e {
-		t.Errorf("Invalidate returned %v", old)
-	}
-	if tbl.Lookup(p) != 0 || tbl.Len() != 0 {
-		t.Error("entry survived Invalidate")
+	tbl.Set(p, 0)
+	if tbl.Lookup(p) != 0 || len(entries(tbl)) != 0 {
+		t.Error("entry survived invalidation")
 	}
 }
 
@@ -123,8 +116,8 @@ func TestTableSetZeroDeletes(t *testing.T) {
 	tbl := NewTable(200)
 	tbl.Set(1, Make(2, ProtReadOnly))
 	tbl.Set(1, 0)
-	if tbl.Len() != 0 {
-		t.Error("Set(p, 0) should delete")
+	if d, c := held(tbl); d != 0 || c != 0 {
+		t.Errorf("Set(p, 0) should delete: %d directories and %d chunks held", d, c)
 	}
 }
 
@@ -135,23 +128,6 @@ func TestTableUpdate(t *testing.T) {
 	got := tbl.Update(p, func(e Entry) Entry { return e.WithDirty(true) })
 	if !got.Dirty() || !tbl.Lookup(p).Dirty() {
 		t.Error("Update did not persist")
-	}
-}
-
-func TestTableRange(t *testing.T) {
-	tbl := NewTable(200)
-	for i := 0; i < 5; i++ {
-		tbl.Set(addr.GVPN(i), Make(addr.PFN(i), ProtReadOnly))
-	}
-	n := 0
-	tbl.Range(func(addr.GVPN, Entry) bool { n++; return true })
-	if n != 5 {
-		t.Errorf("Range visited %d", n)
-	}
-	n = 0
-	tbl.Range(func(addr.GVPN, Entry) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("Range early-stop visited %d", n)
 	}
 }
 
@@ -169,25 +145,9 @@ func TestPTEAddrShiftAndConcatenate(t *testing.T) {
 	}
 }
 
-func TestPTEPageAndL2Index(t *testing.T) {
-	tbl := NewTable(128)
-	perPage := addr.PageBytes / PTESize // 1024 entries per PTE page
-	if got := tbl.L2Index(addr.GVPN(perPage*3 + 5)); got != 3 {
-		t.Errorf("L2Index = %d, want 3", got)
-	}
-	// All entries in one PTE page share an L2 index and a PTE page.
-	p0, p1 := addr.GVPN(perPage*7), addr.GVPN(perPage*7+perPage-1)
-	if tbl.PTEPage(p0) != tbl.PTEPage(p1) || tbl.L2Index(p0) != tbl.L2Index(p1) {
-		t.Error("entries within one PTE page disagree")
-	}
-	if tbl.PTEPage(p1) == tbl.PTEPage(p1+1) {
-		t.Error("PTE page boundary not respected")
-	}
-}
-
 func TestPTEsPerBlock(t *testing.T) {
-	if PTEsPerBlock != 8 {
-		t.Errorf("PTEsPerBlock = %d, want 8", PTEsPerBlock)
+	if n := addr.BlockBytes / PTESize; n != 8 {
+		t.Errorf("a block holds %d PTEs, want 8", n)
 	}
 }
 

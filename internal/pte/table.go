@@ -6,21 +6,16 @@ import (
 	"repro/internal/addr"
 )
 
-// PTESize is the size of one packed entry in bytes.
+// PTESize is the size of one packed entry in bytes. Because PTEs are
+// cached like ordinary data, a miss on one PTE brings the other seven of
+// its 32-byte block into the cache with it.
 const PTESize = 4
-
-// PTEsPerBlock is how many entries share one cache block. Because PTEs are
-// cached like ordinary data, a miss on one PTE brings its seven neighbours
-// into the cache with it.
-const PTEsPerBlock = addr.BlockBytes / PTESize
 
 // The first-level array is stored as a directory of fixed-size chunks: a
 // dense paged image of the logical linear array, holding only the chunks
 // with a live entry. Lookup, Set and Update — on the path of every cache
 // miss — are then three array indexings, with no hashing and no map
-// iteration anywhere near the hot path, and Range walks the chunks in
-// address order so iteration is deterministic by construction rather than
-// by sorting.
+// iteration anywhere near the hot path.
 const (
 	// chunkShift gives 512 entries (2 KB, one heap size class) per chunk,
 	// mapping 2 MB of virtual memory: about the span of one process
@@ -70,17 +65,15 @@ type spares struct {
 // virtual page number, itself living in global virtual space inside a
 // reserved segment: the cache controller finds the PTE for page p at virtual
 // address PTEAddr(p) by a shift-and-concatenate. The second level maps the
-// pages of that array and is wired in physical memory; Table exposes the
-// second-level address computation so the translation unit can account for
-// its accesses, and materializes the first-level contents chunk by chunk as
-// pages are entered and frees it as they leave (the simulator never
-// instantiates the full 256 MB array, but what it does instantiate is
-// flat).
+// pages of that array and is wired in physical memory, so the translation
+// unit charges a fixed cost for reading it. Table materializes the
+// first-level contents chunk by chunk as pages are entered and frees it as
+// they leave (the simulator never instantiates the full 256 MB array, but
+// what it does instantiate is flat).
 type Table struct {
 	//spurlint:ignore statecomplete — construction-time configuration (NewTable), not mutated afterwards
 	seg  addr.SegmentID // reserved segment holding the first-level array
 	dirs [numDirs]*dir
-	n    int // count of non-zero entries
 	//spurlint:ignore statecomplete — freed all-zero storage kept for reuse, not table contents: no lookup reads it, and a copy neither copies nor shares it
 	spare spares
 }
@@ -91,25 +84,10 @@ func NewTable(seg addr.SegmentID) *Table {
 	return &Table{seg: seg}
 }
 
-// Segment returns the reserved PTE segment.
-func (t *Table) Segment() addr.SegmentID { return t.seg }
-
 // PTEAddr returns the global virtual address of the first-level entry for
 // page p: the shift-and-concatenate circuit of the SPUR cache controller.
 func (t *Table) PTEAddr(p addr.GVPN) addr.GVA {
 	return addr.Global(t.seg, uint64(p)*PTESize)
-}
-
-// PTEPage returns the global virtual page of the first-level table that
-// holds the entry for p. Used to decide which second-level entry maps it.
-func (t *Table) PTEPage(p addr.GVPN) addr.GVPN {
-	return t.PTEAddr(p).Page()
-}
-
-// L2Index returns the index of the wired second-level entry that maps the
-// first-level page holding p's entry.
-func (t *Table) L2Index(p addr.GVPN) uint64 {
-	return uint64(p) / (addr.PageBytes / PTESize)
 }
 
 // Lookup returns the entry for page p. A page that has never been entered
@@ -172,10 +150,8 @@ func (t *Table) Set(p addr.GVPN, e Entry) {
 	*slot = e
 	switch {
 	case old == 0 && e != 0:
-		t.n++
 		d.live[j]++
 	case old != 0 && e == 0:
-		t.n--
 		if d.live[j]--; d.live[j] == 0 {
 			t.spare.chunk, d.chunks[j] = c, nil
 			if d.live == [dirEntries]uint16{} {
@@ -192,45 +168,6 @@ func (t *Table) Update(p addr.GVPN, fn func(Entry) Entry) Entry {
 	e := fn(t.Lookup(p))
 	t.Set(p, e)
 	return e
-}
-
-// Invalidate clears the entry for page p, returning the old value.
-func (t *Table) Invalidate(p addr.GVPN) Entry {
-	old := t.Lookup(p)
-	if old != 0 {
-		t.Set(p, 0)
-	}
-	return old
-}
-
-// Len returns the number of valid (non-zero) entries.
-func (t *Table) Len() int { return t.n }
-
-// Range calls fn for every non-zero entry until fn returns false, in
-// ascending page order. The chunked array iterates in address order by
-// construction, so auditors, dumps and page-out scans observe the same
-// entry order on every run — the byte-identical-replay contract the
-// experiment store depends on — without the sort the old sparse map needed.
-func (t *Table) Range(fn func(addr.GVPN, Entry) bool) {
-	for di, d := range &t.dirs {
-		if d == nil {
-			continue
-		}
-		for cj, c := range &d.chunks {
-			if c == nil {
-				continue
-			}
-			base := addr.GVPN(uint64(di*dirEntries+cj) << chunkShift)
-			for i, e := range c {
-				if e == 0 {
-					continue
-				}
-				if !fn(base+addr.GVPN(i), e) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // CopyFrom makes t hold exactly src's entries, in chunks of its own. A
@@ -252,7 +189,6 @@ func (t *Table) CopyFrom(src *Table) {
 		}
 		t.dirs[di] = d
 	}
-	t.n = src.n
 }
 
 // Format describes the entry layout (Figure 3.2a) as text, for cmd/tables.

@@ -1,7 +1,6 @@
 package pte
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/addr"
@@ -16,12 +15,37 @@ func next(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// entries walks t's chunks and returns every non-zero entry, with the pages
+// the walk computes from the chunk's position: a stray entry, one no Set
+// stored there, shows up as a page the model does not hold.
+func entries(t *Table) map[addr.GVPN]Entry {
+	out := map[addr.GVPN]Entry{}
+	for di, d := range &t.dirs {
+		if d == nil {
+			continue
+		}
+		for cj, c := range &d.chunks {
+			if c == nil {
+				continue
+			}
+			base := addr.GVPN(uint64(di*dirEntries+cj) << chunkShift)
+			for i, e := range c {
+				if e != 0 {
+					out[base+addr.GVPN(i)] = e
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestTableAgainstMapModel drives the chunked table and a plain sparse map
 // (the structure the table used to be) with the same random stream of
-// Set/Update/Invalidate/Lookup operations, then compares Len and the full
-// Range enumeration. The page universe mixes dense runs (adjacent pages in
-// one chunk), chunk-boundary straddles, and pages scattered across the full
-// 38-bit space, so the chunk directory's edges all get exercised.
+// Set/Update/Lookup operations and clears, checking every lookup, then
+// walks the chunks and compares every entry they hold with the model. The
+// page universe mixes dense runs (adjacent pages in one chunk),
+// chunk-boundary straddles, and pages scattered across the full 38-bit
+// space, so the chunk directory's edges all get exercised.
 func TestTableAgainstMapModel(t *testing.T) {
 	tbl := NewTable(addr.SegmentID(addr.MaxSegmentID))
 	model := map[addr.GVPN]Entry{}
@@ -66,43 +90,32 @@ func TestTableAgainstMapModel(t *testing.T) {
 			if e != m {
 				t.Fatalf("step %d: Update(%#x) = %#x, model %#x", step, uint64(p), uint32(e), uint32(m))
 			}
-		case 4: // invalidate
-			old := tbl.Invalidate(p)
-			if old != model[p] {
-				t.Fatalf("step %d: Invalidate(%#x) returned %#x, model %#x",
-					step, uint64(p), uint32(old), uint32(model[p]))
-			}
+		case 4: // clear, as unmapping a page does
+			tbl.Set(p, 0)
 			delete(model, p)
 		default: // lookup
 			if got, want := tbl.Lookup(p), model[p]; got != want {
 				t.Fatalf("step %d: Lookup(%#x) = %#x, model %#x", step, uint64(p), uint32(got), uint32(want))
 			}
 		}
-		if tbl.Len() != len(model) {
-			t.Fatalf("step %d: Len = %d, model %d", step, tbl.Len(), len(model))
+		if step%10000 == 0 {
+			checkEntries(t, step, tbl, model)
 		}
 	}
+	checkEntries(t, 100000, tbl, model)
+}
 
-	// Full enumeration: same entries, ascending page order.
-	wantPages := make([]addr.GVPN, 0, len(model))
-	for p := range model {
-		wantPages = append(wantPages, p)
+// checkEntries compares every entry t's chunks hold with the model.
+func checkEntries(t *testing.T, step int, tbl *Table, model map[addr.GVPN]Entry) {
+	t.Helper()
+	got := entries(tbl)
+	for p, e := range got {
+		if model[p] != e {
+			t.Fatalf("step %d: the table holds %#x at %#x, model %#x", step, uint32(e), uint64(p), uint32(model[p]))
+		}
 	}
-	sort.Slice(wantPages, func(i, j int) bool { return wantPages[i] < wantPages[j] })
-	i := 0
-	tbl.Range(func(p addr.GVPN, e Entry) bool {
-		if i >= len(wantPages) {
-			t.Fatalf("Range produced extra entry %#x", uint64(p))
-		}
-		if p != wantPages[i] || e != model[p] {
-			t.Fatalf("Range entry %d: (%#x,%#x), model (%#x,%#x)",
-				i, uint64(p), uint32(e), uint64(wantPages[i]), uint32(model[wantPages[i]]))
-		}
-		i++
-		return true
-	})
-	if i != len(wantPages) {
-		t.Fatalf("Range produced %d entries, model holds %d", i, len(wantPages))
+	if len(got) != len(model) {
+		t.Fatalf("step %d: the table holds %d entries, model %d", step, len(got), len(model))
 	}
 }
 
@@ -165,7 +178,7 @@ func TestTableFreesEmptyChunks(t *testing.T) {
 				t.Fatalf("holds %d directories and %d chunks, want %d and %d", d, c, tc.dirs, tc.chunks)
 			}
 			for i, p := range tc.pages {
-				tbl.Invalidate(p)
+				tbl.Set(p, 0)
 				live := map[addr.GVPN]bool{}
 				for _, q := range tc.pages[i+1:] {
 					live[q>>chunkShift] = true
@@ -177,13 +190,13 @@ func TestTableFreesEmptyChunks(t *testing.T) {
 					t.Fatalf("after clearing %#x: %d chunks held, want %d", uint64(p), c, len(live))
 				}
 			}
-			if d, c := held(tbl); d != 0 || c != 0 || tbl.Len() != 0 {
-				t.Fatalf("an empty table holds %d directories and %d chunks (Len %d)", d, c, tbl.Len())
+			if d, c := held(tbl); d != 0 || c != 0 {
+				t.Fatalf("an empty table holds %d directories and %d chunks", d, c)
 			}
 			p := tc.pages[0]
 			tbl.Set(p, e)
-			if d, c := held(tbl); d != 1 || c != 1 || tbl.Lookup(p) != e || tbl.Len() != 1 {
-				t.Fatalf("Set after emptying: %d directories, %d chunks, Lookup %v, Len %d", d, c, tbl.Lookup(p), tbl.Len())
+			if d, c := held(tbl); d != 1 || c != 1 || tbl.Lookup(p) != e || len(entries(tbl)) != 1 {
+				t.Fatalf("Set after emptying: %d directories, %d chunks, Lookup %v, %d entries", d, c, tbl.Lookup(p), len(entries(tbl)))
 			}
 		})
 	}
@@ -213,14 +226,14 @@ func TestTableReusesFreedChunk(t *testing.T) {
 			t.Fatalf("Lookup(%#x) = %v after reuse, want %v", uint64(p), tbl.Lookup(p), want)
 		}
 	}
-	if d, c := held(tbl); d != 1 || c != 1 || tbl.Len() != 1 {
-		t.Errorf("holds %d directories and %d chunks (Len %d), want 1, 1 and 1", d, c, tbl.Len())
+	if d, c := held(tbl); d != 1 || c != 1 || len(entries(tbl)) != 1 {
+		t.Errorf("holds %d directories and %d chunks (%d entries), want 1, 1 and 1", d, c, len(entries(tbl)))
 	}
 	tbl.Set(1, 0)
 	if tbl.spare.chunk == nil || tbl.spare.dir == nil || *tbl.spare.chunk != (chunk{}) || *tbl.spare.dir != (dir{}) {
 		t.Fatal("an emptied table keeps no all-zero spare chunk and directory")
 	}
-	cp := NewTable(tbl.Segment())
+	cp := NewTable(tbl.seg)
 	cp.CopyFrom(tbl)
 	if cp.spare != (spares{}) {
 		t.Error("CopyFrom copied the source's spares")

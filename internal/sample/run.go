@@ -239,9 +239,8 @@ func copyMachine(m, l *machine.Machine) {
 	m.Table.CopyFrom(l.Table)
 	m.Pool.CopyFreeFrom(l.Pool)
 	m.Pager.CopyFrom(l.Pager)
-	m.Ctr.Restore(l.Ctr.Mode(), l.Ctr.HardwareSnapshot(), l.Ctr.Snapshot())
+	m.Ctr.CopyFrom(l.Ctr)
 	m.Engine.Cycles = l.Engine.Cycles
-	m.Engine.FaultsByKind = l.Engine.FaultsByKind
 }
 
 // validateNoFaults rejects configurations the sampling engine cannot

@@ -123,15 +123,7 @@ func (p *Params) BlockFetchCycles() uint64 {
 // WriteBackCycles is the bus occupancy to write one block back.
 func (p *Params) WriteBackCycles() uint64 { return p.BlockFetchCycles() }
 
-// MissPenaltyCycles is the cost of a simple cache miss: fetch the block
-// (translation is charged separately by the xlate unit).
-func (p *Params) MissPenaltyCycles() uint64 { return p.BlockFetchCycles() }
-
 // Seconds converts processor cycles to seconds.
 func (p *Params) Seconds(cycles uint64) float64 {
 	return float64(cycles) * p.ProcessorCycleNS * 1e-9
 }
-
-// MIPS returns the approximate native instruction rate implied by the cycle
-// time, for reporting.
-func (p *Params) MIPS() float64 { return 1e3 / p.ProcessorCycleNS }

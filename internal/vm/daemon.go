@@ -110,9 +110,6 @@ func (pg *Pager) reclaim(page *Page) {
 		pg.Cycles += pg.tp.PageOutCPUCycles
 		page.OnStore = true
 	}
-	if modified {
-		page.EverDirtied = true
-	}
 
 	page.SoftDirty = false
 	pg.pool.Release(page.Frame)

@@ -68,10 +68,6 @@ type Page struct {
 	// SoftDirty is the operating system's dirty bit for the current
 	// residency: set by the dirty-bit fault handler, cleared at page-out.
 	SoftDirty bool
-
-	// EverDirtied reports whether any residency of this page was ever
-	// modified, for the Table 3.5 style accounting.
-	EverDirtied bool
 }
 
 // Resident reports whether a frame holds the page: exactly when the page

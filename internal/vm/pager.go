@@ -315,6 +315,3 @@ func (pg *Pager) EnsureResident(vpn addr.GVPN) (*Page, Fault) {
 	pg.os.MapPage(page)
 	return page, f
 }
-
-// ResidentPages returns the number of pages currently in the clock.
-func (pg *Pager) ResidentPages() int { return pg.resident }

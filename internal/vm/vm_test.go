@@ -108,8 +108,8 @@ func TestFileBackedFaultIsPageIn(t *testing.T) {
 	if f.PageIn || f.ZeroFill {
 		t.Error("resident page re-faulted")
 	}
-	if pg.ResidentPages() != 1 {
-		t.Errorf("ResidentPages = %d", pg.ResidentPages())
+	if pg.resident != 1 {
+		t.Errorf("resident = %d", pg.resident)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestDaemonReclaimsUnderPressure(t *testing.T) {
 	if pg.Stats.Reclaims == 0 || os.unmaps == 0 {
 		t.Error("nothing reclaimed")
 	}
-	if pg.ResidentPages()+pg.Pool().Free() != 8 {
-		t.Errorf("frame conservation: resident=%d free=%d", pg.ResidentPages(), pg.Pool().Free())
+	if pg.resident+pg.Pool().Free() != 8 {
+		t.Errorf("frame conservation: resident=%d free=%d", pg.resident, pg.Pool().Free())
 	}
 }
 
@@ -196,9 +196,6 @@ func TestReclaimWritesModifiedPages(t *testing.T) {
 	if st.CleanWritablePageOuts >= st.WritablePageOuts {
 		t.Errorf("all writable page-outs clean? %+v", st)
 	}
-	if !pg.Lookup(p0).EverDirtied {
-		t.Error("EverDirtied not recorded")
-	}
 	if !pg.Lookup(p0).OnStore {
 		t.Error("modified page not on store after page-out")
 	}
@@ -240,7 +237,7 @@ func TestReleaseRegion(t *testing.T) {
 	if pg.Pool().Free() != free+8 {
 		t.Errorf("frames not returned: %d -> %d", free, pg.Pool().Free())
 	}
-	if pg.ResidentPages() != 0 || pg.Lookup(p0) != nil {
+	if pg.resident != 0 || pg.Lookup(p0) != nil {
 		t.Error("pages survived region release")
 	}
 	if os.unmaps != 8 {
@@ -273,17 +270,17 @@ func TestClockHandSurvivesRemovals(t *testing.T) {
 	pg.ReleaseRegion(r)
 	r2 := pg.AddRegion(p0+100, 2, Data)
 	fillPages(pg, p0+100, 2)
-	if pg.ResidentPages() != 2 {
-		t.Errorf("ResidentPages = %d", pg.ResidentPages())
+	if pg.resident != 2 {
+		t.Errorf("resident = %d", pg.resident)
 	}
 	pg.ReleaseRegion(r2)
-	if pg.ResidentPages() != 0 {
+	if pg.resident != 0 {
 		t.Error("ring not empty")
 	}
 	// And the ring still works afterwards.
 	pg.AddRegion(p0, 4, Data)
 	fillPages(pg, p0, 4)
-	if pg.ResidentPages() != 4 {
+	if pg.resident != 4 {
 		t.Error("ring broken after drain")
 	}
 }
@@ -372,8 +369,8 @@ func clockOrder(t *testing.T, pg *Pager) []addr.GVPN {
 			break
 		}
 	}
-	if len(out) != pg.ResidentPages() {
-		t.Fatalf("ring holds %d pages, ResidentPages says %d", len(out), pg.ResidentPages())
+	if len(out) != pg.resident {
+		t.Fatalf("ring holds %d pages, resident count says %d", len(out), pg.resident)
 	}
 	return out
 }

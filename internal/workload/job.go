@@ -178,13 +178,9 @@ var (
 	thrHotRMW     = Threshold(0.35)
 )
 
-// NewJob creates the process: allocates its segment and registers regions.
-func NewJob(env Env, rng *RNG, p JobParams, shared []vm.Region) *Job {
-	return newJobWithData(env, rng, p, shared, vm.Region{}, vm.Region{})
-}
-
-// newJobWithData creates a process, optionally working on a persistent
-// (script-owned) data region instead of a fresh private one. When
+// newJobWithData creates a process: allocates its segment and registers
+// its regions, optionally working on a persistent (script-owned) data
+// region instead of a fresh private one. When
 // persistent.N > 0 its size overrides p.DataPages and the region survives
 // the job, modelling repeated commands over the same cached files.
 func newJobWithData(env Env, rng *RNG, p JobParams, shared []vm.Region, persistent, source vm.Region) *Job {

@@ -74,7 +74,7 @@ func testParams() JobParams {
 
 func TestJobLifecycle(t *testing.T) {
 	env := newFakeEnv()
-	j := NewJob(env, NewRNG(1), testParams(), nil)
+	j := newJobWithData(env, NewRNG(1), testParams(), nil, vm.Region{}, vm.Region{})
 	if len(env.regions) != 4 { // code, data, heap, stack
 		t.Fatalf("regions = %d, want 4", len(env.regions))
 	}
@@ -107,7 +107,7 @@ func TestJobParamValidation(t *testing.T) {
 					t.Errorf("case %d: invalid params accepted", i)
 				}
 			}()
-			NewJob(newFakeEnv(), NewRNG(1), p, nil)
+			newJobWithData(newFakeEnv(), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
 		}()
 	}
 }
@@ -120,7 +120,7 @@ func TestJobNeedsCode(t *testing.T) {
 			t.Error("job with no code accepted")
 		}
 	}()
-	NewJob(newFakeEnv(), NewRNG(1), p, nil)
+	newJobWithData(newFakeEnv(), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
 }
 
 // drain pulls n references, checking each lands in a region of the job.
@@ -148,7 +148,7 @@ func drain(t *testing.T, env *fakeEnv, j *Job, n int) map[vm.PageKind][3]uint64 
 
 func TestJobReferencesStayInRegions(t *testing.T) {
 	env := newFakeEnv()
-	j := NewJob(env, NewRNG(2), testParams(), nil)
+	j := newJobWithData(env, NewRNG(2), testParams(), nil, vm.Region{}, vm.Region{})
 	stats := drain(t, env, j, 50000)
 	if stats[vm.Code][trace.OpIFetch] == 0 {
 		t.Error("no instruction fetches to code")
@@ -171,7 +171,7 @@ func TestJobDoneAfterRefs(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	p.Refs = 500
-	j := NewJob(env, NewRNG(3), p, nil)
+	j := newJobWithData(env, NewRNG(3), p, nil, vm.Region{}, vm.Region{})
 	n := 0
 	for !j.Done() {
 		j.Step()
@@ -191,7 +191,7 @@ func TestHeapChurnAllocatesFreshRegions(t *testing.T) {
 	p.HeapPages = 1 // one page per generation: wraps fast
 	p.PAlloc = 0.5
 	p.PIFetch = 0.1
-	j := NewJob(env, NewRNG(4), p, nil)
+	j := newJobWithData(env, NewRNG(4), p, nil, vm.Region{}, vm.Region{})
 	heapStarts := map[addr.GVPN]bool{}
 	for i := 0; i < 30000 && !j.Done(); i++ {
 		j.Step()
@@ -219,7 +219,7 @@ func TestHeapChurnStaysBelowStack(t *testing.T) {
 	p := testParams()
 	p.HeapPages = heapStride + 200 // generation crosses into the next slot
 	p.StackPages = 4               // a stack region to collide with at stackBase
-	j := NewJob(env, NewRNG(4), p, nil)
+	j := newJobWithData(env, NewRNG(4), p, nil, vm.Region{}, vm.Region{})
 	segBase := uint64(addr.PageIn(j.seg, 0))
 	for gen := 0; gen < 300; gen++ {
 		j.newHeapGeneration()
@@ -245,7 +245,7 @@ func TestHeapPagesOversizedPanics(t *testing.T) {
 			t.Error("oversized HeapPages accepted")
 		}
 	}()
-	NewJob(newFakeEnv(), NewRNG(1), p, nil)
+	newJobWithData(newFakeEnv(), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
 }
 
 func TestSharedCodeFetched(t *testing.T) {
@@ -255,7 +255,7 @@ func TestSharedCodeFetched(t *testing.T) {
 	p.CodePages = 0
 	p.PFarJump = 0.5
 	p.PJump = 0.3
-	j := NewJob(env, NewRNG(5), p, []vm.Region{shared})
+	j := newJobWithData(env, NewRNG(5), p, []vm.Region{shared}, vm.Region{}, vm.Region{})
 	sawShared := false
 	for i := 0; i < 20000 && !j.Done(); i++ {
 		r := j.Step()
@@ -317,7 +317,7 @@ func TestWriteMixControllable(t *testing.T) {
 		p := testParams()
 		p.PWritePage = pWritePage
 		p.PHotWrite = pWritePage / 2
-		j := NewJob(env, NewRNG(8), p, nil)
+		j := newJobWithData(env, NewRNG(8), p, nil, vm.Region{}, vm.Region{})
 		writes, total := 0, 0
 		for i := 0; i < 40000 && !j.Done(); i++ {
 			r := j.Step()

@@ -51,15 +51,10 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // Threshold converts a probability into the integer threshold Hit compares
-// a 53-bit draw k against. Float64 returns k/2^53 exactly (k < 2^53 is
-// exact in a float64, and scaling by a power of two is exact), so the test
-// Float64() < p holds exactly when the integer k is below the real number
+// a 53-bit draw k against. The uniform float draw k/2^53 is exact (k < 2^53
+// is exact in a float64, and scaling by a power of two is exact), so the
+// test k/2^53 < p holds exactly when the integer k is below the real number
 // p·2^53, that is when k < ⌈p·2^53⌉. For 0 < p < 1 the product p·2^53 is
 // also exact, so math.Ceil computes that bound without rounding. p ≤ 0 and
 // NaN never pass (threshold 0), and p ≥ 1 always does (threshold 2^53).
@@ -74,8 +69,8 @@ func Threshold(p float64) uint64 {
 }
 
 // Hit reports true with probability t/2^53. Hit(Threshold(p)) consumes one
-// Uint64, as Float64 does, and draws exactly what Float64() < p would, with
-// an integer compare in place of the conversion and float compare.
+// Uint64 and draws exactly what the float draw k/2^53 < p would, with an
+// integer compare in place of the conversion and float compare.
 func (r *RNG) Hit(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Range returns a uniform int in [lo, hi].

@@ -53,23 +53,6 @@ func TestIntnUnbiasedLargeBound(t *testing.T) {
 		t.Errorf("low-half fraction %.3f; biased draw", frac)
 	}
 }
-
-func TestFloat64Bounds(t *testing.T) {
-	r := NewRNG(9)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 = %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestChance(t *testing.T) {
 	r := NewRNG(11)
 	hits := 0
@@ -136,8 +119,9 @@ func TestUint64Uniformish(t *testing.T) {
 	}
 }
 
-// FuzzThreshold checks that Hit(Threshold(p)) makes exactly the draw
-// Float64() < p makes and leaves the generator in the same state: on the
+// FuzzThreshold checks that Hit(Threshold(p)) makes exactly the draw the
+// uniform float test k/2^53 < p makes from the same Uint64, and leaves the
+// generator in the same state: on the
 // fuzzed seed's own draw, and on the 53-bit draws either side of the
 // threshold, where an off-by-one would show.
 func FuzzThreshold(f *testing.F) {
@@ -158,8 +142,8 @@ func FuzzThreshold(f *testing.F) {
 			t.Fatalf("Threshold(%v) = %d, above 2^53", p, th)
 		}
 		a, b := NewRNG(seed), NewRNG(seed)
-		if got, want := a.Hit(th), b.Float64() < p; got != want {
-			t.Fatalf("seed %d, p %v: Hit = %v, Float64() < p = %v", seed, p, got, want)
+		if got, want := a.Hit(th), float64(b.Uint64()>>11)/two53 < p; got != want {
+			t.Fatalf("seed %d, p %v: Hit = %v, k/2^53 < p = %v", seed, p, got, want)
 		}
 		if *a != *b {
 			t.Fatalf("seed %d, p %v: generator states differ after the draw", seed, p)

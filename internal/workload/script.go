@@ -265,9 +265,6 @@ func (s *Script) NextBatch(buf []trace.Rec) int {
 	return n
 }
 
-// Scheduler exposes the underlying scheduler for inspection.
-func (s *Script) Scheduler() *proc.Scheduler { return s.sched }
-
 // Runnable reports how many processes could use the CPU right now; the
 // pager uses it to decide whether a page-in stall overlaps with other work.
 func (s *Script) Runnable() int { return s.sched.Len() }

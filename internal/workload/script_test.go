@@ -74,10 +74,10 @@ func TestScriptForegroundCycles(t *testing.T) {
 	}
 	// The foreground keeps running: scheduler holds bg + fg (+ maybe
 	// monitor).
-	if s.Scheduler().Len() < 2 {
-		t.Errorf("scheduler drained to %d tasks", s.Scheduler().Len())
+	if s.sched.Len() < 2 {
+		t.Errorf("scheduler drained to %d tasks", s.sched.Len())
 	}
-	if s.Runnable() != s.Scheduler().Len() {
+	if s.Runnable() != s.sched.Len() || len(s.jobs) != s.sched.Len() {
 		t.Error("Runnable disagrees with scheduler")
 	}
 }
@@ -91,7 +91,7 @@ func TestScriptMonitorsRespawn(t *testing.T) {
 	for i := 0; i < 60000; i++ {
 		s.Next()
 		cur := false
-		for _, task := range s.Scheduler().Tasks() {
+		for task := range s.jobs {
 			names[task.Name] = true
 			if task.Name == "mon" {
 				cur = true

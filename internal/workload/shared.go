@@ -51,8 +51,7 @@ func DefaultSharedParams(cpus int) SharedParams {
 
 // SharedWorkload drives one process per CPU over a common data region.
 type SharedWorkload struct {
-	procs  []*Job
-	shared vm.Region
+	procs []*Job
 }
 
 // NewSharedWorkload registers the shared regions and spawns the per-CPU
@@ -69,7 +68,7 @@ func NewSharedWorkload(env Env, seed uint64, p SharedParams) *SharedWorkload {
 	dataSeg := env.AllocSegment()
 	shared := env.AddRegion(addr.PageIn(dataSeg, 0), p.SharedPages, vm.Data)
 
-	w := &SharedWorkload{shared: shared}
+	w := &SharedWorkload{}
 	for i := 0; i < p.CPUs; i++ {
 		jp := p.Job
 		jp.Refs = 1 << 62
@@ -80,12 +79,6 @@ func NewSharedWorkload(env Env, seed uint64, p SharedParams) *SharedWorkload {
 	}
 	return w
 }
-
-// Shared returns the common data region.
-func (w *SharedWorkload) Shared() vm.Region { return w.shared }
-
-// CPUs returns the process count.
-func (w *SharedWorkload) CPUs() int { return len(w.procs) }
 
 // Step emits the next reference of the given CPU's process.
 func (w *SharedWorkload) Step(cpu int) trace.Rec {

@@ -45,34 +45,14 @@ func New(tbl *pte.Table, c *cache.Cache, ctr *counters.Set, tp timing.Params) *U
 // Table returns the page table the unit translates against.
 func (u *Unit) Table() *pte.Table { return u.tbl }
 
-// Result reports one translation.
-type Result struct {
-	// Entry is the PTE found; Entry.Valid() false means page fault.
-	Entry pte.Entry
-	// Cycles is the translation cost, excluding the missing reference's
-	// own block fetch.
-	Cycles uint64
-	// PTEHit reports whether the first-level PTE was found in the cache.
-	PTEHit bool
-}
-
-// Translate performs in-cache translation for page p. It is called on every
-// cache miss (and by the WRITE dirty-bit policy's PTE check on write hits to
-// clean blocks).
-func (u *Unit) Translate(p addr.GVPN) Result {
-	if entry, cycles, hit := u.TranslateCached(p); hit {
-		return Result{Entry: entry, Cycles: cycles, PTEHit: true}
-	}
-	entry, cycles, _ := u.TranslateMiss(p)
-	return Result{Entry: entry, Cycles: cycles}
-}
-
-// TranslateCached is the common translation case, returned in registers: the
-// first-level PTE block is already in the cache, so the walk costs only the
-// in-cache check. When it reports false the caller must follow with
-// TranslateMiss — the walk has been counted but nothing fetched. The split
-// exists for the engine's miss path, where translation runs on every cache
-// miss and the Result struct is too wide to return by value.
+// TranslateCached begins in-cache translation for page p, which runs on
+// every cache miss (and for the WRITE dirty-bit policy's PTE check on write
+// hits to clean blocks). It handles the common case: the first-level PTE
+// block is already in the cache, so the walk costs only the in-cache check,
+// and it returns the PTE (Valid false means a page fault) and the cycles,
+// excluding the missing reference's own block fetch. When it reports false
+// the caller must follow with TranslateMiss — the walk has been counted but
+// nothing fetched.
 func (u *Unit) TranslateCached(p addr.GVPN) (pte.Entry, uint64, bool) {
 	u.ctr.Inc(counters.EvXlateWalk)
 	if _, hit := u.c.Probe(u.tbl.PTEAddr(p).Block()); !hit {
@@ -143,6 +123,9 @@ func (u *Unit) UpdatePTE(p addr.GVPN, fn func(pte.Entry) pte.Entry) (pte.Entry, 
 // cycles on average).
 func (u *Unit) CheckPTE(p addr.GVPN) (pte.Entry, uint64) {
 	u.ctr.Inc(counters.EvDirtyCheck)
-	res := u.Translate(p)
-	return res.Entry, res.Cycles
+	if entry, cycles, hit := u.TranslateCached(p); hit {
+		return entry, cycles
+	}
+	entry, cycles, _ := u.TranslateMiss(p)
+	return entry, cycles
 }

@@ -19,32 +19,49 @@ func newUnit() (*Unit, *cache.Cache, *counters.Set) {
 	return New(tbl, c, ctr, timing.Default()), c, ctr
 }
 
+// translated is one translation as the engine's miss path runs it.
+type translated struct {
+	entry  pte.Entry
+	cycles uint64
+	pteHit bool
+}
+
+// translate runs TranslateCached and, when the PTE block is absent,
+// TranslateMiss, as the engine's miss path does.
+func translate(u *Unit, p addr.GVPN) translated {
+	if e, c, hit := u.TranslateCached(p); hit {
+		return translated{e, c, true}
+	}
+	e, c, _ := u.TranslateMiss(p)
+	return translated{e, c, false}
+}
+
 func TestTranslateMissThenHit(t *testing.T) {
 	u, _, ctr := newUnit()
 	p := addr.PageIn(3, 17)
 	u.Table().Set(p, pte.Make(7, pte.ProtReadWrite))
 
 	// First translation: PTE block not cached -> L2 access + fetch.
-	r1 := u.Translate(p)
-	if r1.PTEHit {
+	r1 := translate(u, p)
+	if r1.pteHit {
 		t.Error("first translation hit")
 	}
-	if !r1.Entry.Valid() || r1.Entry.PFN() != 7 {
-		t.Errorf("entry = %v", r1.Entry)
+	if !r1.entry.Valid() || r1.entry.PFN() != 7 {
+		t.Errorf("entry = %v", r1.entry)
 	}
 	tp := timing.Default()
 	wantMiss := uint64(tp.PTECheckCycles) + uint64(tp.L2WordCycles) + tp.BlockFetchCycles()
-	if r1.Cycles != wantMiss {
-		t.Errorf("miss cycles = %d, want %d", r1.Cycles, wantMiss)
+	if r1.cycles != wantMiss {
+		t.Errorf("miss cycles = %d, want %d", r1.cycles, wantMiss)
 	}
 
 	// Second translation: the PTE block is now cached.
-	r2 := u.Translate(p)
-	if !r2.PTEHit {
+	r2 := translate(u, p)
+	if !r2.pteHit {
 		t.Error("second translation missed")
 	}
-	if r2.Cycles != uint64(timing.Default().PTECheckCycles) {
-		t.Errorf("hit cycles = %d", r2.Cycles)
+	if r2.cycles != uint64(timing.Default().PTECheckCycles) {
+		t.Errorf("hit cycles = %d", r2.cycles)
 	}
 
 	if ctr.Count(counters.EvXlateWalk) != 2 || ctr.Count(counters.EvPTEHit) != 1 ||
@@ -59,13 +76,14 @@ func TestNeighbouringPTEsShareABlock(t *testing.T) {
 	u, _, ctr := newUnit()
 	// Eight consecutive pages' PTEs share one 32-byte block: after
 	// translating the first, the other seven hit.
+	const perBlock = addr.BlockBytes / pte.PTESize
 	base := addr.PageIn(3, 0)
-	for i := 0; i < pte.PTEsPerBlock; i++ {
+	for i := 0; i < perBlock; i++ {
 		u.Table().Set(base+addr.GVPN(i), pte.Make(addr.PFN(i), pte.ProtReadOnly))
 	}
-	u.Translate(base)
-	for i := 1; i < pte.PTEsPerBlock; i++ {
-		if r := u.Translate(base + addr.GVPN(i)); !r.PTEHit {
+	translate(u, base)
+	for i := 1; i < perBlock; i++ {
+		if r := translate(u, base+addr.GVPN(i)); !r.pteHit {
 			t.Errorf("PTE %d did not hit after neighbour fetched", i)
 		}
 	}
@@ -76,8 +94,8 @@ func TestNeighbouringPTEsShareABlock(t *testing.T) {
 
 func TestTranslateInvalidPage(t *testing.T) {
 	u, _, _ := newUnit()
-	r := u.Translate(addr.PageIn(2, 99))
-	if r.Entry.Valid() {
+	r := translate(u, addr.PageIn(2, 99))
+	if r.entry.Valid() {
 		t.Error("translation of unmapped page returned valid entry")
 	}
 }
@@ -86,16 +104,16 @@ func TestPTECompetesForCacheLines(t *testing.T) {
 	u, c, _ := newUnit()
 	p := addr.PageIn(3, 0)
 	u.Table().Set(p, pte.Make(1, pte.ProtReadOnly))
-	u.Translate(p)
+	translate(u, p)
 
 	// A data block that maps to the same line frame evicts the PTE block.
 	pteBlock := u.Table().PTEAddr(p).Block()
 	conflict := pteBlock + addr.BlockAddr(c.Lines())
 	v, evicted := c.Fill(conflict, 1 /* UnOwned */, pte.ProtReadOnly, false, false, false)
-	if !evicted || !v.IsPTE {
+	if !evicted || v.Addr != pteBlock {
 		t.Fatalf("expected PTE victim, got %+v (evicted=%v)", v, evicted)
 	}
-	if r := u.Translate(p); r.PTEHit {
+	if r := translate(u, p); r.pteHit {
 		t.Error("PTE hit after its block was displaced by data")
 	}
 }
@@ -104,7 +122,7 @@ func TestUpdatePTEWhenCached(t *testing.T) {
 	u, c, _ := newUnit()
 	p := addr.PageIn(3, 4)
 	u.Table().Set(p, pte.Make(9, pte.ProtReadOnly))
-	u.Translate(p) // cache the PTE block
+	translate(u, p) // cache the PTE block
 
 	e, cycles := u.UpdatePTE(p, func(e pte.Entry) pte.Entry { return e.WithDirty(true) })
 	if !e.Dirty() || !u.Table().Lookup(p).Dirty() {
@@ -127,7 +145,7 @@ func TestUpdatePTEWhenNotCached(t *testing.T) {
 	if cycles == 0 {
 		t.Error("uncached PTE update cost nothing")
 	}
-	if r := u.Translate(p); !r.PTEHit {
+	if r := translate(u, p); !r.pteHit {
 		t.Error("PTE block not resident after update")
 	}
 }

@@ -233,11 +233,7 @@ func memorySweepCells(opts MemorySweepOptions) ([]cell, func([]cellRun) []Memory
 		if opts.Configure != nil {
 			opts.Configure(&cfg, r.Workload, r.MemMB, r.Policy)
 		}
-		spec := SLC()
-		if r.Workload == core.Workload1 {
-			spec = Workload1()
-		}
-		cells[i] = cell{spec: spec, cfg: cfg}
+		cells[i] = cell{spec: specOf(r.Workload), cfg: cfg}
 	}
 	return cells, func(runs []cellRun) []MemorySweepRow {
 		for i, j := range jobs {

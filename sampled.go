@@ -173,24 +173,9 @@ func memorySweepSampled(opts MemorySweepOptions, so SampleOptions, st *expstore.
 	popts := parallel.Options{Workers: opts.Parallel, Context: opts.Context, Progress: opts.Progress}
 	if err := parallel.ForEach(groups, popts, func(g int) {
 		wi, rep := g/opts.Reps, g%opts.Reps
-		spec := SLC()
-		if opts.Workloads[wi] == core.Workload1 {
-			spec = Workload1()
-		}
+		spec := specOf(opts.Workloads[wi])
 		streamSeed := parallel.DeriveSeed(opts.Seed, sampledSeedSalt, uint64(wi), uint64(rep))
-
-		variants := make([]sample.Variant, 0, nv)
-		for _, mb := range opts.SizesMB {
-			for _, pol := range opts.Policies {
-				cfg := DefaultConfig()
-				cfg.MemoryBytes = core.MiB(mb)
-				cfg.Ref = pol
-				variants = append(variants, sample.Variant{
-					Name: fmt.Sprintf("%dMB/%s", mb, pol),
-					Cfg:  cfg,
-				})
-			}
-		}
+		variants := sampledVariants(opts.SizesMB, opts.Policies)
 
 		ests, err := memo(st, func() (expstore.Key, error) {
 			return sampledGroupKey(spec, streamSeed, opts.Refs, so, variants)
@@ -227,6 +212,25 @@ func memorySweepSampled(opts MemorySweepOptions, so SampleOptions, st *expstore.
 		rows[i].Events = sample.EventsFromEstimate(rows[i].Estimate)
 	}
 	return rows, nil
+}
+
+// sampledVariants lists the machines a sampled group measures, one per
+// (memory size × reference-bit policy), sizes outermost: the order of the
+// sweep's rows and of the group's store key.
+func sampledVariants(sizesMB []int, policies []RefPolicy) []sample.Variant {
+	variants := make([]sample.Variant, 0, len(sizesMB)*len(policies))
+	for _, mb := range sizesMB {
+		for _, pol := range policies {
+			cfg := DefaultConfig()
+			cfg.MemoryBytes = core.MiB(mb)
+			cfg.Ref = pol
+			variants = append(variants, sample.Variant{
+				Name: fmt.Sprintf("%dMB/%s", mb, pol),
+				Cfg:  cfg,
+			})
+		}
+	}
+	return variants
 }
 
 // sampledGroupKey is the store address of one sampled (workload,
@@ -438,24 +442,9 @@ func ValidateSampling(opts ValidateOptions) (ValidationReport, error) {
 	}
 
 	for wi, wl := range opts.Workloads {
-		spec := SLC()
-		if wl == core.Workload1 {
-			spec = Workload1()
-		}
+		spec := specOf(wl)
 		streamSeed := parallel.DeriveSeed(opts.Seed, sampledSeedSalt, uint64(wi), 0)
-
-		var variants []sample.Variant
-		for _, mb := range opts.SizesMB {
-			for _, pol := range opts.Policies {
-				cfg := DefaultConfig()
-				cfg.MemoryBytes = core.MiB(mb)
-				cfg.Ref = pol
-				variants = append(variants, sample.Variant{
-					Name: fmt.Sprintf("%dMB/%s", mb, pol),
-					Cfg:  cfg,
-				})
-			}
-		}
+		variants := sampledVariants(opts.SizesMB, opts.Policies)
 
 		profile := sample.BuildProfile(spec, streamSeed, opts.Refs, so.IntervalLen)
 		plan := sample.BuildPlan(profile, so.K, streamSeed, so.Prefix)

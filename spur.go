@@ -94,6 +94,15 @@ func Workload1() Spec { return workload.Workload1Spec() }
 // SLC returns the SPUR Common Lisp compiler workload of Section 2.
 func SLC() Spec { return workload.SLCSpec() }
 
+// specOf returns the spec of a memory-sweep workload: WORKLOAD1's for
+// core.Workload1 and SLC's otherwise.
+func specOf(wl core.WorkloadName) Spec {
+	if wl == core.Workload1 {
+		return Workload1()
+	}
+	return SLC()
+}
+
 // Window returns the workstation window-system workload the paper could not
 // run ("no window system currently runs on SPUR"): a window server over a
 // shared frame buffer, interactive clients, and a background compile.
