@@ -154,7 +154,7 @@ func benchMachine(dirty DirtyPolicy) (*core.Engine, addr.GVA) {
 	cfg.MemoryBytes = 4 << 20
 	cfg.Dirty = dirty
 	m := NewMachine(cfg)
-	seg := m.AllocSegment()
+	seg := addr.KernelSegment + 1 // the first segment a workload allocates
 	m.AddRegion(addr.PageIn(seg, 0), 512, vm.Data)
 	return m.Engine, addr.PageIn(seg, 0).Base()
 }

@@ -170,10 +170,3 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -26,7 +26,7 @@ func main() {
 		cfg.MemoryBytes = spur.MiB(1)
 		cfg.Dirty = pol
 		m := spur.NewMachine(cfg)
-		seg := m.AllocSegment()
+		seg := addr.KernelSegment + 1 // the first segment a workload allocates
 		m.AddRegion(addr.PageIn(seg, 0), 4, vm.Data)
 		blk := func(i int) addr.GVA {
 			return addr.PageIn(seg, 0).Base() + addr.GVA((20+i)*addr.BlockBytes)

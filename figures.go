@@ -21,7 +21,7 @@ func Figure31() string {
 	cfg.MemoryBytes = MiB(1)
 	cfg.Dirty = DirtyFAULT
 	m := NewMachine(cfg)
-	seg := m.AllocSegment()
+	seg := addr.KernelSegment + 1 // the first segment a workload allocates
 	m.AddRegion(addr.PageIn(seg, 0), 4, vm.Data)
 	pageA := addr.PageIn(seg, 0)
 	// Avoid the page's PTE-block cache index (low block numbers).

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/counters"
+	"repro/internal/machine"
+	"repro/internal/workload"
 )
 
 // The differential goldens pin the simulator's observable output — every
@@ -95,6 +98,35 @@ func goldenCases() []struct {
 				return "error: " + err.Error()
 			}
 			return SampledSweepCSV(rows)
+		}},
+		// At 2 MB the shared workload's daemon reclaims on 2 and 4 CPUs, so
+		// the multiprocessor's shootdown and reference clears feed this
+		// file. It was captured from the MP that kept its own copy of the
+		// machine's assembly, before the MP was built on Machine.
+		{"mp", func() string {
+			var b strings.Builder
+			for _, pol := range []struct {
+				dirty DirtyPolicy
+				ref   RefPolicy
+			}{{DirtyFAULT, RefMISS}, {DirtySPUR, RefTRUE}} {
+				for _, cpus := range []int{1, 2, 4} {
+					cfg := DefaultConfig()
+					cfg.MemoryBytes = MiB(2)
+					cfg.Dirty, cfg.Ref = pol.dirty, pol.ref
+					m := machine.NewMP(cfg, cpus)
+					w := workload.NewSharedWorkload(m, 1, workload.DefaultSharedParams(cpus))
+					for i := 0; i < cpus*200_000; i++ {
+						m.Access(i%cpus, w.Step(i%cpus))
+					}
+					fmt.Fprintf(&b, "%s/%s, %d CPUs\n", pol.dirty, pol.ref, cpus)
+					for ev, n := range m.Ctr.Snapshot() {
+						fmt.Fprintf(&b, "  %-24s %d\n", counters.Event(ev), n)
+					}
+					fmt.Fprintf(&b, "  cycles %d\n  pager %+v\n  bus %v\n\n",
+						m.TotalCycles(), m.Pager.Stats, m.Bus.Transactions)
+				}
+			}
+			return b.String()
 		}},
 	}
 }

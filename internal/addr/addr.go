@@ -43,6 +43,14 @@ const (
 	MaxSegmentID = 1<<SegmentIDBits - 1
 )
 
+// Reserved segments of the global virtual space.
+const (
+	// KernelSegment is reserved for the OS (never allocated to jobs).
+	KernelSegment = SegmentID(0)
+	// PTESegment holds the first-level page table array.
+	PTESegment = SegmentID(MaxSegmentID)
+)
+
 // GVA is a 38-bit global virtual address (held in a uint64).
 type GVA uint64
 

@@ -109,14 +109,6 @@ func metaNeedsWriteBack(m uint8) bool {
 	return st.Valid() && (m&metaBlockDirty != 0 || st.Owned())
 }
 
-// Victim describes a block displaced by a fill.
-type Victim struct {
-	Addr addr.BlockAddr
-	// WriteBack is true if the block was dirty/owned and had to be
-	// written to memory.
-	WriteBack bool
-}
-
 // Stats counts cache-internal events. The experiment harness uses the
 // counters package; the cell driver reads WriteBacks beside the bus's
 // write count.
@@ -322,30 +314,27 @@ func (c *Cache) LineAt(i int) Line {
 }
 
 // Fill brings block b into the cache after a miss, snapshotting the page
-// protection and page dirty bit from the PTE, and returns the displaced
-// victim, if any. byWrite records whether a write miss caused the fill;
-// state is the arriving coherency state (UnOwned for reads, OwnedExclusive
-// for writes under Berkeley Ownership).
-func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pageDirty, isPTE, byWrite bool) (Victim, bool) {
+// protection and page dirty bit from the PTE, and reports whether the block
+// it displaced was dirty or owned and so written back to memory (counted
+// in Stats and issued on the bus). byWrite records whether a write miss
+// caused the fill; state is the arriving coherency state (UnOwned for
+// reads, OwnedExclusive for writes under Berkeley Ownership).
+func (c *Cache) Fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pageDirty, isPTE, byWrite bool) bool {
 	i, t := c.index(b), c.tag(b)
 	m := c.meta[i]
-	var v Victim
-	evicted := false
+	wb := false
 	if m&metaStateMask != 0 {
 		if c.tags[i] == t {
 			panic("cache: Fill of resident block")
 		}
-		old := c.block(i)
-		v = Victim{Addr: old, WriteBack: metaNeedsWriteBack(m)}
-		evicted = true
-		if v.WriteBack {
+		if wb = metaNeedsWriteBack(m); wb {
 			c.Stats.WriteBacks++
-			c.IssueBus(coherence.BusWriteBack, old)
+			c.IssueBus(coherence.BusWriteBack, c.block(i))
 		}
 	}
 	c.tags[i] = t
 	c.meta[i] = packMeta(state, prot, byWrite, pageDirty, isPTE, byWrite)
-	return v, evicted
+	return wb
 }
 
 // invalidateFrame empties frame i, writing the block back if it needs it,

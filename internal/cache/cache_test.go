@@ -35,18 +35,14 @@ func TestNewPanics(t *testing.T) {
 // TestTagRoundTrip: at every geometry the cache sweep runs, smallest to
 // largest, a frame's 32-bit tag rebuilds the exact block it holds — the
 // lowest and highest block of the 38-bit global space included — for every
-// path that returns an address: Probe's ref, LineAt, Fill's victim and the
-// bus write-back.
+// path that returns an address: Probe's ref, LineAt and the victim's bus
+// write-back.
 func TestTagRoundTrip(t *testing.T) {
 	const top = addr.BlockAddr(1)<<(addr.GlobalBits-addr.BlockShift) - 1
 	for _, size := range []int{32 << 10, 128 << 10, 1 << 20, 8 << 20} {
 		n := addr.BlockAddr(size / addr.BlockBytes)
 		for _, b := range []addr.BlockAddr{0, 12345, top - n, top} {
-			c := New(size)
-			bus := coherence.NewBus()
-			c.AttachBus(bus)
-			spy := &busSpy{}
-			bus.Attach(spy)
+			c, spy := spiedCache(size)
 			c.Fill(b, coherence.OwnedExclusive, pte.ProtReadWrite, true, false, true)
 			l, hit := c.Probe(b)
 			if !hit || l.Addr() != b || c.LineAt(int(b%n)).Addr != b {
@@ -54,9 +50,8 @@ func TestTagRoundTrip(t *testing.T) {
 			}
 			// The conflicting block differs only in its tag bits.
 			conflict := b ^ n
-			v, evicted := c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
-			if !evicted || v.Addr != b || spy.last != b {
-				t.Fatalf("%d KB: victim of %#x is %#x, written back %#x", size>>10, uint64(b), uint64(v.Addr), uint64(spy.last))
+			if wb := c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false); !wb || spy.last != b {
+				t.Fatalf("%d KB: victim of %#x written back %v, as %#x", size>>10, uint64(b), wb, uint64(spy.last))
 			}
 			if _, hit := c.Probe(b); hit {
 				t.Fatalf("%d KB: evicted block %#x still probes", size>>10, uint64(b))
@@ -67,6 +62,17 @@ func TestTagRoundTrip(t *testing.T) {
 
 // busSpy records the block of the last bus transaction it snooped.
 type busSpy struct{ last addr.BlockAddr }
+
+// spiedCache returns a cache of the given size on a bus with a spy, which
+// sees the block of every write-back.
+func spiedCache(size int) (*Cache, *busSpy) {
+	c := New(size)
+	bus := coherence.NewBus()
+	c.AttachBus(bus)
+	spy := &busSpy{}
+	bus.Attach(spy)
+	return c, spy
+}
 
 func (s *busSpy) Snoop(op coherence.BusOp, b addr.BlockAddr) coherence.SnoopResult {
 	s.last = b
@@ -120,9 +126,8 @@ func TestProbeMissAndFillHit(t *testing.T) {
 	if _, hit := c.Probe(b); hit {
 		t.Fatal("probe hit in empty cache")
 	}
-	v, evicted := c.Fill(b, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
-	if evicted {
-		t.Fatalf("fill into empty cache evicted %+v", v)
+	if c.Fill(b, coherence.UnOwned, pte.ProtReadOnly, false, false, false) {
+		t.Fatal("fill into empty cache wrote a victim back")
 	}
 	l, hit := c.Probe(b)
 	if !hit {
@@ -137,16 +142,15 @@ func TestProbeMissAndFillHit(t *testing.T) {
 }
 
 func TestDirectMappedConflict(t *testing.T) {
-	c := New(testSize)
+	c, spy := spiedCache(testSize)
 	b1 := addr.BlockAddr(100)
 	b2 := b1 + addr.BlockAddr(c.Lines()) // same index, different tag
 	c.Fill(b1, coherence.OwnedExclusive, pte.ProtReadWrite, true, false, true)
-	v, evicted := c.Fill(b2, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
-	if !evicted {
-		t.Fatal("conflicting fill did not evict")
+	if !c.Fill(b2, coherence.UnOwned, pte.ProtReadOnly, false, false, false) {
+		t.Fatal("conflicting fill did not write its dirty victim back")
 	}
-	if v.Addr != b1 || !v.WriteBack {
-		t.Errorf("victim = %+v", v)
+	if spy.last != b1 {
+		t.Errorf("victim written back as %#x, want %#x", uint64(spy.last), uint64(b1))
 	}
 	if _, hit := c.Probe(b1); hit {
 		t.Error("evicted block still probes")
@@ -175,20 +179,21 @@ func TestFillResidentPanics(t *testing.T) {
 // written leaves without a write-back; written after its read fill, it is
 // written back.
 func TestVictimReadThenNeverWritten(t *testing.T) {
-	c := New(testSize)
+	c, spy := spiedCache(testSize)
 	b := addr.BlockAddr(7)
 	conflict := b + addr.BlockAddr(c.Lines())
 	c.Fill(b, coherence.UnOwned, pte.ProtReadWrite, false, false, false)
-	v, _ := c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
-	if v.Addr != b || v.WriteBack {
-		t.Errorf("clean read-filled victim: %+v", v)
+	if c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false) {
+		t.Errorf("clean read-filled victim %#x written back", uint64(spy.last))
+	}
+	if _, hit := c.Probe(b); hit {
+		t.Error("clean victim still probes")
 	}
 	// Now a read-filled block that gets written (N_w-hit shape).
 	c.Fill(b, coherence.UnOwned, pte.ProtReadWrite, false, false, false)
 	mustProbe(t, c, b).SetBlockDirty(true)
-	v, _ = c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
-	if v.Addr != b || !v.WriteBack {
-		t.Errorf("written read-filled victim: %+v", v)
+	if !c.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false) || spy.last != b {
+		t.Errorf("written read-filled victim %#x: not written back as such (last write-back %#x)", uint64(b), uint64(spy.last))
 	}
 }
 
@@ -322,8 +327,7 @@ func TestSnoopInvalidatesAndTransfersOwnership(t *testing.T) {
 
 	// Eviction of the owned block in c2 now writes back.
 	conflict := b + addr.BlockAddr(c2.Lines())
-	v, _ := c2.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false)
-	if !v.WriteBack {
+	if !c2.Fill(conflict, coherence.UnOwned, pte.ProtReadOnly, false, false, false) {
 		t.Error("owned block eviction did not write back")
 	}
 	if bus.Transactions[coherence.BusWriteBack] != 1 {

@@ -12,8 +12,8 @@ import (
 // cache: a map from line index to the full Line record, mutated with
 // straight-line code. The fuzz drives the real (packed, flat) cache and the
 // model with the same operation stream and compares every observable after
-// every step — probe hits, complete victim records, both page-flush
-// flavours' full results, and per-line state.
+// every step — probe hits, victim write-backs and the blocks written back,
+// both page-flush flavours' full results, and per-line state.
 type modelCache struct {
 	lines int
 	held  map[int]Line
@@ -37,20 +37,19 @@ func lineNeedsWriteBack(l Line) bool {
 	return l.State.Valid() && (l.BlockDirty || l.State.Owned())
 }
 
-func (m *modelCache) fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pageDirty, isPTE, byWrite bool) (Victim, bool) {
+// fill mirrors Cache.Fill, also returning the block written back, if any.
+func (m *modelCache) fill(b addr.BlockAddr, state coherence.State, prot pte.Prot, pageDirty, isPTE, byWrite bool) (bool, addr.BlockAddr) {
 	i := m.index(b)
-	var v Victim
-	evicted := false
-	if old, ok := m.held[i]; ok {
-		v = Victim{Addr: old.Addr, WriteBack: lineNeedsWriteBack(old)}
-		evicted = true
+	wb, victim := false, addr.BlockAddr(0)
+	if old, ok := m.held[i]; ok && lineNeedsWriteBack(old) {
+		wb, victim = true, old.Addr
 	}
 	m.held[i] = Line{
 		Addr: b, State: state, Prot: prot,
 		BlockDirty: byWrite, PageDirty: pageDirty,
 		IsPTE: isPTE, FilledByWrite: byWrite,
 	}
-	return v, evicted
+	return wb, victim
 }
 
 func (m *modelCache) flushPage(p addr.GVPN, tagCheck bool) FlushResult {
@@ -100,11 +99,12 @@ func checkLines(t *testing.T, step int, c *Cache, m *modelCache) {
 }
 
 // TestCacheAgainstReferenceModel drives 200k random operations through the
-// real cache and the model, comparing probes, full victim records, both
-// page-flush flavours, and complete per-line state.
+// real cache and the model, comparing probes, victim write-backs and the
+// blocks the bus saw written back, both page-flush flavours, and complete
+// per-line state.
 func TestCacheAgainstReferenceModel(t *testing.T) {
 	const size = 4096 // 128 lines: frequent conflicts
-	c := New(size)
+	c, spy := spiedCache(size)
 	m := newModel(c.Lines())
 	state := uint64(12345)
 
@@ -139,13 +139,13 @@ func TestCacheAgainstReferenceModel(t *testing.T) {
 				prot := prots[(r>>3)%4]
 				pageDirty := r&(1<<5) != 0
 				isPTE := r&(1<<6) != 0
-				v, evicted := c.Fill(b, st, prot, pageDirty, isPTE, byWrite)
-				mv, mev := m.fill(b, st, prot, pageDirty, isPTE, byWrite)
-				if evicted != mev {
-					t.Fatalf("step %d: eviction mismatch", step)
+				wb := c.Fill(b, st, prot, pageDirty, isPTE, byWrite)
+				mwb, mvictim := m.fill(b, st, prot, pageDirty, isPTE, byWrite)
+				if wb != mwb {
+					t.Fatalf("step %d: write-back mismatch: real=%v model=%v", step, wb, mwb)
 				}
-				if evicted && v != mv {
-					t.Fatalf("step %d: victim mismatch\n real: %+v\nmodel: %+v", step, v, mv)
+				if wb && spy.last != mvictim {
+					t.Fatalf("step %d: victim written back as %#x, model %#x", step, uint64(spy.last), uint64(mvictim))
 				}
 			}
 		case 4: // mutate through the LineRef, mirrored in the model

@@ -77,10 +77,7 @@ type oracleMachine struct {
 	pager  *vm.Pager
 	inj    *faultinject.Injector
 	script *workload.Script
-
-	segNext addr.SegmentID
-	segFree []addr.SegmentID
-	code    []vm.Region
+	code   []vm.Region
 }
 
 type oracleConfig struct {
@@ -97,13 +94,13 @@ func newOracleMachine(cfg oracleConfig) *oracleMachine {
 	tp := timing.Default()
 	ctr := counters.New()
 	c := cache.New(128 << 10)
-	tbl := pte.NewTable(addr.SegmentID(addr.MaxSegmentID))
+	tbl := pte.NewTable(addr.PTESegment)
 	x := xlate.New(tbl, c, ctr, tp)
 	pool := mem.PoolForBytes(MiB(cfg.memMB), 128)
 	pager := vm.NewPager(pool, ctr, tp)
 	e := NewEngine(c, x, pager, ctr, tp, cfg.dirty, cfg.ref)
 	e.TagCheckFlush = cfg.tagCheck
-	m := &oracleMachine{e: e, ctr: ctr, c: c, tbl: tbl, pool: pool, pager: pager, segNext: 1}
+	m := &oracleMachine{e: e, ctr: ctr, c: c, tbl: tbl, pool: pool, pager: pager}
 	if inj := faultinject.New(cfg.faults...); inj.Active() {
 		m.inj, e.Inject, pager.Inject = inj, inj, inj
 	}
@@ -121,18 +118,6 @@ func (m *oracleMachine) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.R
 }
 
 func (m *oracleMachine) ReleaseRegion(r vm.Region) { m.pager.ReleaseRegion(r) }
-
-func (m *oracleMachine) AllocSegment() addr.SegmentID {
-	if n := len(m.segFree); n > 0 {
-		s := m.segFree[n-1]
-		m.segFree = m.segFree[:n-1]
-		return s
-	}
-	m.segNext++
-	return m.segNext - 1
-}
-
-func (m *oracleMachine) FreeSegment(s addr.SegmentID) { m.segFree = append(m.segFree, s) }
 
 // diffMachines names the first part of the state the reference step can
 // change where a and b differ, or returns "".

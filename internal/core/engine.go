@@ -233,8 +233,7 @@ func (e *Engine) miss(op trace.Op, b addr.BlockAddr, p addr.GVPN) {
 	}
 	e.Ctr.Inc(counters.EvBusRead)
 	e.Cycles += e.cost.fetch
-	v, evicted := e.Cache.Fill(b, state, entry.Prot(), entry.Dirty(), false, op == trace.OpWrite)
-	e.chargeVictim(v, evicted)
+	e.chargeVictim(e.Cache.Fill(b, state, entry.Prot(), entry.Dirty(), false, op == trace.OpWrite))
 }
 
 // writeHit applies the dirty-bit policy to a write that hit in the cache.
@@ -351,8 +350,7 @@ func (e *Engine) writeHit(l cache.LineRef, p addr.GVPN, b addr.BlockAddr) {
 		e.Ctr.Inc(counters.EvBusRead)
 		e.Cycles += e.cost.fetch
 		e.Cache.IssueBus(coherence.BusReadOwn, b)
-		v, evicted := e.Cache.Fill(b, coherence.OwnedExclusive, entry.Prot(), entry.Dirty(), false, true)
-		e.chargeVictim(v, evicted)
+		e.chargeVictim(e.Cache.Fill(b, coherence.OwnedExclusive, entry.Prot(), entry.Dirty(), false, true))
 		return
 	}
 	// The handler (or dirty-bit miss) leaves the cached snapshots fresh.
@@ -417,9 +415,10 @@ func (e *Engine) necessaryFault(p addr.GVPN) {
 	}
 }
 
-// chargeVictim accounts for a block displaced by any fill.
-func (e *Engine) chargeVictim(v cache.Victim, evicted bool) {
-	if !evicted || !v.WriteBack {
+// chargeVictim accounts for a fill's displaced block, if it was written
+// back.
+func (e *Engine) chargeVictim(wroteBack bool) {
+	if !wroteBack {
 		return
 	}
 	e.Ctr.Inc(counters.EvBusWrite)

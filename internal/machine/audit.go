@@ -7,8 +7,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/coherence"
-	"repro/internal/pte"
-	"repro/internal/vm"
 )
 
 // Audit checks the cross-structure invariants of a machine after (or
@@ -20,7 +18,7 @@ import (
 // keeps the auditor public so new policies and workloads can be checked the
 // same way.
 func Audit(m *Machine) error {
-	return auditCache(m.Cfg, m.Cache, m)
+	return auditCache(m, m.Cache)
 }
 
 // AuditMP audits every processor's cache of a multiprocessor, then the
@@ -28,7 +26,7 @@ func Audit(m *Machine) error {
 // exclusively owned block cached nowhere else.
 func AuditMP(m *MP) error {
 	for i, c := range m.Caches {
-		if err := auditCache(m.Cfg, c, m); err != nil {
+		if err := auditCache(m.Machine, c); err != nil {
 			return fmt.Errorf("cpu %d: %w", i, err)
 		}
 	}
@@ -77,43 +75,9 @@ func AuditMP(m *MP) error {
 	return nil
 }
 
-// auditedMachine is the view auditCache needs from either machine flavour.
-type auditedMachine interface {
-	pagerView() pagerView
-}
-
-type pagerView struct {
-	lookup   func(addr.GVPN) pageView
-	pteValid func(addr.GVPN) (valid bool, pfn addr.PFN)
-}
-
-type pageView struct {
-	exists   bool
-	resident bool
-	frame    addr.PFN
-}
-
-func (m *Machine) pagerView() pagerView { return viewOf(m.Pager.Lookup, m.Table.Lookup) }
-func (m *MP) pagerView() pagerView      { return viewOf(m.Pager.Lookup, m.Table.Lookup) }
-
-func viewOf(lookup func(addr.GVPN) *vm.Page, pteLookup func(addr.GVPN) pte.Entry) pagerView {
-	return pagerView{
-		lookup: func(p addr.GVPN) pageView {
-			pg := lookup(p)
-			if pg == nil {
-				return pageView{}
-			}
-			return pageView{exists: true, resident: pg.Resident(), frame: pg.Frame}
-		},
-		pteValid: func(p addr.GVPN) (bool, addr.PFN) {
-			e := pteLookup(p)
-			return e.Valid(), e.PFN()
-		},
-	}
-}
-
-func auditCache(cfg Config, c *cache.Cache, m auditedMachine) error {
-	v := m.pagerView()
+// auditCache checks one cache's lines against m's pager and page table,
+// which every board of a multiprocessor shares.
+func auditCache(m *Machine, c *cache.Cache) error {
 	for i := 0; i < c.Lines(); i++ {
 		l := c.LineAt(i)
 		if !l.Valid() {
@@ -121,21 +85,21 @@ func auditCache(cfg Config, c *cache.Cache, m auditedMachine) error {
 		}
 		page := l.Addr.Page()
 		if l.IsPTE {
-			if uint64(page.Base())>>addr.SegmentShift != uint64(PTESegment) {
+			if uint64(page.Base())>>addr.SegmentShift != uint64(addr.PTESegment) {
 				return fmt.Errorf("line %d: PTE block %#x outside the PTE segment", i, uint64(l.Addr))
 			}
 			continue
 		}
-		pg := v.lookup(page)
-		if !pg.exists || !pg.resident {
+		pg := m.Pager.Lookup(page)
+		if pg == nil || !pg.Resident() {
 			return fmt.Errorf("line %d: block %#x of non-resident page %#x", i, uint64(l.Addr), uint64(page))
 		}
-		valid, pfn := v.pteValid(page)
-		if !valid {
+		e := m.Table.Lookup(page)
+		if !e.Valid() {
 			return fmt.Errorf("line %d: block %#x cached but PTE invalid", i, uint64(l.Addr))
 		}
-		if pfn != pg.frame {
-			return fmt.Errorf("page %#x: PTE frame %d != pager frame %d", uint64(page), pfn, pg.frame)
+		if e.PFN() != pg.Frame {
+			return fmt.Errorf("page %#x: PTE frame %d != pager frame %d", uint64(page), e.PFN(), pg.Frame)
 		}
 	}
 	return nil

@@ -268,7 +268,7 @@ func TestRunHardenedFailurePositionMatchesPerRef(t *testing.T) {
 	sliceRun := func(bad int) func() (*Machine, trace.BatchSource) {
 		return func() (*Machine, trace.BatchSource) {
 			m := New(DefaultConfig())
-			seg, hole := m.AllocSegment(), m.AllocSegment()
+			seg, hole := testSeg, testSeg+1
 			m.AddRegion(addr.PageIn(seg, 0), 64, vm.Data)
 			recs := make([]trace.Rec, 10_000)
 			for i := range recs {

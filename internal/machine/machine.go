@@ -4,8 +4,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -18,14 +16,6 @@ import (
 	"repro/internal/vm"
 	"repro/internal/workload"
 	"repro/internal/xlate"
-)
-
-// Reserved segments of the global virtual space.
-const (
-	// KernelSegment is reserved for the OS (never allocated to jobs).
-	KernelSegment = addr.SegmentID(0)
-	// PTESegment holds the first-level page table array.
-	PTESegment = addr.SegmentID(addr.MaxSegmentID)
 )
 
 // Config selects the machine and experiment parameters.
@@ -89,14 +79,6 @@ type Machine struct {
 	//spurlint:ignore statecomplete — fault-injection harness configuration; experiments never checkpoint under injection
 	Inject *faultinject.Injector
 
-	// Segment allocation is a pure function of the workload stream: a machine
-	// driven by the same stream up to a fanout split already holds it
-	// (see sample.copyMachine).
-	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv
-	segNext addr.SegmentID
-	//spurlint:ignore statecomplete — built by the workload's environment calls, which every fanout member receives through multiEnv
-	segFree []addr.SegmentID
-
 	//spurlint:ignore statecomplete — Run's reference count for Result.Refs; the sampling engine drives the engine directly and never reads it
 	refs int64
 }
@@ -110,7 +92,7 @@ func New(cfg Config) *Machine {
 	}
 	ctr := counters.New()
 	c := cache.New(cfg.CacheBytes)
-	tbl := pte.NewTable(PTESegment)
+	tbl := pte.NewTable(addr.PTESegment)
 	x := xlate.New(tbl, c, ctr, cfg.Timing)
 	pool := mem.PoolForBytes(cfg.MemoryBytes, cfg.WiredFrames)
 	pager := vm.NewPager(pool, ctr, cfg.Timing)
@@ -127,7 +109,6 @@ func New(cfg Config) *Machine {
 	return &Machine{
 		Cfg: cfg, Ctr: ctr, Cache: c, Table: tbl, X: x,
 		Pool: pool, Pager: pager, Engine: e, Inject: inj,
-		segNext: KernelSegment + 1,
 	}
 }
 
@@ -138,29 +119,6 @@ func (m *Machine) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region 
 
 // ReleaseRegion implements workload.Env.
 func (m *Machine) ReleaseRegion(r vm.Region) { m.Pager.ReleaseRegion(r) }
-
-// AllocSegment implements workload.Env.
-func (m *Machine) AllocSegment() addr.SegmentID {
-	if n := len(m.segFree); n > 0 {
-		s := m.segFree[n-1]
-		m.segFree = m.segFree[:n-1]
-		return s
-	}
-	if m.segNext >= PTESegment {
-		panic("machine: global segment space exhausted")
-	}
-	s := m.segNext
-	m.segNext++
-	return s
-}
-
-// FreeSegment implements workload.Env.
-func (m *Machine) FreeSegment(s addr.SegmentID) {
-	if s == KernelSegment || s >= PTESegment {
-		panic(fmt.Sprintf("machine: freeing reserved segment %d", s))
-	}
-	m.segFree = append(m.segFree, s)
-}
 
 // Result summarizes one run.
 type Result struct {

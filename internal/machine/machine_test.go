@@ -30,54 +30,14 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
-func TestSegmentAllocator(t *testing.T) {
-	m := New(DefaultConfig())
-	s1 := m.AllocSegment()
-	s2 := m.AllocSegment()
-	if s1 == s2 {
-		t.Fatal("duplicate segments")
-	}
-	if s1 == KernelSegment || s1 == PTESegment {
-		t.Fatal("allocator handed out a reserved segment")
-	}
-	m.FreeSegment(s1)
-	if got := m.AllocSegment(); got != s1 {
-		t.Errorf("freed segment not reused: got %d want %d", got, s1)
-	}
-}
-
-func TestSegmentFreeReservedPanics(t *testing.T) {
-	m := New(DefaultConfig())
-	for _, s := range []addr.SegmentID{KernelSegment, PTESegment} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("freeing reserved segment %d did not panic", s)
-				}
-			}()
-			m.FreeSegment(s)
-		}()
-	}
-}
-
-func TestSegmentExhaustion(t *testing.T) {
-	m := New(DefaultConfig())
-	for i := 0; i < int(PTESegment)-1; i++ {
-		m.AllocSegment()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("exhaustion did not panic")
-		}
-	}()
-	m.AllocSegment()
-}
+// testSeg holds the regions these tests register by hand: the first
+// segment a workload allocates.
+const testSeg = addr.KernelSegment + 1
 
 func TestRunWithSliceSource(t *testing.T) {
 	m := New(DefaultConfig())
-	seg := m.AllocSegment()
-	m.AddRegion(addr.PageIn(seg, 0), 4, vm.Data)
-	base := addr.PageIn(seg, 0).Base()
+	m.AddRegion(addr.PageIn(testSeg, 0), 4, vm.Data)
+	base := addr.PageIn(testSeg, 0).Base()
 	recs := []trace.Rec{
 		{Op: trace.OpRead, Addr: base + 640},
 		{Op: trace.OpWrite, Addr: base + 640},
@@ -97,9 +57,8 @@ func TestRunWithSliceSource(t *testing.T) {
 
 func TestRunHonorsBudget(t *testing.T) {
 	m := New(DefaultConfig())
-	seg := m.AllocSegment()
-	m.AddRegion(addr.PageIn(seg, 0), 4, vm.Data)
-	base := addr.PageIn(seg, 0).Base()
+	m.AddRegion(addr.PageIn(testSeg, 0), 4, vm.Data)
+	base := addr.PageIn(testSeg, 0).Base()
 	var recs []trace.Rec
 	for i := 0; i < 100; i++ {
 		recs = append(recs, trace.Rec{Op: trace.OpRead, Addr: base + 640})
@@ -145,9 +104,8 @@ func TestPageInStallOverlap(t *testing.T) {
 	// With a multiprogrammed source (Runnable > 1) the pager charges only
 	// the overlap fraction of each stall; a bare source charges it fully.
 	mkRecs := func(m *Machine) []trace.Rec {
-		seg := m.AllocSegment()
-		m.AddRegion(addr.PageIn(seg, 0), 64, vm.Data)
-		base := addr.PageIn(seg, 0).Base()
+		m.AddRegion(addr.PageIn(testSeg, 0), 64, vm.Data)
+		base := addr.PageIn(testSeg, 0).Base()
 		var recs []trace.Rec
 		for i := 0; i < 32; i++ {
 			recs = append(recs, trace.Rec{Op: trace.OpRead, Addr: base + addr.GVA(i*addr.PageBytes)})
@@ -197,9 +155,8 @@ func TestAuditAfterStressRun(t *testing.T) {
 func TestAuditCatchesCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	m := New(cfg)
-	seg := m.AllocSegment()
-	m.AddRegion(addr.PageIn(seg, 0), 4, vm.Data)
-	base := addr.PageIn(seg, 0).Base()
+	m.AddRegion(addr.PageIn(testSeg, 0), 4, vm.Data)
+	base := addr.PageIn(testSeg, 0).Base()
 	m.Run(trace.NewSliceSource([]trace.Rec{{Op: trace.OpRead, Addr: base + 640}}), 10)
 	if err := Audit(m); err != nil {
 		t.Fatalf("clean machine failed audit: %v", err)
@@ -220,11 +177,12 @@ func TestFrameConservationUnderStress(t *testing.T) {
 	m := New(cfg)
 	script := workload.NewScript(m, 7, workload.SLCSpec())
 	m.Run(script, cfg.TotalRefs)
-	// Scan every page of every segment the workload was given: resident
-	// pages hold distinct frames, and they and the free frames together
-	// are exactly the allocatable ones.
+	// Scan every page of the first 16 segments, which cover the three SLC
+	// allocates: resident pages hold distinct frames, and they and the
+	// free frames together are exactly the allocatable ones. A scan that
+	// missed a segment would fall short of the allocatable count.
 	seen := map[uint32]bool{}
-	for p, end := addr.GVPN(0), addr.PageIn(m.segNext, 0); p < end; p++ {
+	for p, end := addr.GVPN(0), addr.PageIn(16, 0); p < end; p++ {
 		pg := m.Pager.Lookup(p)
 		if pg == nil || !pg.Resident() {
 			continue

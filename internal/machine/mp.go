@@ -3,17 +3,12 @@ package machine
 import (
 	"fmt"
 
-	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/core"
-	"repro/internal/counters"
-	"repro/internal/faultinject"
-	"repro/internal/mem"
 	"repro/internal/pte"
 	"repro/internal/trace"
 	"repro/internal/vm"
-	"repro/internal/workload"
 	"repro/internal/xlate"
 )
 
@@ -27,70 +22,55 @@ import (
 // atomic-update memory system, and shared pages cached clean by several
 // processors multiply the stale-copy events (each CPU's cached protection
 // or page dirty bit goes stale independently).
+//
+// MP is the uniprocessor Machine plus boards on one bus. The embedded
+// Machine is CPU 0's board (its Cache, X and Engine) and everything the
+// boards share: the page table, pool, pager, counters and injector. The
+// Run, RunHardened and Snapshot methods MP inherits drive and read CPU 0
+// alone: Snapshot's cycles and reference count are CPU 0's, beside the
+// shared counters and pager statistics. Access, Events and TotalCycles
+// cover every board.
 type MP struct {
-	Cfg    Config
+	*Machine
 	Bus    *coherence.Bus
-	Caches []*cache.Cache
-	CPUs   []*core.Engine
-	Table  *pte.Table
-	Pool   *mem.Pool
-	Pager  *vm.Pager
-	Ctr    *counters.Set
-	Inject *faultinject.Injector
+	Caches []*cache.Cache // per board; Caches[0] is the Machine's Cache
+	CPUs   []*core.Engine // per board; CPUs[0] is the Machine's Engine
 
-	cur     int // CPU whose access is in progress (for OS callbacks)
-	segNext addr.SegmentID
-	segFree []addr.SegmentID
+	cur int // CPU whose access is in progress (for OS callbacks)
 }
 
-var _ workload.Env = (*MP)(nil)
 var _ vm.OS = (*MP)(nil)
 
 // MaxCPUs is the SPUR backplane limit.
 const MaxCPUs = 12
 
-// NewMP assembles an n-processor machine.
+// NewMP assembles an n-processor machine: New's machine as board 0, then
+// boards 1 to n-1 over its table, pager and counters, attached to the bus
+// in board order.
 func NewMP(cfg Config, n int) *MP {
 	if n < 1 || n > MaxCPUs {
 		panic(fmt.Sprintf("machine: %d CPUs (SPUR holds 1-%d boards)", n, MaxCPUs))
 	}
-	if cfg.MemoryBytes <= 0 || cfg.CacheBytes <= 0 {
-		panic("machine: config missing sizes")
-	}
-	ctr := counters.New()
-	tbl := pte.NewTable(PTESegment)
-	pool := mem.PoolForBytes(cfg.MemoryBytes, cfg.WiredFrames)
-	pager := vm.NewPager(pool, ctr, cfg.Timing)
-
-	inj := faultinject.New(cfg.Faults...)
-	// As in New: only fault-plan runs wire the injector into the hot
-	// paths; a nil injector is valid and inert.
-	if inj.Active() {
-		pager.Inject = inj
-	}
-	m := &MP{
-		Cfg: cfg, Bus: coherence.NewBus(), Table: tbl,
-		Pool: pool, Pager: pager, Ctr: ctr, Inject: inj,
-		segNext: KernelSegment + 1,
-	}
-	if inj.Active() {
-		m.Bus.Inject = inj
-	}
-	for i := 0; i < n; i++ {
+	m := &MP{Machine: New(cfg), Bus: coherence.NewBus()}
+	// Board 0's engine holds the injector only on fault-plan runs (see
+	// New); the bus and the other boards take the same wiring.
+	m.Bus.Inject = m.Engine.Inject
+	m.Cache.AttachBus(m.Bus)
+	m.Caches = []*cache.Cache{m.Cache}
+	m.CPUs = []*core.Engine{m.Engine}
+	for i := 1; i < n; i++ {
 		c := cache.New(cfg.CacheBytes)
 		c.AttachBus(m.Bus)
-		x := xlate.New(tbl, c, ctr, cfg.Timing)
-		e := core.NewEngine(c, x, pager, ctr, cfg.Timing, cfg.Dirty, cfg.Ref)
+		x := xlate.New(m.Table, c, m.Ctr, cfg.Timing)
+		e := core.NewEngine(c, x, m.Pager, m.Ctr, cfg.Timing, cfg.Dirty, cfg.Ref)
 		e.TagCheckFlush = cfg.TagCheckFlush
-		if inj.Active() {
-			e.Inject = inj
-		}
+		e.Inject = m.Engine.Inject
 		m.Caches = append(m.Caches, c)
 		m.CPUs = append(m.CPUs, e)
 	}
 	// The engines each installed themselves; the multiprocessor OS layer
 	// replaces them so unmaps and reference clears reach every cache.
-	pager.SetOS(m)
+	m.Pager.SetOS(m)
 	return m
 }
 
@@ -113,39 +93,6 @@ func (m *MP) TotalCycles() uint64 {
 // Events extracts the shared counters in the paper's vocabulary.
 func (m *MP) Events() core.Events {
 	return core.EventsFrom(m.Ctr, m.Pager.Stats, m.Cfg.Timing.Seconds(m.TotalCycles()))
-}
-
-// --- workload.Env ----------------------------------------------------------
-
-// AddRegion implements workload.Env.
-func (m *MP) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
-	return m.Pager.AddRegion(start, n, kind)
-}
-
-// ReleaseRegion implements workload.Env.
-func (m *MP) ReleaseRegion(r vm.Region) { m.Pager.ReleaseRegion(r) }
-
-// AllocSegment implements workload.Env.
-func (m *MP) AllocSegment() addr.SegmentID {
-	if k := len(m.segFree); k > 0 {
-		s := m.segFree[k-1]
-		m.segFree = m.segFree[:k-1]
-		return s
-	}
-	if m.segNext >= PTESegment {
-		panic("machine: global segment space exhausted")
-	}
-	s := m.segNext
-	m.segNext++
-	return s
-}
-
-// FreeSegment implements workload.Env.
-func (m *MP) FreeSegment(s addr.SegmentID) {
-	if s == KernelSegment || s >= PTESegment {
-		panic(fmt.Sprintf("machine: freeing reserved segment %d", s))
-	}
-	m.segFree = append(m.segFree, s)
 }
 
 // --- vm.OS: the multiprocessor kernel --------------------------------------

@@ -7,7 +7,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/counters"
-	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -34,16 +33,38 @@ func TestNewMPBounds(t *testing.T) {
 	}
 }
 
-// runShared drives the shared workload round-robin for n references.
-func runShared(t *testing.T, cfg Config, cpus int, n int) (*MP, *workload.SharedWorkload) {
+// regionLog is an MP as a workload's environment that records the regions
+// the workload registers.
+type regionLog struct {
+	*MP
+	regions []vm.Region
+}
+
+func (r *regionLog) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
+	reg := r.MP.AddRegion(start, n, kind)
+	r.regions = append(r.regions, reg)
+	return reg
+}
+
+// runShared drives the shared workload round-robin for n references and
+// returns the machine and the shared data region, the one data region the
+// workload registers.
+func runShared(t *testing.T, cfg Config, cpus int, n int) (*MP, vm.Region) {
 	t.Helper()
 	m := NewMP(cfg, cpus)
-	w := workload.NewSharedWorkload(m, 1, workload.DefaultSharedParams(cpus))
+	env := &regionLog{MP: m}
+	w := workload.NewSharedWorkload(env, 1, workload.DefaultSharedParams(cpus))
 	for i := 0; i < n; i++ {
 		cpu := i % cpus
 		m.Access(cpu, w.Step(cpu))
 	}
-	return m, w
+	for _, r := range env.regions {
+		if r.Kind == vm.Data {
+			return m, r
+		}
+	}
+	t.Fatal("shared workload registered no data region")
+	return nil, vm.Region{}
 }
 
 // TestMPCoherenceInvariants runs a real shared workload and then audits
@@ -89,40 +110,13 @@ func TestMPCoherenceInvariants(t *testing.T) {
 	}
 }
 
-// regionLog is an MP as a workload's environment that records the regions
-// the workload registers.
-type regionLog struct {
-	*MP
-	regions []vm.Region
-}
-
-func (r *regionLog) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
-	reg := r.MP.AddRegion(start, n, kind)
-	r.regions = append(r.regions, reg)
-	return reg
-}
-
 // TestMPDirtyFaultOncePerPage: however many CPUs write a shared page, the
 // software dirty bit is set by exactly one necessary fault per residency.
 func TestMPDirtyFaultOncePerPage(t *testing.T) {
 	cfg := mpConfig()
 	cfg.MemoryBytes = 32 << 20 // no paging: each page faults dirty at most once
-	m := NewMP(cfg, 4)
-	env := &regionLog{MP: m}
-	w := workload.NewSharedWorkload(env, 1, workload.DefaultSharedParams(4))
-	for i := 0; i < 400_000; i++ {
-		cpu := i % 4
-		m.Access(cpu, w.Step(cpu))
-	}
-	// Count dirtied shared pages via the pager's software bits. The shared
-	// region is the one data region the workload registers.
-	var shared vm.Region
-	for _, r := range env.regions {
-		if r.Kind == vm.Data {
-			shared = r
-			break
-		}
-	}
+	m, shared := runShared(t, cfg, 4, 400_000)
+	// Count dirtied shared pages via the pager's software bits.
 	dirtyPages := 0
 	for p := shared.Start; p < shared.End(); p++ {
 		if pg := m.Pager.Lookup(p); pg != nil && pg.SoftDirty {
@@ -157,7 +151,7 @@ func TestMPStaleCopiesScaleWithCPUs(t *testing.T) {
 			m.Access(cpu, w.Step(cpu))
 		}
 		ev := m.Events()
-		return float64(ev.Nef) / float64(max64(ev.Nds, 1))
+		return float64(ev.Nef) / float64(max(ev.Nds, 1))
 	}
 	r1, r8 := ratio(1), ratio(8)
 	if r8 <= r1 {
@@ -165,21 +159,28 @@ func TestMPStaleCopiesScaleWithCPUs(t *testing.T) {
 	}
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
+// holders counts the caches holding any block of page p.
+func holders(m *MP, p addr.GVPN) int {
+	n := 0
+	for _, c := range m.Caches {
+		for b := p.FirstBlock(); b < (p + 1).FirstBlock(); b++ {
+			if _, ok := c.Probe(b); ok {
+				n++
+				break
+			}
+		}
 	}
-	return b
+	return n
 }
 
 // TestMPUnmapFlushesAllCaches: after the daemon reclaims a page, no cache
 // may still hold any of its blocks.
 func TestMPUnmapFlushesAllCaches(t *testing.T) {
 	cfg := mpConfig()
-	cfg.MemoryBytes = 5 << 20
-	m, w := runShared(t, cfg, 4, 600_000)
+	cfg.MemoryBytes = 2 << 20
+	m, _ := runShared(t, cfg, 4, 600_000)
 	if m.Pager.Stats.Reclaims == 0 {
-		t.Skip("no reclaims at this scale; nothing to audit")
+		t.Fatal("no reclaims: the run never unmapped a page")
 	}
 	// Audit: every valid non-PTE cache line belongs to a resident page.
 	for ci, c := range m.Caches {
@@ -194,47 +195,82 @@ func TestMPUnmapFlushesAllCaches(t *testing.T) {
 			}
 		}
 	}
-	_ = w
 }
 
-// TestMPSoloMatchesUniprocessorShape: a 1-CPU MP machine behaves like the
-// uniprocessor on the same record stream.
-func TestMPSoloMatchesUniprocessorShape(t *testing.T) {
-	cfg := mpConfig()
-
-	uni := New(cfg)
-	seg := uni.AllocSegment()
-	uni.AddRegion(addr.PageIn(seg, 0), 8, vm.Data)
-	base := addr.PageIn(seg, 0).Base()
-
-	mp := NewMP(cfg, 1)
-	seg2 := mp.AllocSegment()
-	mp.AddRegion(addr.PageIn(seg2, 0), 8, vm.Data)
-	base2 := addr.PageIn(seg2, 0).Base()
-
-	ops := []trace.Op{trace.OpRead, trace.OpWrite, trace.OpRead, trace.OpWrite, trace.OpIFetch}
-	for i := 0; i < 2000; i++ {
-		off := addr.GVA((i % 900) * 32)
-		op := ops[i%len(ops)]
-		if op == trace.OpIFetch {
-			op = trace.OpRead // the toy region is data
+// TestMPClearReferenceReachesAllCaches: under REF, clearing a shared page's
+// reference bit flushes it from every cache, so any processor's next touch
+// misses and sets the bit; under MISS the cached copies stay.
+func TestMPClearReferenceReachesAllCaches(t *testing.T) {
+	for _, ref := range []core.RefPolicy{core.RefTRUE, core.RefMISS} {
+		cfg := mpConfig()
+		cfg.MemoryBytes = 32 << 20 // no paging: the test alone clears
+		cfg.Ref = ref
+		m, shared := runShared(t, cfg, 4, 400_000)
+		p := shared.Start
+		for p < shared.End() && holders(m, p) < 2 {
+			p++
 		}
-		uni.Engine.Access(trace.Rec{Op: op, Addr: base + off})
-		mp.Access(0, trace.Rec{Op: op, Addr: base2 + off})
+		if p == shared.End() {
+			t.Fatalf("%v: no shared page cached by two CPUs", ref)
+		}
+		before := holders(m, p)
+		m.ClearReference(m.Pager.Lookup(p))
+		after := holders(m, p)
+		t.Logf("%v: page %#x held by %d caches, %d after the clear", ref, uint64(p), before, after)
+		if ref == core.RefTRUE && after != 0 {
+			t.Errorf("REF: %d of %d caches still hold the page after its reference clear", after, before)
+		}
+		if ref == core.RefMISS && after != before {
+			t.Errorf("MISS: the reference clear changed the holders from %d to %d", before, after)
+		}
 	}
-	u := uni.Ctr.Snapshot()
-	p := mp.Ctr.Snapshot()
-	for _, ev := range []counters.Event{counters.EvDirtyFault, counters.EvReadMiss, counters.EvWriteMiss, counters.EvPageIn} {
-		if u[ev] != p[ev] {
-			t.Errorf("%v: uni %d vs mp(1) %d", ev, u[ev], p[ev])
+}
+
+// TestMPSoloMatchesUniprocessorShape: a 1-CPU MP is the uniprocessor. On a
+// shared-workload run that pages heavily, every counter, the total cycles
+// and the pager statistics match under every dirty and reference policy.
+func TestMPSoloMatchesUniprocessorShape(t *testing.T) {
+	const refs = 300_000
+	for _, dirty := range core.AllDirtyPolicies {
+		for _, ref := range core.RefPolicies {
+			cfg := mpConfig()
+			cfg.MemoryBytes = 1 << 20
+			cfg.Dirty, cfg.Ref = dirty, ref
+
+			uni := New(cfg)
+			w := workload.NewSharedWorkload(uni, 1, workload.DefaultSharedParams(1))
+			for i := 0; i < refs; i++ {
+				uni.Engine.Access(w.Step(0))
+			}
+			mp := NewMP(cfg, 1)
+			w = workload.NewSharedWorkload(mp, 1, workload.DefaultSharedParams(1))
+			for i := 0; i < refs; i++ {
+				mp.Access(0, w.Step(0))
+			}
+
+			if uni.Pager.Stats.PageIns == 0 {
+				t.Fatalf("%v/%v: the run never paged", dirty, ref)
+			}
+			if u, p := uni.Ctr.Snapshot(), mp.Ctr.Snapshot(); u != p {
+				t.Errorf("%v/%v: counters differ:\nuni   %v\nmp(1) %v", dirty, ref, u, p)
+			}
+			if u, p := uni.Engine.TotalCycles(), mp.TotalCycles(); u != p {
+				t.Errorf("%v/%v: cycles uni %d vs mp(1) %d", dirty, ref, u, p)
+			}
+			if uni.Pager.Stats != mp.Pager.Stats {
+				t.Errorf("%v/%v: pager stats differ:\nuni   %+v\nmp(1) %+v", dirty, ref, uni.Pager.Stats, mp.Pager.Stats)
+			}
 		}
 	}
 }
 
 func TestAuditMPAfterStressRun(t *testing.T) {
 	cfg := mpConfig()
-	cfg.MemoryBytes = 5 << 20
+	cfg.MemoryBytes = 2 << 20
 	m, _ := runShared(t, cfg, 4, 500_000)
+	if m.Pager.Stats.Reclaims == 0 {
+		t.Fatal("no reclaims: the run never unmapped a page")
+	}
 	if err := AuditMP(m); err != nil {
 		t.Fatalf("MP audit failed: %v", err)
 	}

@@ -127,10 +127,3 @@ func (p *Pool) CopyFreeFrom(src *Pool) {
 		p.inUse[f] = false
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

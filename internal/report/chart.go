@@ -117,10 +117,3 @@ func (c *Chart) String() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -126,10 +126,3 @@ func MCycles(c uint64) string {
 		return fmt.Sprintf("%.3f", m)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

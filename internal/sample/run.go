@@ -80,11 +80,8 @@ func readBaseline(m *machine.Machine) baseline {
 
 // multiEnv fans one workload's environment calls out to every variant
 // machine, so a single generated stream drives them all. Merged members get
-// them too: copyMachine omits the region list and segments, so a member
-// splitting off its leader must already hold them. The machines see
-// identical call sequences, so their segment allocators answer
-// identically; a divergence means variant construction differed and is a
-// hard error.
+// them too: copyMachine omits the region list, so a member splitting off
+// its leader must already hold it.
 type multiEnv struct{ ms []*machine.Machine }
 
 func (e multiEnv) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
@@ -98,22 +95,6 @@ func (e multiEnv) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region 
 func (e multiEnv) ReleaseRegion(r vm.Region) {
 	for _, m := range e.ms {
 		m.ReleaseRegion(r)
-	}
-}
-
-func (e multiEnv) AllocSegment() addr.SegmentID {
-	s := e.ms[0].AllocSegment()
-	for _, m := range e.ms[1:] {
-		if got := m.AllocSegment(); got != s {
-			panic(fmt.Sprintf("sample: variant machines diverged on segment allocation (%d vs %d)", got, s))
-		}
-	}
-	return s
-}
-
-func (e multiEnv) FreeSegment(s addr.SegmentID) {
-	for _, m := range e.ms {
-		m.FreeSegment(s)
 	}
 }
 
@@ -228,12 +209,13 @@ func (f *fanout) holder(vi int) *machine.Machine { return f.ms[f.leader[vi]] }
 // frames first and hands out fresh ones lowest first, and a positive
 // horizon means the leader never ran out of frames below the member's
 // total, so the frames cut are ones the leader never allocated. What it
-// omits is everything the workload stream builds through the machine's
-// environment calls — the region list and segment allocation — and the
-// generator's own state: generation is a pure function of (spec, seed),
+// omits is the region list, which the workload stream builds through the
+// machine's environment calls, and the generator's own state, segment
+// numbers included: generation is a pure function of (spec, seed),
 // and a machine driven by the same stream (a fanout member through
-// multiEnv) already holds them. The pages the regions hold are copied. Driving m and l with the same references afterwards produces
-// identical counters, cycles and statistics.
+// multiEnv) already holds them. The pages the regions hold are copied.
+// Driving m and l with the same references afterwards produces identical
+// counters, cycles and statistics.
 func copyMachine(m, l *machine.Machine) {
 	m.Cache.CopyFrom(l.Cache)
 	m.Table.CopyFrom(l.Table)

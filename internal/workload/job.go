@@ -111,11 +111,12 @@ func (p JobParams) valid() {
 // Job is a running synthetic process: a proc.Runner generating its
 // reference stream and owning its regions.
 type Job struct {
-	p   JobParams
-	env Env
-	rng RNG
-	seg addr.SegmentID
-	thr jobThresholds
+	p    JobParams
+	env  Env
+	segs *segments
+	rng  RNG
+	seg  addr.SegmentID
+	thr  jobThresholds
 
 	code    vm.Region // private code, N may be 0
 	data    vm.Region
@@ -178,18 +179,18 @@ var (
 	thrHotRMW     = Threshold(0.35)
 )
 
-// newJobWithData creates a process: allocates its segment and registers
-// its regions, optionally working on a persistent (script-owned) data
-// region instead of a fresh private one. When
-// persistent.N > 0 its size overrides p.DataPages and the region survives
-// the job, modelling repeated commands over the same cached files.
-func newJobWithData(env Env, rng *RNG, p JobParams, shared []vm.Region, persistent, source vm.Region) *Job {
+// newJobWithData creates a process: allocates its segment from segs and
+// registers its regions, optionally working on a persistent (script-owned)
+// data region instead of a fresh private one. When persistent.N > 0 its
+// size overrides p.DataPages and the region survives the job, modelling
+// repeated commands over the same cached files.
+func newJobWithData(env Env, segs *segments, rng *RNG, p JobParams, shared []vm.Region, persistent, source vm.Region) *Job {
 	if persistent.N > 0 {
 		p.DataPages = persistent.N
 	}
 	p.valid()
 	j := &Job{
-		p: p, env: env, rng: *rng.Fork(), seg: env.AllocSegment(),
+		p: p, env: env, segs: segs, rng: *rng.Fork(), seg: segs.alloc(),
 		thr: newJobThresholds(p), src: source, refsLeft: p.Refs,
 	}
 	if source.N > 0 {
@@ -255,7 +256,7 @@ func (j *Job) Teardown() {
 	if j.stack.N > 0 {
 		j.env.ReleaseRegion(j.stack)
 	}
-	j.env.FreeSegment(j.seg)
+	j.segs.release(j.seg)
 }
 
 // StepHorizon implements proc.Horizoned: a lower bound on how many Step
@@ -567,11 +568,4 @@ func (j *Job) scan() {
 	} else {
 		j.push(trace.OpRead, a)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

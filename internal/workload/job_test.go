@@ -12,17 +12,11 @@ import (
 // fakeEnv implements Env over simple bookkeeping.
 type fakeEnv struct {
 	regions  map[vm.Region]vm.PageKind
-	segsOut  map[addr.SegmentID]bool
-	nextSeg  addr.SegmentID
 	released []vm.Region
 }
 
 func newFakeEnv() *fakeEnv {
-	return &fakeEnv{
-		regions: map[vm.Region]vm.PageKind{},
-		segsOut: map[addr.SegmentID]bool{},
-		nextSeg: 1,
-	}
+	return &fakeEnv{regions: map[vm.Region]vm.PageKind{}}
 }
 
 func (e *fakeEnv) AddRegion(start addr.GVPN, n int, kind vm.PageKind) vm.Region {
@@ -44,20 +38,6 @@ func (e *fakeEnv) ReleaseRegion(r vm.Region) {
 	e.released = append(e.released, r)
 }
 
-func (e *fakeEnv) AllocSegment() addr.SegmentID {
-	s := e.nextSeg
-	e.nextSeg++
-	e.segsOut[s] = true
-	return s
-}
-
-func (e *fakeEnv) FreeSegment(s addr.SegmentID) {
-	if !e.segsOut[s] {
-		panic("fakeEnv: free of unallocated segment")
-	}
-	delete(e.segsOut, s)
-}
-
 func testParams() JobParams {
 	return JobParams{
 		Name: "t", Refs: 100000,
@@ -74,7 +54,8 @@ func testParams() JobParams {
 
 func TestJobLifecycle(t *testing.T) {
 	env := newFakeEnv()
-	j := newJobWithData(env, NewRNG(1), testParams(), nil, vm.Region{}, vm.Region{})
+	var segs segments
+	j := newJobWithData(env, &segs, NewRNG(1), testParams(), nil, vm.Region{}, vm.Region{})
 	if len(env.regions) != 4 { // code, data, heap, stack
 		t.Fatalf("regions = %d, want 4", len(env.regions))
 	}
@@ -85,10 +66,10 @@ func TestJobLifecycle(t *testing.T) {
 	if len(env.regions) != 0 {
 		t.Errorf("%d regions leaked", len(env.regions))
 	}
-	if len(env.segsOut) != 0 {
-		t.Error("segment leaked")
-	}
 	j.Teardown() // idempotent
+	if len(segs.free) != 1 || segs.free[0] != j.seg {
+		t.Errorf("segment %d not freed exactly once: free list %v", j.seg, segs.free)
+	}
 }
 
 func TestJobParamValidation(t *testing.T) {
@@ -107,7 +88,7 @@ func TestJobParamValidation(t *testing.T) {
 					t.Errorf("case %d: invalid params accepted", i)
 				}
 			}()
-			newJobWithData(newFakeEnv(), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
+			newJobWithData(newFakeEnv(), new(segments), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
 		}()
 	}
 }
@@ -120,7 +101,7 @@ func TestJobNeedsCode(t *testing.T) {
 			t.Error("job with no code accepted")
 		}
 	}()
-	newJobWithData(newFakeEnv(), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
+	newJobWithData(newFakeEnv(), new(segments), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
 }
 
 // drain pulls n references, checking each lands in a region of the job.
@@ -148,7 +129,7 @@ func drain(t *testing.T, env *fakeEnv, j *Job, n int) map[vm.PageKind][3]uint64 
 
 func TestJobReferencesStayInRegions(t *testing.T) {
 	env := newFakeEnv()
-	j := newJobWithData(env, NewRNG(2), testParams(), nil, vm.Region{}, vm.Region{})
+	j := newJobWithData(env, new(segments), NewRNG(2), testParams(), nil, vm.Region{}, vm.Region{})
 	stats := drain(t, env, j, 50000)
 	if stats[vm.Code][trace.OpIFetch] == 0 {
 		t.Error("no instruction fetches to code")
@@ -171,7 +152,7 @@ func TestJobDoneAfterRefs(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	p.Refs = 500
-	j := newJobWithData(env, NewRNG(3), p, nil, vm.Region{}, vm.Region{})
+	j := newJobWithData(env, new(segments), NewRNG(3), p, nil, vm.Region{}, vm.Region{})
 	n := 0
 	for !j.Done() {
 		j.Step()
@@ -191,7 +172,7 @@ func TestHeapChurnAllocatesFreshRegions(t *testing.T) {
 	p.HeapPages = 1 // one page per generation: wraps fast
 	p.PAlloc = 0.5
 	p.PIFetch = 0.1
-	j := newJobWithData(env, NewRNG(4), p, nil, vm.Region{}, vm.Region{})
+	j := newJobWithData(env, new(segments), NewRNG(4), p, nil, vm.Region{}, vm.Region{})
 	heapStarts := map[addr.GVPN]bool{}
 	for i := 0; i < 30000 && !j.Done(); i++ {
 		j.Step()
@@ -219,7 +200,7 @@ func TestHeapChurnStaysBelowStack(t *testing.T) {
 	p := testParams()
 	p.HeapPages = heapStride + 200 // generation crosses into the next slot
 	p.StackPages = 4               // a stack region to collide with at stackBase
-	j := newJobWithData(env, NewRNG(4), p, nil, vm.Region{}, vm.Region{})
+	j := newJobWithData(env, new(segments), NewRNG(4), p, nil, vm.Region{}, vm.Region{})
 	segBase := uint64(addr.PageIn(j.seg, 0))
 	for gen := 0; gen < 300; gen++ {
 		j.newHeapGeneration()
@@ -245,7 +226,7 @@ func TestHeapPagesOversizedPanics(t *testing.T) {
 			t.Error("oversized HeapPages accepted")
 		}
 	}()
-	newJobWithData(newFakeEnv(), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
+	newJobWithData(newFakeEnv(), new(segments), NewRNG(1), p, nil, vm.Region{}, vm.Region{})
 }
 
 func TestSharedCodeFetched(t *testing.T) {
@@ -255,7 +236,7 @@ func TestSharedCodeFetched(t *testing.T) {
 	p.CodePages = 0
 	p.PFarJump = 0.5
 	p.PJump = 0.3
-	j := newJobWithData(env, NewRNG(5), p, []vm.Region{shared}, vm.Region{}, vm.Region{})
+	j := newJobWithData(env, new(segments), NewRNG(5), p, []vm.Region{shared}, vm.Region{}, vm.Region{})
 	sawShared := false
 	for i := 0; i < 20000 && !j.Done(); i++ {
 		r := j.Step()
@@ -278,7 +259,7 @@ func TestPersistentDataNotReleased(t *testing.T) {
 	env := newFakeEnv()
 	file := env.AddRegion(addr.PageIn(210, 0), 32, vm.Data)
 	p := testParams()
-	j := newJobWithData(env, NewRNG(6), p, nil, file, vm.Region{})
+	j := newJobWithData(env, new(segments), NewRNG(6), p, nil, file, vm.Region{})
 	for i := 0; i < 1000; i++ {
 		j.Step()
 	}
@@ -293,7 +274,7 @@ func TestSourceRegionReadOnly(t *testing.T) {
 	src := env.AddRegion(addr.PageIn(220, 0), 32, vm.Code)
 	p := testParams()
 	p.PSrcRead = 0.8
-	j := newJobWithData(env, NewRNG(7), p, nil, vm.Region{}, src)
+	j := newJobWithData(env, new(segments), NewRNG(7), p, nil, vm.Region{}, src)
 	srcReads := 0
 	for i := 0; i < 30000 && !j.Done(); i++ {
 		r := j.Step()
@@ -317,7 +298,7 @@ func TestWriteMixControllable(t *testing.T) {
 		p := testParams()
 		p.PWritePage = pWritePage
 		p.PHotWrite = pWritePage / 2
-		j := newJobWithData(env, NewRNG(8), p, nil, vm.Region{}, vm.Region{})
+		j := newJobWithData(env, new(segments), NewRNG(8), p, nil, vm.Region{}, vm.Region{})
 		writes, total := 0, 0
 		for i := 0; i < 40000 && !j.Done(); i++ {
 			r := j.Step()

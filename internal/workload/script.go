@@ -73,6 +73,7 @@ type Spec struct {
 type Script struct {
 	spec Spec
 	env  Env
+	segs segments
 	rng  *RNG
 
 	sched   *proc.Scheduler
@@ -117,19 +118,16 @@ func NewScript(env Env, seed uint64, spec Spec) *Script {
 	// invisible while the cache index stays below the segment bits, and a
 	// silent replay breaker the moment a sweep grows the cache past that.
 	for _, name := range sortedNames(spec.Images) {
-		seg := env.AllocSegment()
-		s.images[name] = env.AddRegion(addr.PageIn(seg, 0), spec.Images[name], vm.Code)
+		s.images[name] = env.AddRegion(addr.PageIn(s.segs.alloc(), 0), spec.Images[name], vm.Code)
 	}
 	for _, name := range sortedNames(spec.Files) {
-		seg := env.AllocSegment()
-		s.files[name] = env.AddRegion(addr.PageIn(seg, 0), spec.Files[name], vm.Data)
+		s.files[name] = env.AddRegion(addr.PageIn(s.segs.alloc(), 0), spec.Files[name], vm.Data)
 	}
 	for _, name := range sortedNames(spec.ROFiles) {
 		if _, dup := s.files[name]; dup {
 			panic(fmt.Sprintf("workload: %q in both Files and ROFiles", name))
 		}
-		seg := env.AllocSegment()
-		s.files[name] = env.AddRegion(addr.PageIn(seg, 0), spec.ROFiles[name], vm.Code)
+		s.files[name] = env.AddRegion(addr.PageIn(s.segs.alloc(), 0), spec.ROFiles[name], vm.Code)
 	}
 
 	for _, b := range spec.Background {
@@ -173,7 +171,7 @@ func (s *Script) spawn(js JobSpec, info *taskInfo) {
 		}
 		source = r
 	}
-	job := newJobWithData(s.env, s.rng, js.Params, shared, persistent, source)
+	job := newJobWithData(s.env, &s.segs, s.rng, js.Params, shared, persistent, source)
 	info.job = job
 	s.nextPID++
 	t := &proc.Task{PID: s.nextPID, Name: js.Params.Name, Runner: job}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/addr"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -287,8 +286,8 @@ func TestWindowSpecValidAndStreams(t *testing.T) {
 	}
 }
 
-// releaseLog wraps fakeEnv and records, for every ReleaseRegion and
-// FreeSegment, how many references the consumer had taken when it came.
+// releaseLog wraps fakeEnv and records, for every ReleaseRegion, how many
+// references the consumer had taken when it came.
 type releaseLog struct {
 	*fakeEnv
 	consumed int64
@@ -298,11 +297,6 @@ type releaseLog struct {
 func (e *releaseLog) ReleaseRegion(r vm.Region) {
 	e.events = append(e.events, fmt.Sprintf("release %v at %d", r, e.consumed))
 	e.fakeEnv.ReleaseRegion(r)
-}
-
-func (e *releaseLog) FreeSegment(s addr.SegmentID) {
-	e.events = append(e.events, fmt.Sprintf("free segment %d at %d", s, e.consumed))
-	e.fakeEnv.FreeSegment(s)
 }
 
 // releases runs total references of spec at seed and returns the release
@@ -353,8 +347,10 @@ func churnSpec() Spec {
 }
 
 // TestScriptBatchReleasesWhereNextDoes is the release-order oracle: every
-// region release and segment free must come after exactly the references
-// the per-reference path consumes before it, however the batches are cut.
+// region release must come after exactly the references the per-reference
+// path consumes before it, however the batches are cut. (Segment frees are
+// the workload's own; one that moved relative to an allocation would move
+// the next job's addresses, which TestScriptBatchMatchesNext catches.)
 // The buffer lengths stand in for every batched caller: trace.Pump's full
 // batches and its alignment cuts (Machine.Run's audits, the sampler's
 // profiling intervals) and the sampling fanout's horizon caps. The stream

@@ -51,6 +51,7 @@ func DefaultSharedParams(cpus int) SharedParams {
 
 // SharedWorkload drives one process per CPU over a common data region.
 type SharedWorkload struct {
+	segs  segments
 	procs []*Job
 }
 
@@ -63,19 +64,16 @@ func NewSharedWorkload(env Env, seed uint64, p SharedParams) *SharedWorkload {
 		panic("workload: shared workload needs at least one CPU")
 	}
 	rng := NewRNG(seed)
-	codeSeg := env.AllocSegment()
-	code := env.AddRegion(addr.PageIn(codeSeg, 0), p.CodePages, vm.Code)
-	dataSeg := env.AllocSegment()
-	shared := env.AddRegion(addr.PageIn(dataSeg, 0), p.SharedPages, vm.Data)
-
 	w := &SharedWorkload{}
+	code := env.AddRegion(addr.PageIn(w.segs.alloc(), 0), p.CodePages, vm.Code)
+	shared := env.AddRegion(addr.PageIn(w.segs.alloc(), 0), p.SharedPages, vm.Data)
 	for i := 0; i < p.CPUs; i++ {
 		jp := p.Job
 		jp.Refs = 1 << 62
 		jp.HeapPages = p.HeapPages
 		jp.StackPages = p.StackPages
 		jp.RandomStart = true
-		w.procs = append(w.procs, newJobWithData(env, rng, jp, []vm.Region{code}, shared, vm.Region{}))
+		w.procs = append(w.procs, newJobWithData(env, &w.segs, rng, jp, []vm.Region{code}, shared, vm.Region{}))
 	}
 	return w
 }

@@ -76,8 +76,7 @@ func (u *Unit) TranslateMiss(p addr.GVPN) (pte.Entry, uint64, bool) {
 	u.ctr.Inc(counters.EvL2Access)
 	u.ctr.Inc(counters.EvBusRead)
 	u.c.IssueBus(coherence.BusRead, pteBlock)
-	v, evicted := u.c.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
-	wroteBack := evicted && v.WriteBack
+	wroteBack := u.c.Fill(pteBlock, coherence.UnOwned, pte.ProtKernel, false, true, false)
 	if wroteBack {
 		u.ctr.Inc(counters.EvBusWrite)
 		cycles += u.writeBack
@@ -108,8 +107,7 @@ func (u *Unit) UpdatePTE(p addr.GVPN, fn func(pte.Entry) pte.Entry) (pte.Entry, 
 		u.ctr.Inc(counters.EvBusRead)
 		cycles += u.l2Fetch
 		u.c.IssueBus(coherence.BusReadOwn, pteBlock)
-		v, evicted := u.c.Fill(pteBlock, coherence.OwnedExclusive, pte.ProtKernel, false, true, true)
-		if evicted && v.WriteBack {
+		if u.c.Fill(pteBlock, coherence.OwnedExclusive, pte.ProtKernel, false, true, true) {
 			u.ctr.Inc(counters.EvBusWrite)
 			cycles += u.writeBack
 		}
